@@ -30,7 +30,6 @@ SystemConfig::normalize()
     l1.validate();
     l2.validate();
     coherence.validate();
-    cpu.validate();
     if (ubuf.combineBytes > lineBytes) {
         csb_fatal("uncached buffer combine block (", ubuf.combineBytes,
                   ") exceeds the cache line (", lineBytes, ")");
@@ -258,10 +257,6 @@ System::buildCoreSlice(unsigned cpu)
     ports.memory = &physMem_;
     slice.core = std::make_unique<cpu::Core>(sim_, config_.core, ports,
                                              "cpu" + suffix, this);
-    // Interpreter mode only concerns the functional engines; a System
-    // reacts to CoreFastForward alone.
-    if (config_.cpu.translate == cpu::TranslateMode::CoreFastForward)
-        slice.core->enableFastForward(config_.cpu);
 }
 
 System::~System()
@@ -462,7 +457,6 @@ configFingerprint(const SystemConfig &c)
         {"coherenceKind", static_cast<std::uint64_t>(c.coherence.kind)},
         {"cohUpgradeLatency", c.coherence.upgradeLatency},
         {"cohCacheToCacheLatency", c.coherence.cacheToCacheLatency},
-        {"cpuTranslate", static_cast<std::uint64_t>(c.cpu.translate)},
     };
 }
 

@@ -50,16 +50,6 @@ struct SystemConfig
 
     cpu::CoreParams core;
 
-    /**
-     * Basic-block translated dispatch (cpu/translator.hh).  Off by
-     * default: every artifact stays byte-identical.  Interpreter mode
-     * only affects the functional engines (a System ignores it);
-     * CoreFastForward lets each cycle-level core retire long
-     * pure-compute block chains in one tick -- a documented
-     * approximate-timing mode, fingerprinted in checkpoints.
-     */
-    cpu::TranslateConfig cpu;
-
     mem::UncachedBufferParams ubuf;
 
     bool enableCsb = true;

@@ -59,12 +59,9 @@ struct ArchState
 /**
  * Pure functional evaluation of an ALU operation.
  *
- * Defined inline so the translated fast path (cpu/translator.hh) can
- * instantiate it with a compile-time opcode: the switch folds away and
- * each micro-op handler becomes straight-line code, while the
- * interpreter, the core and the reference executor keep calling it
- * with a runtime opcode.  One definition serves every execution
- * engine -- the differential tests depend on that.
+ * Shared by the cycle-level core and the reference executor: one
+ * definition serves both execution engines -- the differential tests
+ * depend on that.
  *
  * @param op  the opcode (must be an IntAlu or FpAlu class op)
  * @param a   first source value (raw bits)
@@ -133,8 +130,7 @@ evalAlu(isa::Opcode op, std::uint64_t a, std::uint64_t b)
 }
 
 /**
- * Evaluate a branch condition.  Inline for the same reason as
- * evalAlu(): the translator instantiates it per opcode.
+ * Evaluate a branch condition (shared like evalAlu()).
  * @return true when the branch is taken
  */
 inline bool

@@ -42,9 +42,6 @@ Core::Core(sim::Simulator &simulator, const CoreParams &params,
       csbStoreStallCycles(this, "csbStoreStallCycles",
                           "cycles retire stalled on a busy CSB"),
       contextSwitches(this, "contextSwitches", "pipeline squashes"),
-      instsFastForwarded(this, "instsFastForwarded",
-                         "instructions retired via the translated "
-                         "fast-forward path"),
       uncachedStallRuns(this, "uncachedStallRuns",
                         "consecutive cycles an uncached store waited "
                         "before retiring",
@@ -74,8 +71,6 @@ Core::loadProgram(const isa::Program *program, ProcId pid)
     csb_assert(program != nullptr && program->finalized(),
                "loadProgram needs a finalized program");
     program_ = program;
-    if (ffTranslator_)
-        ffTranslator_->setProgram(program_);
     arch_ = ArchState{};
     arch_.pid = pid;
     spec_ = arch_;
@@ -86,17 +81,6 @@ Core::loadProgram(const isa::Program *program, ProcId pid)
     fetchStallSeq_ = 0;
     switchPending_ = false;
     ++epoch_;
-}
-
-void
-Core::enableFastForward(const TranslateConfig &config)
-{
-    config.validate();
-    ffTranslator_ = std::make_unique<Translator>();
-    ffInstsPerTick_ = config.fastForwardInstsPerTick;
-    ffMinBlock_ = config.fastForwardMinBlock;
-    if (program_)
-        ffTranslator_->setProgram(program_);
 }
 
 void
@@ -198,8 +182,6 @@ Core::doSquashAndSwitch()
     arch_ = nextState_;
     spec_ = arch_;
     program_ = nextProgram_;
-    if (ffTranslator_)
-        ffTranslator_->setProgram(program_);
     fetchPc_ = arch_.pc;
     fetchHalted_ = arch_.halted;
     fetchStallSeq_ = 0;
@@ -320,25 +302,11 @@ Core::fetchStage()
         return;
     }
 
-    // Translated fast-forward: with the pipeline drained, burn
-    // through long pure-compute block chains architecturally instead
-    // of re-fetching them one pipeline slot at a time.
-    if (ffTranslator_ && window_.empty() && !switchPending_)
-        fastForward();
-
     Tick now = sim_.curTick();
     unsigned fetched = 0;
     while (fetched < params_.fetchWidth) {
         if (window_.size() >= params_.windowSize) {
             windowFullStallCycles += 1;
-            break;
-        }
-        // Leave a long block to the fast-forward path: stop fetching
-        // so the window drains and fastForward() picks it up.  Short
-        // blocks stay on the pipeline, where the out-of-order window
-        // overlaps them with the surrounding memory traffic.
-        if (ffTranslator_ &&
-            ffTranslator_->blockLen(fetchPc_) >= ffMinBlock_) {
             break;
         }
         csb_assert(fetchPc_ < program_->size(),
@@ -398,33 +366,6 @@ Core::fetchStage()
             ++fetchPc_;
         }
     }
-}
-
-void
-Core::fastForward()
-{
-    // The window is drained, so everything fetched has retired and
-    // the committed pc is exactly where fetch stands.
-    csb_assert(arch_.pc == fetchPc_,
-               "fast-forward with fetch ahead of commit");
-    std::uint64_t blen = ffTranslator_->blockLen(arch_.pc);
-    if (blen < ffMinBlock_)
-        return;
-    // A block is never split, so the budget is a floor, not a cap:
-    // an oversized block still executes whole this tick.
-    std::uint64_t budget = std::max<std::uint64_t>(ffInstsPerTick_, blen);
-    std::vector<std::int64_t> mark_ids;
-    std::uint64_t steps = ffTranslator_->run(arch_, budget, mark_ids);
-    csb_assert(steps > 0, "fast-forward made no progress");
-    Tick now = sim_.curTick();
-    for (std::int64_t id : mark_ids)
-        marks_.emplace_back(id, now);
-    spec_ = arch_;
-    fetchPc_ = arch_.pc;
-    instsRetired += steps;
-    instsDispatched += steps;
-    instsFastForwarded += steps;
-    sim_.noteProgress();
 }
 
 // ---------------------------------------------------------------------

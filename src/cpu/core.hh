@@ -31,7 +31,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -48,7 +47,6 @@
 #include "sim/simulator.hh"
 #include "sim/stats.hh"
 #include "sim/trace_recorder.hh"
-#include "translator.hh"
 
 namespace csb::cpu {
 
@@ -144,20 +142,6 @@ class Core : public sim::Clocked, public sim::stats::StatGroup
 
     void tick() override;
 
-    /**
-     * Attach the cpu.translate=core-fastforward fast path: whenever
-     * the window is empty and the next basic block is at least
-     * @p config.fastForwardMinBlock instructions of pure compute, the
-     * whole block chain retires architecturally in one tick via the
-     * translator instead of flowing through the pipeline.  Memory
-     * instructions, SWAP, MEMBAR and Halt always take the pipeline,
-     * so the memory-system event stream (bus traffic, CSB commit
-     * point, traces, fault sites) is unchanged; only tick counts
-     * compress.  This is a documented approximate-timing mode
-     * (docs/PERF.md) -- never enabled by default.
-     */
-    void enableFastForward(const TranslateConfig &config);
-
     const CoreParams &params() const { return params_; }
 
     /**
@@ -181,8 +165,6 @@ class Core : public sim::Clocked, public sim::stats::StatGroup
     sim::stats::Scalar membarStallCycles;
     sim::stats::Scalar csbStoreStallCycles;
     sim::stats::Scalar contextSwitches;
-    /** Instructions retired via the translated fast-forward path. */
-    sim::stats::Scalar instsFastForwarded;
     /** Consecutive cycles an uncached store waited before retiring. */
     sim::stats::Distribution uncachedStallRuns;
     sim::stats::Formula ipc;
@@ -224,9 +206,6 @@ class Core : public sim::Clocked, public sim::stats::StatGroup
     void retireStage();
     void issueStage();
     void fetchStage();
-
-    /** Drained-window translated fast-forward (enableFastForward). */
-    void fastForward();
 
     // Commit helpers; return false when the head cannot commit yet.
     bool commitHead(unsigned &uncached_retired);
@@ -300,11 +279,6 @@ class Core : public sim::Clocked, public sim::stats::StatGroup
     /** Optional trace capture sink (not owned); null when detached. */
     sim::TraceRecorder *traceRec_ = nullptr;
     std::uint8_t traceCpu_ = 0;
-
-    // Translated fast-forward (null unless enableFastForward ran).
-    std::unique_ptr<Translator> ffTranslator_;
-    unsigned ffInstsPerTick_ = 256;
-    unsigned ffMinBlock_ = 8;
 
     static std::uint32_t regKey(const isa::RegId &reg);
 };

@@ -3,7 +3,6 @@
 #include <cstring>
 
 #include "sim/logging.hh"
-#include "translator.hh"
 
 namespace csb::cpu {
 
@@ -122,19 +121,8 @@ ReferenceExecutor::runContext(Context &ctx, std::uint64_t max_steps)
     const isa::Program &program = *ctx.program;
     CsbUnit &csb = units_.at(ctx.csbUnit);
 
-    Translator xlat;
-    if (translate_)
-        xlat.setProgram(ctx.program);
-
     std::uint64_t steps = 0;
     while (!state.halted) {
-        if (translate_) {
-            // Translated fast path between memory-system events.  Its
-            // budget accounting is exact (it never enters a block that
-            // would overshoot max_steps), so the runaway-cap fatal
-            // below still fires at the identical instruction count.
-            steps += xlat.run(state, max_steps - steps, ctx.marks);
-        }
         if (steps++ >= max_steps) {
             csb_fatal("reference executor: context pid=", state.pid,
                       " exceeded ", max_steps,

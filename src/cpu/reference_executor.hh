@@ -18,6 +18,10 @@
  * CSB, preemption or bus faults reorder the execution.  The
  * interleaving chosen here (context 0 to completion, then context 1,
  * ...) is therefore canonical, not arbitrary.
+ *
+ * With its default all-Cached page table and a single context it is
+ * also the plain sequential interpreter of the mini-ISA: the one
+ * functional engine next to the cycle-level Core.
  */
 
 #ifndef CSB_CPU_REFERENCE_EXECUTOR_HH
@@ -85,14 +89,6 @@ class ReferenceExecutor
      * cap means the program (or this model) is broken.
      */
     void run(std::uint64_t max_steps_per_context = 1'000'000);
-
-    /**
-     * Use the basic-block translated fast path (cpu/translator.hh)
-     * between memory-system events.  Purely an oracle speedup: final
-     * states, marks, images, write streams, flush accounting and the
-     * runaway-cap step accounting are bit-identical either way.
-     */
-    void setTranslate(bool on) { translate_ = on; }
 
     std::size_t numContexts() const { return contexts_.size(); }
 
@@ -166,7 +162,6 @@ class ReferenceExecutor
                      std::uint64_t bits);
 
     RefCsbModel csbModel_;
-    bool translate_ = false;
     mem::PageTable pageTable_;
     mem::PhysicalMemory memory_;
     std::map<Addr, std::uint8_t> ioImage_;

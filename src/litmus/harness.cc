@@ -49,11 +49,6 @@ runDirective(const RunSpec &spec)
         os << " coherent=1";
     if (spec.smallCaches)
         os << " tiny-caches=1";
-    // translatedRef is deliberately NOT serialized: it cannot change
-    // any observable, and a repro must not depend on how the oracle
-    // was dispatched when it was found.
-    if (spec.translatedCore)
-        os << " translate-core=1";
     return os.str();
 }
 
@@ -111,8 +106,6 @@ parseRunDirective(const std::string &line)
             spec.coherent = std::stoull(val, nullptr, 0) != 0;
         } else if (key == "tiny-caches") {
             spec.smallCaches = std::stoull(val, nullptr, 0) != 0;
-        } else if (key == "translate-core") {
-            spec.translatedCore = std::stoull(val, nullptr, 0) != 0;
         } else {
             csb_fatal("litmus corpus: unknown run field '", key, "'");
         }
@@ -227,13 +220,6 @@ checkSeed(std::uint64_t seed, const HarnessOptions &opts)
     std::vector<RunSpec> specs =
         specsForSeed(seed, opts.fullMatrix, opts.dropFlushRate,
                      opts.faultSchedule);
-    // Translate flags apply harness-wide, after the matrix is drawn:
-    // the sampled-matrix RNG stream (and so the matrix every seed has
-    // always seen) is untouched.
-    for (RunSpec &spec : specs) {
-        spec.translatedRef = opts.translateRef;
-        spec.translatedCore = opts.translateCore;
-    }
 
     std::ostringstream os;
     const RunSpec *first_fail = nullptr;

@@ -71,16 +71,6 @@ struct HarnessOptions
     std::string reproDir;
     /** Generator sizing knob. */
     unsigned tokensPerContext = 12;
-    /**
-     * Dispatch the sequential oracle through the translated fast path
-     * on every spec (RunSpec::translatedRef).  Result-invariant by
-     * construction; applied after specsForSeed so the sampled-matrix
-     * RNG stream -- and therefore the matrix itself -- is unchanged.
-     */
-    bool translateRef = false;
-    /** Run every cycle-model spec with core fast-forward
-     *  (RunSpec::translatedCore); same post-matrix application. */
-    bool translateCore = false;
 };
 
 struct HarnessResult

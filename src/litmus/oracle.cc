@@ -53,8 +53,6 @@ RunSpec::name() const
         os << "/mesi";
     if (smallCaches)
         os << "/tiny";
-    if (translatedCore)
-        os << "/xlat";
     return os.str();
 }
 
@@ -102,8 +100,6 @@ configFor(const RunSpec &spec, unsigned contexts)
     }
     if (spec.coherent)
         cfg.coherence.kind = mem::CoherenceKind::Mesi;
-    if (spec.translatedCore)
-        cfg.cpu.translate = cpu::TranslateMode::CoreFastForward;
     if (spec.smallCaches) {
         // Two direct-mapped sets per level: consecutive arena lines
         // collide, so dirty evictions (and, under Dma, bus writebacks
@@ -182,7 +178,6 @@ runCase(const TestCase &tc, const RunSpec &spec,
     ref_csb.checkAddress = cfg.csb.checkAddress;
     ref_csb.partialFlush = cfg.csb.partialFlush;
     cpu::ReferenceExecutor reference(ref_csb);
-    reference.setTranslate(spec.translatedRef);
     reference.pageTable().setAttr(System::ioUncachedBase,
                                   System::ioRegionSize,
                                   mem::PageAttr::Uncached);

@@ -89,23 +89,6 @@ struct RunSpec
      * default geometry litmus arenas never evict at all).
      */
     bool smallCaches = false;
-    /**
-     * Run the sequential reference through the basic-block translated
-     * fast path (ReferenceExecutor::setTranslate).  Pure oracle
-     * speedup -- bit-identical observables by construction -- so it is
-     * deliberately invisible to name() and the corpus directive:
-     * every archived repro must reproduce regardless of how the
-     * oracle was dispatched.
-     */
-    bool translatedRef = false;
-    /**
-     * Run the cycle model with cpu.translate=core-fastforward: the
-     * cores retire long pure-compute block chains through the
-     * translator.  The differential observables must stay invariant
-     * (timing compresses, architecture does not) -- this axis is the
-     * end-to-end soundness check of the fast-forward path.
-     */
-    bool translatedCore = false;
 
     /** Stable key used in reports and corpus files, e.g. "csb/smp". */
     std::string name() const;

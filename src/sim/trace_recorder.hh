@@ -2,12 +2,12 @@
  * @file
  * Memory-reference trace capture and the CSBT on-disk format.
  *
- * A TraceRecorder collects every data reference the core (or the
- * reference interpreter) issues to the memory system -- tick, cpu,
- * context, operation, address, size, data value and phase flags -- in
- * issue order, and serializes the stream to the versioned little-endian
- * binary format specified normatively in docs/TRACE_FORMAT.md
- * (magic "CSBT", version 1, fixed 32-byte records).
+ * A TraceRecorder collects every data reference the core issues to
+ * the memory system -- tick, cpu, context, operation, address, size,
+ * data value and phase flags -- in issue order, and serializes the
+ * stream to the versioned little-endian binary format specified
+ * normatively in docs/TRACE_FORMAT.md (magic "CSBT", version 1, fixed
+ * 32-byte records).
  *
  * The stream is exactly what core::ReplayCore needs to re-drive the
  * cache/ubuf/CSB/bus stack without a core: records appear in global
@@ -63,14 +63,18 @@ enum TraceFlags : std::uint8_t {
     /** Bits 2-3 carry the mem::PageAttr of the referenced page. */
     TraceFlagAttrShift = 2,
     TraceFlagAttrMask = 0x3u << TraceFlagAttrShift,
-    /** Recorded by the reference interpreter (tick = step index). */
+    /**
+     * Reserved: marks a record from a functional (clockless) engine,
+     * whose tick is a step index.  No in-tree writer sets it; replay
+     * rejects any trace that carries it (docs/TRACE_FORMAT.md).
+     */
     TraceFlagInterpreter = 1u << 4,
 };
 
 /** One recorded data reference; fixed 32-byte on-disk layout. */
 struct TraceRecord
 {
-    Tick tick = 0;           ///< CPU tick (interpreter: step index)
+    Tick tick = 0;           ///< CPU tick
     Addr addr = 0;           ///< physical address
     std::uint64_t value = 0; ///< op-dependent payload (see TraceOp)
     std::uint32_t pid = 0;   ///< issuing context's process id

@@ -142,6 +142,54 @@ TEST(CheckpointResume, RejectsConfigMismatch)
     std::remove(path.c_str());
 }
 
+TEST(CheckpointResume, RejectsExtraKnobBeforeAnyOtherSection)
+{
+    // A writer with one knob more than this build -- the shape of a
+    // checkpoint from a build that still fingerprinted cpuTranslate --
+    // must fail on the knob count alone.  The hand-written checkpoint
+    // holds nothing but its config section, so a restore that got past
+    // the count would fail differently (missing "sim" section).
+    csb::sim::CheckpointWriter real;
+    {
+        core::System before(baseConfig());
+        before.run(warmupProgram());
+        before.saveCheckpoint(real);
+    }
+    std::stringstream real_bytes;
+    real.writeTo(real_bytes);
+    auto cr = csb::sim::CheckpointReader::readFrom(real_bytes);
+    cr.openSection("config");
+    const std::uint64_t knobs = cr.getU64();
+    EXPECT_EQ(knobs, 33u);
+
+    csb::sim::CheckpointWriter cw;
+    cw.beginSection("config");
+    cw.putU64(knobs + 1);
+    for (std::uint64_t i = 0; i < knobs; ++i) {
+        cw.putStr(cr.getStr());
+        cw.putU64(cr.getU64());
+    }
+    cr.closeSection();
+    cw.putStr("cpuTranslate");
+    cw.putU64(0);
+    std::stringstream bytes;
+    cw.writeTo(bytes);
+    auto extra = csb::sim::CheckpointReader::readFrom(bytes);
+
+    core::System after(baseConfig());
+    try {
+        after.restoreCheckpoint(extra);
+        FAIL() << "restore accepted a checkpoint with an extra knob";
+    } catch (const FatalError &err) {
+        std::string want = "checkpoint config has " +
+                           std::to_string(knobs + 1) + " knobs, expected " +
+                           std::to_string(knobs);
+        EXPECT_NE(std::string(err.what()).find(want), std::string::npos)
+            << err.what();
+    }
+    EXPECT_EQ(after.simulator().curTick(), 0u);
+}
+
 TEST(CheckpointResume, RejectsCorruptedCheckpoint)
 {
     std::string path = ::testing::TempDir() + "corrupt.csbc";

@@ -228,9 +228,9 @@ TEST_P(Differential, NarrowWindowCoreMatchesToo)
 /**
  * Like randomProgram, but the whole body sits inside a backward
  * countdown loop (r13) and sprinkles MARK and MEMBAR tokens through
- * it: backward branches re-enter the same (translated) blocks with
- * different register values, and the mark stream must come out in
- * identical order on both models.
+ * it: backward branches re-enter the same code with different
+ * register values, and the mark stream must come out in identical
+ * order on both models.
  */
 isa::Program
 randomLoopProgram(std::uint64_t seed, unsigned length,
@@ -352,7 +352,7 @@ TEST_P(Differential, BackwardLoopWithMarksMatches)
  * stores in flight across iterations once the window fills; the load
  * must forward from the YOUNGEST older store.  The oldest-first scan
  * this repo originally shipped forwarded one-generation-stale data
- * here from the fourth iteration on (caught by bench/perf_cpu).
+ * here from the fourth iteration on.
  */
 TEST(DifferentialRegression, RmwLoopForwardsYoungestStore)
 {

@@ -7,10 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+
 #include "litmus/harness.hh"
 
 namespace csb::litmus {
 namespace {
+
+namespace fs = std::filesystem;
 
 TEST(LitmusHarness, SpecDerivationIsDeterministic)
 {
@@ -84,6 +90,35 @@ TEST(LitmusHarness, CorpusReplays)
     CorpusResult corpus = replayCorpus(dir);
     EXPECT_EQ(corpus.failures, 0u) << corpus.report;
     EXPECT_GE(corpus.entries, 5u);
+}
+
+TEST(LitmusHarness, UnknownRunFieldFailsNamingTheField)
+{
+    // A checked-in entry whose run line carries a field this build
+    // does not know -- here a retired litmus axis -- must fail loudly,
+    // naming the field, not run with the field silently ignored.
+    const std::string field = "translate-core";
+    std::ifstream in(std::string(CSBSIM_SOURCE_DIR) +
+                     "/tests/litmus/corpus/pio_order.litmus");
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    std::string text = buf.str();
+    const std::size_t run = text.find("\nrun ");
+    ASSERT_NE(run, std::string::npos);
+    text.insert(text.find('\n', run + 1), " " + field + "=1");
+
+    const fs::path dir =
+        fs::path(::testing::TempDir()) / "litmus_unknown_field";
+    fs::create_directories(dir);
+    std::ofstream(dir / "unknown_field.litmus") << text;
+
+    CorpusResult corpus = replayCorpus(dir.string());
+    EXPECT_EQ(corpus.entries, 1u);
+    EXPECT_EQ(corpus.failures, 1u);
+    EXPECT_NE(corpus.report.find("unknown run field '" + field + "'"),
+              std::string::npos)
+        << corpus.report;
+    fs::remove_all(dir);
 }
 
 TEST(LitmusHarness, MissingCorpusDirectoryIsAFailure)

@@ -51,14 +51,6 @@ usage(std::ostream &os)
           "axis\n"
           "                       (docs/FAULTS.md grammar; 'none' "
           "disables)\n"
-          "  --translate-ref      dispatch the sequential oracle via "
-          "the\n"
-          "                       translated fast path (result-"
-          "invariant)\n"
-          "  --translate-core     run every cycle-model spec with "
-          "cpu\n"
-          "                       fast-forward (cpu.translate=core-"
-          "fastforward)\n"
           "  --no-shrink          report original failing cases "
           "unshrunk\n"
           "  --repro-dir DIR      write seed_<N>.litmus/.csbt repros "
@@ -132,10 +124,6 @@ main(int argc, char **argv)
         } else if (!std::strcmp(arg, "--fault-schedule")) {
             const char *spec = value();
             opts.faultSchedule = std::strcmp(spec, "none") ? spec : "";
-        } else if (!std::strcmp(arg, "--translate-ref")) {
-            opts.translateRef = true;
-        } else if (!std::strcmp(arg, "--translate-core")) {
-            opts.translateCore = true;
         } else if (!std::strcmp(arg, "--no-shrink")) {
             opts.shrinkFailures = false;
         } else if (!std::strcmp(arg, "--repro-dir")) {
