@@ -75,29 +75,32 @@ System::System(SystemConfig config)
             ni_->setFaultInjector(injector_.get());
     }
 
-    // Page attributes (section 3.1: encoded in page table entries).
-    pageTable_.setAttr(ioUncachedBase, ioRegionSize, mem::PageAttr::Uncached);
-    pageTable_.setAttr(ioAccelBase, ioRegionSize,
-                       mem::PageAttr::UncachedAccelerated);
-    pageTable_.setAttr(ioCsbBase, ioRegionSize,
-                       config_.enableCsb ? mem::PageAttr::UncachedCombining
-                                         : mem::PageAttr::UncachedAccelerated);
-    if (config_.enableNi) {
-        mem::PageAttr burst_attr = config_.enableCsb
-                                       ? mem::PageAttr::UncachedCombining
-                                       : mem::PageAttr::UncachedAccelerated;
-        pageTable_.setAttr(niBase + io::NiMap::descBase, io::NiMap::descSize,
-                           burst_attr);
-        pageTable_.setAttr(niBase + io::NiMap::doorbell,
-                           mem::PageTable::pageSize,
-                           mem::PageAttr::Uncached);
-        pageTable_.setAttr(niBase + io::NiMap::pioBase, io::NiMap::pioSize,
-                           burst_attr);
-    }
+    mapIoPages(pageTable_, config_);
 
     cores_.resize(config_.numCores);
     for (unsigned cpu = 0; cpu < config_.numCores; ++cpu)
         buildCoreSlice(cpu);
+}
+
+void
+System::mapIoPages(mem::PageTable &page_table, const SystemConfig &config)
+{
+    // Section 3.1: combining behaviour is encoded in page attributes.
+    const mem::PageAttr burst_attr =
+        config.enableCsb ? mem::PageAttr::UncachedCombining
+                         : mem::PageAttr::UncachedAccelerated;
+    page_table.setAttr(ioUncachedBase, ioRegionSize, mem::PageAttr::Uncached);
+    page_table.setAttr(ioAccelBase, ioRegionSize,
+                       mem::PageAttr::UncachedAccelerated);
+    page_table.setAttr(ioCsbBase, ioRegionSize, burst_attr);
+    if (config.enableNi) {
+        page_table.setAttr(niBase + io::NiMap::descBase, io::NiMap::descSize,
+                           burst_attr);
+        page_table.setAttr(niBase + io::NiMap::doorbell,
+                           mem::PageTable::pageSize, mem::PageAttr::Uncached);
+        page_table.setAttr(niBase + io::NiMap::pioBase, io::NiMap::pioSize,
+                           burst_attr);
+    }
 }
 
 void

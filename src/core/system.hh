@@ -40,8 +40,10 @@ namespace csb::core {
  *   [0x2000'0000, +1 MiB)       device window, plain uncached pages
  *   [0x2100'0000, +1 MiB)       device window, uncached-accelerated
  *   [0x2200'0000, +1 MiB)       device window, uncached-combining
- *   [0x3000'0000, +8 KiB)       network interface (when enabled),
- *                               PIO/descriptor pages combining
+ *   [0x3000'0000, +16 KiB)      network interface (when enabled),
+ *                               PIO/descriptor pages combining,
+ *                               doorbell page uncached
+ * Without a CSB the combining pages are uncached-accelerated.
  */
 class System : public sim::stats::StatGroup
 {
@@ -56,6 +58,10 @@ class System : public sim::stats::StatGroup
 
     explicit System(SystemConfig config);
     ~System() override;
+
+    /** Set the I/O page attributes of the map above for @p config. */
+    static void mapIoPages(mem::PageTable &page_table,
+                           const SystemConfig &config);
 
     System(const System &) = delete;
     System &operator=(const System &) = delete;

@@ -178,15 +178,7 @@ runCase(const TestCase &tc, const RunSpec &spec,
     ref_csb.checkAddress = cfg.csb.checkAddress;
     ref_csb.partialFlush = cfg.csb.partialFlush;
     cpu::ReferenceExecutor reference(ref_csb);
-    reference.pageTable().setAttr(System::ioUncachedBase,
-                                  System::ioRegionSize,
-                                  mem::PageAttr::Uncached);
-    reference.pageTable().setAttr(System::ioAccelBase,
-                                  System::ioRegionSize,
-                                  mem::PageAttr::UncachedAccelerated);
-    reference.pageTable().setAttr(System::ioCsbBase,
-                                  System::ioRegionSize,
-                                  mem::PageAttr::UncachedCombining);
+    System::mapIoPages(reference.pageTable(), cfg);
     for (std::size_t c = 0; c < contexts; ++c) {
         unsigned unit =
             spec.mode == CtxMode::Smp ? unsigned(c) : 0u;

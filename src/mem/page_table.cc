@@ -1,5 +1,10 @@
 #include "page_table.hh"
 
+#include <algorithm>
+#include <array>
+#include <ios>
+#include <iterator>
+
 #include "sim/checkpoint.hh"
 #include "sim/logging.hh"
 
@@ -21,17 +26,46 @@ void
 PageTable::setAttr(Addr base, Addr size, PageAttr attr)
 {
     csb_assert(size > 0, "empty attribute range");
-    Addr first = roundDown(base, pageSize);
-    Addr last = roundDown(base + size - 1, pageSize);
-    for (Addr page = first; page <= last; page += pageSize)
-        pages_[page] = attr;
+    const Addr last_byte = base + (size - 1);
+    if (last_byte < base)
+        csb_fatal("page attribute range base=0x", std::hex, base,
+                  " size=0x", size, std::dec,
+                  " wraps past the end of the address space");
+    const Addr first = roundDown(base, pageSize);
+    const Addr last = roundDown(last_byte, pageSize);
+
+    // [lo, hi) are the ranges sharing at least one page with the new
+    // one.  Parts of the outer two that stick out survive with their
+    // old attribute; everything inside is replaced.
+    auto lo = std::partition_point(
+        ranges_.begin(), ranges_.end(),
+        [first](const Range &r) { return r.last < first; });
+    auto hi = std::partition_point(
+        lo, ranges_.end(),
+        [last](const Range &r) { return r.first <= last; });
+
+    std::array<Range, 3> pieces{};
+    std::size_t count = 0;
+    if (lo != hi && lo->first < first)
+        pieces[count++] = {lo->first, first - pageSize, lo->attr};
+    pieces[count++] = {first, last, attr};
+    if (lo != hi && std::prev(hi)->last > last)
+        pieces[count++] = {last + pageSize, std::prev(hi)->last,
+                           std::prev(hi)->attr};
+
+    auto at = ranges_.erase(lo, hi);
+    ranges_.insert(at, pieces.begin(), pieces.begin() + count);
 }
 
 PageAttr
 PageTable::attrOf(Addr addr) const
 {
-    auto it = pages_.find(roundDown(addr, pageSize));
-    return it == pages_.end() ? PageAttr::Cached : it->second;
+    const Addr page = roundDown(addr, pageSize);
+    auto it = std::partition_point(
+        ranges_.begin(), ranges_.end(),
+        [page](const Range &r) { return r.last < page; });
+    return it != ranges_.end() && it->first <= page ? it->attr
+                                                    : PageAttr::Cached;
 }
 
 Tlb::Tlb(const PageTable &page_table, unsigned entries, Tick miss_penalty,

@@ -14,7 +14,6 @@
 #define CSB_MEM_PAGE_TABLE_HH
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -58,20 +57,40 @@ isUncachedAttr(PageAttr attr)
 /**
  * Flat page table: maps page-aligned ranges to attributes.
  * Unmapped addresses default to Cached.
+ *
+ * Stored as a sorted vector of disjoint page ranges, so a System's
+ * few megabyte-sized I/O regions cost a handful of entries rather
+ * than one per page, and a lookup is a binary search.
  */
 class PageTable
 {
   public:
     static constexpr Addr pageSize = 4096;
 
-    /** Set the attribute of all pages covering [base, base+size). */
+    /**
+     * Set the attribute of all pages covering [base, base+size).
+     * Later calls win page by page over earlier ones.  A range that
+     * wraps past the end of the address space is fatal.
+     */
     void setAttr(Addr base, Addr size, PageAttr attr);
 
     /** Attribute of the page containing @p addr. */
     PageAttr attrOf(Addr addr) const;
 
   private:
-    std::map<Addr, PageAttr> pages_;
+    /**
+     * Pages first..last, both inclusive page bases (an exclusive end
+     * would wrap to 0 for the top page of the address space).
+     */
+    struct Range
+    {
+        Addr first;
+        Addr last;
+        PageAttr attr;
+    };
+
+    /** Sorted by address, non-overlapping. */
+    std::vector<Range> ranges_;
 };
 
 /**

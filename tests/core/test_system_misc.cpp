@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "core/kernels.hh"
 #include "core/system.hh"
@@ -21,17 +22,54 @@ using isa::ir;
 
 TEST(SystemMisc, AddressMapAttributes)
 {
-    SystemConfig cfg;
-    cfg.normalize();
-    System system(cfg);
-    auto &pt = system.pageTable();
-    EXPECT_EQ(pt.attrOf(System::ramBase + 0x1234), mem::PageAttr::Cached);
-    EXPECT_EQ(pt.attrOf(System::ioUncachedBase),
-              mem::PageAttr::Uncached);
-    EXPECT_EQ(pt.attrOf(System::ioAccelBase),
-              mem::PageAttr::UncachedAccelerated);
-    EXPECT_EQ(pt.attrOf(System::ioCsbBase),
-              mem::PageAttr::UncachedCombining);
+    using io::NiMap;
+    using mem::PageAttr;
+    for (bool csb : {true, false}) {
+        for (bool ni : {false, true}) {
+            SCOPED_TRACE(std::string(csb ? "csb on" : "csb off") +
+                         (ni ? ", ni on" : ", ni off"));
+            SystemConfig cfg;
+            cfg.enableCsb = csb;
+            cfg.enableNi = ni;
+            cfg.normalize();
+            System system(cfg);
+            auto &pt = system.pageTable();
+            const PageAttr burst = csb ? PageAttr::UncachedCombining
+                                       : PageAttr::UncachedAccelerated;
+            EXPECT_EQ(pt.attrOf(System::ramBase + 0x1234), PageAttr::Cached);
+
+            const struct { Addr base; PageAttr attr; } regions[] = {
+                {System::ioUncachedBase, PageAttr::Uncached},
+                {System::ioAccelBase, PageAttr::UncachedAccelerated},
+                {System::ioCsbBase, burst},
+            };
+            for (const auto &region : regions) {
+                const Addr end = region.base + System::ioRegionSize;
+                EXPECT_EQ(pt.attrOf(region.base), region.attr);
+                EXPECT_EQ(pt.attrOf(end - 1), region.attr);
+                EXPECT_EQ(pt.attrOf(end), PageAttr::Cached)
+                    << "first byte past the region at 0x" << std::hex
+                    << region.base;
+            }
+
+            // NI window: descriptor, doorbell and PIO pages, then the
+            // unmapped last page.  All Cached when the NI is absent.
+            const auto nic = [&](PageAttr attr) {
+                return ni ? attr : PageAttr::Cached;
+            };
+            const Addr base = System::niBase;
+            EXPECT_EQ(pt.attrOf(base + NiMap::descBase), nic(burst));
+            EXPECT_EQ(pt.attrOf(base + NiMap::descBase + NiMap::descSize - 1),
+                      nic(burst));
+            EXPECT_EQ(pt.attrOf(base + NiMap::doorbell),
+                      nic(PageAttr::Uncached));
+            EXPECT_EQ(pt.attrOf(base + NiMap::pioBase), nic(burst));
+            EXPECT_EQ(pt.attrOf(base + NiMap::pioBase + NiMap::pioSize - 1),
+                      nic(burst));
+            EXPECT_EQ(pt.attrOf(base + 0x3000), PageAttr::Cached);
+            EXPECT_EQ(pt.attrOf(base + NiMap::windowSize), PageAttr::Cached);
+        }
+    }
 }
 
 TEST(SystemMisc, CsbDisabledDowngradesCombiningSpace)
