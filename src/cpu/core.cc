@@ -59,10 +59,18 @@ Core::Core(sim::Simulator &simulator, const CoreParams &params,
     simulator.registerClocked(this);
 }
 
-std::uint32_t
-Core::regKey(const RegId &reg)
+std::size_t
+Core::regSlot(const RegId &reg)
 {
-    return (static_cast<std::uint32_t>(reg.cls) << 8) | reg.idx;
+    return reg.isInt() ? reg.idx : isa::numIntRegs + reg.idx;
+}
+
+void
+Core::clearPipeline()
+{
+    window_.clear();
+    numDispatched_ = 0;
+    lastWriter_.fill(0);
 }
 
 void
@@ -74,8 +82,7 @@ Core::loadProgram(const isa::Program *program, ProcId pid)
     arch_ = ArchState{};
     arch_.pid = pid;
     spec_ = arch_;
-    window_.clear();
-    lastWriter_.clear();
+    clearPipeline();
     fetchPc_ = 0;
     fetchHalted_ = false;
     fetchStallSeq_ = 0;
@@ -177,8 +184,7 @@ Core::doSquashAndSwitch()
 {
     ArchState saved = arch_;
     ++epoch_;
-    window_.clear();
-    lastWriter_.clear();
+    clearPipeline();
     arch_ = nextState_;
     spec_ = arch_;
     program_ = nextProgram_;
@@ -252,14 +258,20 @@ Core::destOf(const isa::Instruction &inst)
     }
 }
 
+std::size_t
+Core::windowIndex(std::uint64_t seq) const
+{
+    return std::size_t(seq - window_.front().seq);
+}
+
 Core::DynInst *
 Core::findBySeq(std::uint64_t seq)
 {
-    for (DynInst &di : window_) {
-        if (di.seq == seq)
-            return &di;
-    }
-    return nullptr;
+    // A retired or squashed seq is below the front (or the window is
+    // empty); unsigned wrap-around turns it into an out-of-range index.
+    if (window_.empty() || windowIndex(seq) >= window_.size())
+        return nullptr;
+    return &window_[windowIndex(seq)];
 }
 
 void
@@ -271,17 +283,14 @@ Core::captureOperand(const RegId &reg, std::uint64_t &producer,
         value = 0;
         return;
     }
-    auto it = lastWriter_.find(regKey(reg));
-    if (it != lastWriter_.end()) {
-        if (DynInst *writer = findBySeq(it->second)) {
-            if (writer->state == State::Done) {
-                value = writer->result;
-            } else {
-                producer = writer->seq;
-                value = 0;
-            }
-            return;
+    if (DynInst *writer = findBySeq(lastWriter_[regSlot(reg)])) {
+        if (writer->state == State::Done) {
+            value = writer->result;
+        } else {
+            producer = writer->seq;
+            value = 0;
         }
+        return;
     }
     value = spec_.readReg(reg);
 }
@@ -327,6 +336,8 @@ Core::fetchStage()
         if (cls == InstClass::Nop || cls == InstClass::Mark ||
             cls == InstClass::Halt || cls == InstClass::Membar) {
             di.state = State::Done;
+        } else {
+            ++numDispatched_;
         }
 
         bool branch_resolved_taken = false;
@@ -347,7 +358,7 @@ Core::fetchStage()
         instsDispatched += 1;
         ++fetched;
         if (rd.valid() && !rd.isZero())
-            lastWriter_[regKey(rd)] = seq;
+            lastWriter_[regSlot(rd)] = seq;
 
         if (cls == InstClass::Branch) {
             if (branch_stalls) {
@@ -372,6 +383,13 @@ Core::fetchStage()
 // Issue / execute
 
 void
+Core::markIssued(DynInst &inst)
+{
+    inst.state = State::Issued;
+    --numDispatched_;
+}
+
+void
 Core::finishInst(DynInst &inst, std::uint64_t result)
 {
     csb_assert(inst.state != State::Done, "double writeback of seq ",
@@ -380,13 +398,13 @@ Core::finishInst(DynInst &inst, std::uint64_t result)
     inst.state = State::Done;
 
     RegId rd = destOf(inst.inst);
-    if (rd.valid() && !rd.isZero()) {
-        auto it = lastWriter_.find(regKey(rd));
-        if (it != lastWriter_.end() && it->second == inst.seq)
-            spec_.writeReg(rd, result);
-    }
+    if (rd.valid() && !rd.isZero() && lastWriter_[regSlot(rd)] == inst.seq)
+        spec_.writeReg(rd, result);
 
-    for (DynInst &di : window_) {
+    // Only younger instructions can consume this result.
+    for (auto it = window_.begin() + windowIndex(inst.seq) + 1;
+         it != window_.end(); ++it) {
+        DynInst &di = *it;
         if (di.src1Producer == inst.seq) {
             di.src1Producer = 0;
             di.src1Val = result;
@@ -424,10 +442,9 @@ Core::loadBlockedByStore(const DynInst &load, std::uint64_t &fwd_val,
     // whenever two same-address stores were in flight, as in a tight
     // read-modify-write loop.)  Anything older than the deciding store
     // is irrelevant: the younger store supersedes its bytes.
-    for (auto it = window_.rbegin(); it != window_.rend(); ++it) {
+    for (auto it = window_.rend() - windowIndex(load.seq);
+         it != window_.rend(); ++it) {
         const DynInst &di = *it;
-        if (di.seq >= load.seq)
-            continue;
         if (!isStore(di.inst.op))
             continue;
         if (!di.addrKnown)
@@ -462,15 +479,28 @@ Core::loadBlockedByStore(const DynInst &load, std::uint64_t &fwd_val,
 void
 Core::issueStage()
 {
+    // Oldest first, over the span from the oldest to the youngest
+    // Dispatched entry only: a window full of stores waiting at retire
+    // costs nothing here.
+    if (numDispatched_ == 0)
+        return;
+    auto it = window_.begin();
+    if (issueFrom_ > window_.front().seq)
+        it += windowIndex(issueFrom_);
+    while (it->state != State::Dispatched)
+        ++it;
+    issueFrom_ = it->seq;
+
     unsigned int_free = params_.intUnits;
     unsigned fp_free = params_.fpUnits;
     unsigned mem_free = params_.memPorts;
     Tick now = sim_.curTick();
-
-    for (DynInst &di : window_) {
-        if (di.state != State::Dispatched || di.dispatchTick == now)
+    for (unsigned unseen = numDispatched_; unseen > 0; ++it) {
+        DynInst &di = *it;
+        if (di.state != State::Dispatched)
             continue;
-        if (!operandsReady(di))
+        --unseen;
+        if (di.dispatchTick == now || !operandsReady(di))
             continue;
 
         InstClass cls = di.inst.instClass();
@@ -502,13 +532,13 @@ Core::issueStage()
                 lat = params_.mulLatency;
             else if (cls == InstClass::FpAlu)
                 lat = params_.fpLatency;
-            di.state = State::Issued;
+            markIssued(di);
             finish_later(now + lat, result);
         } else if (cls == InstClass::Branch) {
             if (int_free == 0)
                 continue;
             --int_free;
-            di.state = State::Issued;
+            markIssued(di);
             finish_later(now + params_.intLatency, 0);
         } else if (cls == InstClass::Load || cls == InstClass::Store ||
                    cls == InstClass::Swap) {
@@ -533,14 +563,14 @@ Core::issueStage()
 
             if (cls == InstClass::Store) {
                 --mem_free;
-                di.state = State::Issued;
+                markIssued(di);
                 // Address and data are staged; the store takes effect
                 // at commit.
                 finish_later(now + params_.intLatency + tlb_penalty, 0);
             } else if (cls == InstClass::Swap) {
                 --mem_free;
                 // Executes non-speculatively at the window head.
-                di.state = State::Issued;
+                markIssued(di);
             } else if (attr == mem::PageAttr::Cached) {
                 std::uint64_t fwd = 0;
                 bool can_forward = false;
@@ -548,12 +578,12 @@ Core::issueStage()
                     if (!can_forward)
                         continue; // retry next cycle
                     --mem_free;
-                    di.state = State::Issued;
+                    markIssued(di);
                     finish_later(now + params_.intLatency + tlb_penalty,
                                  fwd);
                 } else {
                     --mem_free;
-                    di.state = State::Issued;
+                    markIssued(di);
                     recordRef(sim::TraceOp::CachedLoad, addr, size,
                               tlb_penalty, attr);
                     ports_.caches->access(
@@ -573,7 +603,7 @@ Core::issueStage()
             } else {
                 --mem_free;
                 // Uncached load: executes at the window head.
-                di.state = State::Issued;
+                markIssued(di);
             }
         }
         // Nop/Mark/Halt/Membar are Done at dispatch.

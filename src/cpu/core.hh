@@ -28,11 +28,11 @@
 #ifndef CSB_CPU_CORE_HH
 #define CSB_CPU_CORE_HH
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -213,11 +213,17 @@ class Core : public sim::Clocked, public sim::stats::StatGroup
     void startHeadSwap(DynInst &head);
     void startHeadUncachedLoad(DynInst &head);
 
+    /** Move @p inst from Dispatched to Issued. */
+    void markIssued(DynInst &inst);
+
     /** Mark @p inst executed: write back, wake consumers, unstall. */
     void finishInst(DynInst &inst, std::uint64_t result);
 
-    /** Look up an in-flight instruction by sequence number. */
+    /** Look up an in-flight instruction by sequence number: O(1). */
     DynInst *findBySeq(std::uint64_t seq);
+
+    /** Position of the in-flight instruction @p seq in the window. */
+    std::size_t windowIndex(std::uint64_t seq) const;
 
     /** Capture a source operand at dispatch. */
     void captureOperand(const isa::RegId &reg, std::uint64_t &producer,
@@ -253,11 +259,29 @@ class Core : public sim::Clocked, public sim::stats::StatGroup
     /** Speculative register values (latest writeback). */
     ArchState spec_;
 
+    /**
+     * In-flight instructions, oldest first.  Their sequence numbers
+     * are contiguous: dispatch appends nextSeq_++, retire pops the
+     * front and a squash clears the whole window.
+     */
     std::deque<DynInst> window_;
     std::uint64_t nextSeq_ = 1;
+    /** Window entries still in State::Dispatched. */
+    unsigned numDispatched_ = 0;
+    /**
+     * No in-flight entry older than this seq is Dispatched: states
+     * only move forward and younger entries get larger seqs, so the
+     * bound stays true across retire and squash.
+     */
+    std::uint64_t issueFrom_ = 0;
 
-    /** Latest in-flight writer of each register, by sequence. */
-    std::unordered_map<std::uint32_t, std::uint64_t> lastWriter_;
+    /**
+     * Latest writer of each register by sequence; 0 when none was
+     * dispatched since the last squash.  Once that writer retires,
+     * findBySeq() no longer finds it and operands read spec_.
+     */
+    std::array<std::uint64_t, isa::numIntRegs + isa::numFpRegs>
+        lastWriter_{};
 
     std::uint64_t fetchPc_ = 0;
     bool fetchHalted_ = true;
@@ -280,7 +304,11 @@ class Core : public sim::Clocked, public sim::stats::StatGroup
     sim::TraceRecorder *traceRec_ = nullptr;
     std::uint8_t traceCpu_ = 0;
 
-    static std::uint32_t regKey(const isa::RegId &reg);
+    /** Slot of the valid register @p reg in lastWriter_. */
+    static std::size_t regSlot(const isa::RegId &reg);
+
+    /** Drop every in-flight instruction (load or context switch). */
+    void clearPipeline();
 };
 
 } // namespace csb::cpu

@@ -1,5 +1,7 @@
 #include "cache.hh"
 
+#include <algorithm>
+
 #include "sim/checkpoint.hh"
 #include "sim/logging.hh"
 
@@ -11,8 +13,18 @@ CacheParams::validate() const
     if (!isPowerOf2(lineBytes) || lineBytes < 8)
         csb_fatal("cache line must be a power of two >= 8, got ",
                   lineBytes);
-    if (assoc == 0 || sizeBytes % (assoc * lineBytes) != 0)
-        csb_fatal("cache size ", sizeBytes, " not divisible by assoc*line");
+    if (assoc == 0)
+        csb_fatal("cache assoc must be non-zero");
+    if (sizeBytes == 0)
+        csb_fatal("cache sizeBytes must be non-zero");
+    // 64-bit: a 32-bit assoc * lineBytes can wrap to 0.
+    const std::uint64_t set_bytes = std::uint64_t(assoc) * lineBytes;
+    if (set_bytes > sizeBytes)
+        csb_fatal("cache assoc ", assoc, " x lineBytes ", lineBytes,
+                  " exceeds sizeBytes ", sizeBytes);
+    if (sizeBytes % set_bytes != 0)
+        csb_fatal("cache sizeBytes ", sizeBytes,
+                  " not divisible by assoc*lineBytes ", set_bytes);
 }
 
 Cache::Cache(const CacheParams &params, std::string name,
@@ -25,7 +37,8 @@ Cache::Cache(const CacheParams &params, std::string name,
 {
     params_.validate();
     numSets_ = params_.sizeBytes / (params_.assoc * params_.lineBytes);
-    lines_.resize(numSets_ * params_.assoc);
+    lines_ = std::make_unique_for_overwrite<Line[]>(numLines());
+    live_ = std::make_unique<bool[]>(numSets_);
 }
 
 unsigned
@@ -35,14 +48,21 @@ Cache::setIndex(Addr addr) const
 }
 
 Cache::Line *
+Cache::liveSet(unsigned set)
+{
+    return live_[set] ? &lines_[std::size_t(set) * params_.assoc] : nullptr;
+}
+
+Cache::Line *
 Cache::findLine(Addr addr)
 {
+    Line *ways = liveSet(setIndex(addr));
+    if (!ways)
+        return nullptr;
     Addr tag = addr / params_.lineBytes;
-    unsigned set = setIndex(addr);
     for (unsigned w = 0; w < params_.assoc; ++w) {
-        Line &line = lines_[set * params_.assoc + w];
-        if (line.valid && line.tag == tag)
-            return &line;
+        if (ways[w].valid && ways[w].tag == tag)
+            return &ways[w];
     }
     return nullptr;
 }
@@ -71,12 +91,17 @@ Cache::access(Addr addr, bool is_write)
 
     ++misses;
 
-    // Fill over the LRU way.
+    // Fill over the LRU way, bringing the set to life on its first fill.
     Addr tag = addr / params_.lineBytes;
     unsigned set = setIndex(addr);
-    Line *victim = &lines_[set * params_.assoc];
+    Line *ways = &lines_[std::size_t(set) * params_.assoc];
+    if (!live_[set]) {
+        std::fill_n(ways, params_.assoc, Line{});
+        live_[set] = true;
+    }
+    Line *victim = ways;
     for (unsigned w = 0; w < params_.assoc; ++w) {
-        Line &line = lines_[set * params_.assoc + w];
+        Line &line = ways[w];
         if (!line.valid) {
             victim = &line;
             break;
@@ -113,8 +138,12 @@ Cache::invalidate(Addr addr)
 void
 Cache::flushAll()
 {
-    for (Line &line : lines_)
-        line.setState(LineState::Invalid);
+    for (unsigned set = 0; set < numSets_; ++set) {
+        if (Line *ways = liveSet(set)) {
+            for (unsigned w = 0; w < params_.assoc; ++w)
+                ways[w].setState(LineState::Invalid);
+        }
+    }
 }
 
 LineState
@@ -135,8 +164,12 @@ void
 Cache::checkpointSave(sim::CheckpointWriter &cw) const
 {
     cw.putU64(useClock_);
-    cw.putU64(lines_.size());
-    for (const Line &line : lines_) {
+    cw.putU64(numLines());
+    for (std::size_t i = 0; i < numLines(); ++i) {
+        // A set that never came to life is written as all-zero
+        // (invalid) records, exactly what a value-initialized array
+        // held, so the format does not depend on laziness.
+        const Line line = live_[i / params_.assoc] ? lines_[i] : Line{};
         cw.putU64(line.tag);
         // One flags byte: bit0 valid, bit1 dirty, bit2 shared
         // (docs/CHECKPOINT.md).
@@ -153,11 +186,13 @@ Cache::checkpointRestore(sim::CheckpointReader &cr)
 {
     useClock_ = cr.getU64();
     const std::uint64_t count = cr.getU64();
-    if (count != lines_.size())
+    if (count != numLines())
         csb_fatal("checkpoint cache '", statName(), "' has ", count,
-                  " lines, this cache has ", lines_.size(),
+                  " lines, this cache has ", numLines(),
                   " -- geometry mismatch");
-    for (Line &line : lines_) {
+    std::fill_n(live_.get(), numSets_, true);
+    for (std::size_t i = 0; i < numLines(); ++i) {
+        Line &line = lines_[i];
         line.tag = cr.getU64();
         std::uint8_t flags = cr.getU8();
         line.valid = (flags & 1) != 0;

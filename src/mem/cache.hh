@@ -25,8 +25,9 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
-#include <vector>
+#include <type_traits>
 
 #include "bus/snoop.hh"
 #include "mem/coherence.hh"
@@ -110,14 +111,19 @@ class Cache : public sim::stats::StatGroup
     sim::stats::Scalar writebacks;
 
   private:
+    /**
+     * Trivial on purpose: the line array is allocated uninitialized,
+     * and a set's lines are value-initialized (all zero: invalid) on
+     * its first fill.
+     */
     struct Line
     {
-        Addr tag = 0;
-        bool valid = false;
-        bool dirty = false;
+        Addr tag;
+        bool valid;
+        bool dirty;
         /** Coherence overlay: another cache also holds this line. */
-        bool shared = false;
-        std::uint64_t lastUse = 0;
+        bool shared;
+        std::uint64_t lastUse;
 
         LineState
         state() const
@@ -140,9 +146,24 @@ class Cache : public sim::stats::StatGroup
 
     unsigned numSets_ = 0;
     CacheParams params_;
-    std::vector<Line> lines_; // sets_ x assoc, row-major
+    static_assert(std::is_trivial_v<Line>,
+                  "make_unique_for_overwrite must leave lines unwritten");
+
+    /** numSets_ x assoc, row-major; a set is garbage until live. */
+    std::unique_ptr<Line[]> lines_;
+    /** Per set: its lines are initialized.  A set that is not live
+     *  reads as all invalid; a restore makes every set live. */
+    std::unique_ptr<bool[]> live_;
     std::uint64_t useClock_ = 0;
 
+    std::size_t
+    numLines() const
+    {
+        return std::size_t(numSets_) * params_.assoc;
+    }
+
+    /** First line of @p set, or null while the set is not live. */
+    Line *liveSet(unsigned set);
     Line *findLine(Addr addr);
     const Line *findLine(Addr addr) const;
     unsigned setIndex(Addr addr) const;

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <vector>
 
 #include "core/system.hh"
@@ -158,6 +159,21 @@ randomProgram(std::uint64_t seed, unsigned length)
     return p;
 }
 
+/** A tiny window and single-issue pipe: different stall paths. */
+SystemConfig
+narrowConfig()
+{
+    SystemConfig cfg;
+    cfg.core.windowSize = 4;
+    cfg.core.fetchWidth = 1;
+    cfg.core.retireWidth = 1;
+    cfg.core.intUnits = 1;
+    cfg.core.fpUnits = 1;
+    cfg.core.memPorts = 1;
+    cfg.normalize();
+    return cfg;
+}
+
 class Differential : public ::testing::TestWithParam<std::uint64_t>
 {
 };
@@ -195,8 +211,7 @@ TEST_P(Differential, CoreMatchesReferenceInterpreter)
 
 TEST_P(Differential, NarrowWindowCoreMatchesToo)
 {
-    // A tiny window and single-issue pipe exercise different stall
-    // paths; semantics must be identical.
+    // Semantics must not depend on the pipeline's shape.
     isa::Program program = randomProgram(GetParam() ^ 0xabcdef, 150);
 
     cpu::ReferenceExecutor reference;
@@ -204,15 +219,7 @@ TEST_P(Differential, NarrowWindowCoreMatchesToo)
     reference.run();
     const cpu::ArchState &ref = reference.state(0);
 
-    SystemConfig cfg;
-    cfg.core.windowSize = 4;
-    cfg.core.fetchWidth = 1;
-    cfg.core.retireWidth = 1;
-    cfg.core.intUnits = 1;
-    cfg.core.fpUnits = 1;
-    cfg.core.memPorts = 1;
-    cfg.normalize();
-    System system(cfg);
+    System system(narrowConfig());
     system.run(program);
 
     for (int r = 0; r < isa::numIntRegs; ++r)
@@ -397,6 +404,153 @@ TEST(DifferentialRegression, RmwLoopForwardsYoungestStore)
     reference.memory().read(kArenaBase, ref_arena.data(), kArenaBytes);
     system.memory().read(kArenaBase, got_arena.data(), kArenaBytes);
     EXPECT_EQ(got_arena, ref_arena);
+}
+
+/** The core's timing counters after one run: the values pinned below. */
+struct CoreTiming
+{
+    std::uint64_t cycles;
+    std::uint64_t dispatched;
+    std::uint64_t windowFullStalls;
+    std::uint64_t branchFetchStalls;
+    std::uint64_t uncachedRetireStalls;
+
+    bool operator==(const CoreTiming &) const = default;
+};
+
+/**
+ * Exact core timing of randomProgram and randomLoopProgram under the
+ * default and the narrow config, four rows per seed in the order
+ * {random, random narrow, loop, loop narrow}.  The paper kernels the
+ * golden tests pin never reorder issue, wake operands out of order or
+ * forward stores; these programs do, so any host-side rework of the
+ * issue, wake-up or forwarding bookkeeping must leave every number
+ * here unchanged.  A deliberate timing-model change regenerates the
+ * table from the failure messages.
+ */
+constexpr CoreTiming kTimingTable[] = {
+    {217, 310, 88, 47, 0}, // seed 1 random
+    {428, 310, 111, 3, 0}, // seed 1 random narrow
+    {386, 415, 238, 35, 0}, // seed 1 loop
+    {760, 415, 337, 5, 0}, // seed 1 loop narrow
+    {314, 299, 0, 230, 0}, // seed 2 random
+    {639, 299, 329, 7, 0}, // seed 2 random narrow
+    {349, 385, 245, 6, 0}, // seed 2 loop
+    {532, 385, 138, 5, 0}, // seed 2 loop narrow
+    {412, 295, 0, 331, 0}, // seed 3 random
+    {624, 295, 321, 4, 0}, // seed 3 random narrow
+    {427, 425, 302, 18, 0}, // seed 3 loop
+    {875, 425, 440, 5, 0}, // seed 3 loop narrow
+    {212, 292, 76, 46, 0}, // seed 4 random
+    {509, 292, 206, 7, 0}, // seed 4 random narrow
+    {602, 425, 494, 0, 0}, // seed 4 loop
+    {880, 425, 446, 5, 0}, // seed 4 loop narrow
+    {321, 301, 0, 237, 0}, // seed 5 random
+    {613, 301, 308, 0, 0}, // seed 5 random narrow
+    {411, 435, 300, 10, 0}, // seed 5 loop
+    {784, 435, 341, 5, 0}, // seed 5 loop narrow
+    {231, 301, 0, 146, 0}, // seed 6 random
+    {421, 301, 114, 2, 0}, // seed 6 random narrow
+    {371, 405, 260, 8, 0}, // seed 6 loop
+    {632, 405, 219, 5, 0}, // seed 6 loop narrow
+    {238, 303, 0, 148, 0}, // seed 7 random
+    {349, 303, 35, 7, 0}, // seed 7 random narrow
+    {557, 435, 441, 10, 0}, // seed 7 loop
+    {714, 435, 270, 5, 0}, // seed 7 loop narrow
+    {322, 290, 0, 239, 0}, // seed 8 random
+    {624, 290, 328, 2, 0}, // seed 8 random narrow
+    {433, 395, 310, 20, 0}, // seed 8 loop
+    {690, 395, 285, 5, 0}, // seed 8 loop narrow
+    {222, 293, 8, 134, 0}, // seed 9 random
+    {531, 293, 231, 4, 0}, // seed 9 random narrow
+    {508, 435, 383, 16, 0}, // seed 9 loop
+    {667, 435, 224, 5, 0}, // seed 9 loop narrow
+    {320, 293, 161, 77, 0}, // seed 10 random
+    {625, 293, 328, 0, 0}, // seed 10 random narrow
+    {391, 395, 280, 5, 0}, // seed 10 loop
+    {666, 395, 262, 5, 0}, // seed 10 loop narrow
+    {337, 287, 0, 250, 0}, // seed 11 random
+    {615, 287, 322, 2, 0}, // seed 11 random narrow
+    {540, 445, 439, 10, 0}, // seed 11 loop
+    {792, 445, 339, 5, 0}, // seed 11 loop narrow
+    {207, 291, 81, 42, 0}, // seed 12 random
+    {331, 291, 35, 1, 0}, // seed 12 random narrow
+    {329, 365, 208, 17, 0}, // seed 12 loop
+    {577, 365, 204, 5, 0}, // seed 12 loop narrow
+    {329, 275, 67, 179, 0}, // seed 13 random
+    {630, 275, 336, 13, 0}, // seed 13 random narrow
+    {606, 485, 508, 0, 0}, // seed 13 loop
+    {819, 485, 326, 5, 0}, // seed 13 loop narrow
+    {314, 301, 88, 147, 0}, // seed 14 random
+    {442, 301, 134, 3, 0}, // seed 14 random narrow
+    {290, 425, 158, 15, 0}, // seed 14 loop
+    {600, 425, 167, 5, 0}, // seed 14 loop narrow
+    {228, 298, 0, 145, 0}, // seed 15 random
+    {510, 298, 203, 5, 0}, // seed 15 random narrow
+    {300, 415, 190, 10, 0}, // seed 15 loop
+    {577, 415, 154, 5, 0}, // seed 15 loop narrow
+    {310, 278, 77, 152, 0}, // seed 16 random
+    {512, 278, 226, 4, 0}, // seed 16 random narrow
+    {378, 405, 268, 5, 0}, // seed 16 loop
+    {735, 405, 322, 5, 0}, // seed 16 loop narrow
+    {238, 292, 0, 153, 0}, // seed 17 random
+    {535, 292, 237, 0, 0}, // seed 17 random narrow
+    {391, 395, 280, 10, 0}, // seed 17 loop
+    {648, 395, 249, 0, 0}, // seed 17 loop narrow
+    {316, 288, 0, 236, 0}, // seed 18 random
+    {620, 288, 326, 3, 0}, // seed 18 random narrow
+    {416, 435, 297, 10, 0}, // seed 18 loop
+    {687, 435, 244, 5, 0}, // seed 18 loop narrow
+    {202, 303, 89, 26, 0}, // seed 19 random
+    {444, 303, 134, 3, 0}, // seed 19 random narrow
+    {411, 425, 295, 8, 0}, // seed 19 loop
+    {690, 425, 257, 5, 0}, // seed 19 loop narrow
+    {303, 283, 0, 222, 0}, // seed 20 random
+    {515, 283, 227, 1, 0}, // seed 20 random narrow
+    {379, 405, 274, 0, 0}, // seed 20 loop
+    {627, 405, 214, 5, 0}, // seed 20 loop narrow
+};
+
+constexpr unsigned kTimingSeeds = 20;
+
+TEST(DifferentialTiming, RandomProgramsKeepExactCoreTiming)
+{
+    const char *const kind[] = {"random", "random narrow", "loop",
+                                "loop narrow"};
+    std::size_t row = 0;
+    for (std::uint64_t s = 1; s <= kTimingSeeds; ++s) {
+        std::uint64_t seed = s * 0x9e3779b97f4a7c15ULL;
+        isa::Program straight = randomProgram(seed, 300);
+        isa::Program loop = randomLoopProgram(seed ^ 0x10071007, 60, 5);
+        for (unsigned k = 0; k < 4; ++k, ++row) {
+            SystemConfig cfg;
+            cfg.normalize();
+            System system(k % 2 == 0 ? cfg : narrowConfig());
+            system.run(k < 2 ? straight : loop);
+            const cpu::Core &core = system.core();
+            CoreTiming got{
+                std::uint64_t(core.numCycles.value()),
+                std::uint64_t(core.instsDispatched.value()),
+                std::uint64_t(core.windowFullStallCycles.value()),
+                std::uint64_t(core.branchFetchStallCycles.value()),
+                std::uint64_t(core.uncachedRetireStallCycles.value())};
+            char literal[160];
+            std::snprintf(literal, sizeof(literal),
+                          "    {%llu, %llu, %llu, %llu, %llu}, "
+                          "// seed %llu %s",
+                          (unsigned long long)got.cycles,
+                          (unsigned long long)got.dispatched,
+                          (unsigned long long)got.windowFullStalls,
+                          (unsigned long long)got.branchFetchStalls,
+                          (unsigned long long)got.uncachedRetireStalls,
+                          (unsigned long long)s, kind[k]);
+            ASSERT_LT(row, std::size(kTimingTable))
+                << "table row missing:\n" << literal;
+            EXPECT_TRUE(got == kTimingTable[row])
+                << "row " << row << " changed; now\n" << literal;
+        }
+    }
+    EXPECT_EQ(row, std::size(kTimingTable));
 }
 
 std::vector<std::uint64_t>

@@ -5,7 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "mem/cache.hh"
+#include "sim/checkpoint.hh"
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
 
@@ -83,10 +88,125 @@ TEST(Cache, InvalidateAndFlush)
     EXPECT_FALSE(cache.contains(0x200));
 }
 
+/** Building a cache with @p params must be fatal, naming @p field. */
+void
+expectFatalNaming(const CacheParams &params, const std::string &field)
+{
+    try {
+        Cache cache(params, "c");
+        ADD_FAILURE() << "geometry accepted; expected a fatal on "
+                      << field;
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(Cache, BadGeometryIsFatal)
 {
     EXPECT_THROW(Cache(tiny(100, 3, 64, 1), "c"), FatalError);
     EXPECT_THROW(Cache(tiny(1024, 2, 48, 1), "c"), FatalError);
+    // 0 % (assoc * lineBytes) == 0, so a zero size once passed and
+    // left zero sets: the first access divided by zero.
+    expectFatalNaming(tiny(0, 2, 64, 1), "sizeBytes");
+    // 2^26 * 64 wraps a 32-bit product to 0, and validation itself
+    // divided by zero.
+    expectFatalNaming(tiny(1024, 1u << 26, 64, 1), "assoc");
+    expectFatalNaming(tiny(0, 0, 64, 1), "assoc");
+}
+
+/** The checkpoint bytes of @p cache, alone in section "c". */
+std::string
+savedBytes(const Cache &cache)
+{
+    sim::CheckpointWriter cw;
+    cw.beginSection("c");
+    cache.checkpointSave(cw);
+    std::ostringstream os;
+    cw.writeTo(os);
+    return os.str();
+}
+
+/** One line record as docs/CHECKPOINT.md lays it out. */
+struct LineRecord
+{
+    std::uint64_t tag = 0;
+    std::uint8_t flags = 0;
+    std::uint64_t lastUse = 0;
+};
+
+/** Hand-built checkpoint of a cache with @p lines records. */
+std::string
+expectedBytes(std::uint64_t use_clock, const std::vector<LineRecord> &lines)
+{
+    sim::CheckpointWriter cw;
+    cw.beginSection("c");
+    cw.putU64(use_clock);
+    cw.putU64(lines.size());
+    for (const LineRecord &line : lines) {
+        cw.putU64(line.tag);
+        cw.putU8(line.flags);
+        cw.putU64(line.lastUse);
+    }
+    std::ostringstream os;
+    cw.writeTo(os);
+    return os.str();
+}
+
+TEST(CacheCheckpoint, UntouchedCacheSavesAllZeroRecords)
+{
+    // Sets come to life on their first fill; one that never did must
+    // still save as the invalid, all-zero records of an eager array.
+    Cache cache(tiny(1024, 2, 64, 1), "c");
+    EXPECT_EQ(savedBytes(cache),
+              expectedBytes(0, std::vector<LineRecord>(16)));
+}
+
+TEST(CacheCheckpoint, InvalidatedLineKeepsTagAndLastUse)
+{
+    // 2-way, 2 sets: 0x080 is tag 2 in set 0 and fills way 0.
+    Cache cache(tiny(256, 2, 64, 1), "c");
+    cache.access(0x080, true);
+    cache.invalidate(0x080);
+    std::vector<LineRecord> lines(4);
+    lines[0] = {2, 0, 1};
+    EXPECT_EQ(savedBytes(cache), expectedBytes(1, lines));
+}
+
+TEST(CacheCheckpoint, RoundTripOfPartlyTouchedCacheIsExact)
+{
+    // 2-way, 8 sets, 64 B lines: 0x000/0x200/0x400 share set 0.
+    const CacheParams params = tiny(1024, 2, 64, 1);
+    Cache original(params, "c");
+    original.access(0x000, true);
+    original.access(0x200, false);
+    original.access(0x0c0, true);
+    original.access(0x140, false);
+    original.invalidate(0x140);
+    const std::string saved = savedBytes(original);
+
+    Cache restored(params, "c");
+    std::istringstream is(saved);
+    sim::CheckpointReader cr = sim::CheckpointReader::readFrom(is);
+    cr.openSection("c");
+    restored.checkpointRestore(cr);
+    cr.closeSection();
+    EXPECT_EQ(savedBytes(restored), saved);
+
+    // Hits, misses, LRU victims and writebacks go on exactly as on the
+    // cache that was never saved: touched sets, the invalidated line
+    // and sets that were never live before the restore.
+    const Addr addrs[] = {0x000, 0x400, 0x200, 0x000, 0x140, 0x0c0,
+                          0x2c0, 0x4c0, 0x380, 0x180, 0x380, 0x600};
+    for (Addr addr : addrs) {
+        bool is_write = (addr & 0x100) != 0;
+        Cache::AccessResult want = original.access(addr, is_write);
+        Cache::AccessResult got = restored.access(addr, is_write);
+        EXPECT_EQ(got.hit, want.hit) << std::hex << addr;
+        EXPECT_EQ(got.writeback, want.writeback) << std::hex << addr;
+        EXPECT_EQ(got.writebackAddr, want.writebackAddr) << std::hex << addr;
+    }
+    EXPECT_EQ(savedBytes(restored), savedBytes(original));
 }
 
 TEST(Hierarchy, LatenciesStack)
