@@ -43,10 +43,12 @@ class BusTarget
 
     /**
      * A write transaction has fully transferred.
-     * @param txn  the completed transaction (data included)
+     * @param txn  the completed transaction (data included); the
+     *             target may move txn.data out, the bus does not read
+     *             it again
      * @param now  CPU tick of completion
      */
-    virtual void write(const BusTransaction &txn, Tick now) = 0;
+    virtual void write(BusTransaction &txn, Tick now) = 0;
 
     /**
      * Serve a read.  Called at the end of the address cycle.

@@ -42,14 +42,15 @@ busStatusName(BusStatus status)
     return "?";
 }
 
-std::string
-BusTransaction::toString() const
+std::ostream &
+operator<<(std::ostream &os, const BusTransaction &txn)
 {
-    std::ostringstream os;
-    os << txnKindName(kind) << " addr=0x" << std::hex << addr << std::dec
-       << " size=" << size << " master=" << master
-       << (stronglyOrdered ? " ordered" : "");
-    return os.str();
+    const std::ios::fmtflags flags = os.flags();
+    os << txnKindName(txn.kind) << " addr=0x" << std::hex << txn.addr
+       << std::dec << " size=" << txn.size << " master=" << txn.master
+       << (txn.stronglyOrdered ? " ordered" : "");
+    os.flags(flags);
+    return os;
 }
 
 void
@@ -170,7 +171,7 @@ SystemBus::unmappedAbort(const BusTransaction &txn) const
               "instead of aborting)");
 }
 
-BusStatus
+void
 SystemBus::noteFailure(const BusTransaction &txn, BusStatus status,
                        Tick when)
 {
@@ -178,8 +179,7 @@ SystemBus::noteFailure(const BusTransaction &txn, BusStatus status,
         numNacks += 1;
     else if (status == BusStatus::Error)
         numErrors += 1;
-    sim::trace::log("bus", busStatusName(status), " completion ",
-                    txn.toString());
+    sim::trace::log("bus", busStatusName(status), " completion ", txn);
     if (sim::trace::jsonEnabled()) {
         sim::trace::jsonInstant(
             "bus", std::string("bus-") + busStatusName(status), when,
@@ -187,7 +187,6 @@ SystemBus::noteFailure(const BusTransaction &txn, BusStatus status,
              {"master", masterNames_[txn.master]},
              {"kind", txnKindName(txn.kind)}});
     }
-    return status;
 }
 
 bool
@@ -440,15 +439,15 @@ SystemBus::tryStartResponse(std::uint64_t c)
              {"master", masterNames_[rec.master]}});
     }
 
-    PendingResponse done = std::move(resp);
-    responses_.pop_front();
     sim_.eventQueue().scheduleFunc(
         rec.completionTick,
-        [this, done = std::move(done), when = rec.completionTick]() {
+        [this, data = std::move(resp.txn.data),
+         on_read = std::move(resp.onRead), when = rec.completionTick] {
             --inFlight_;
-            if (done.onRead)
-                done.onRead(when, BusStatus::Ok, done.txn.data);
+            if (on_read)
+                on_read(when, BusStatus::Ok, data);
         });
+    responses_.pop_front();
     return true;
 }
 
@@ -551,8 +550,7 @@ SystemBus::startWrite(Request &req, std::uint64_t c)
         clockDomain().period());
     ++inFlight_;
     sim_.noteProgress();
-    sim::trace::log("bus", "write start cycle=", c, " ",
-                    req.txn.toString());
+    sim::trace::log("bus", "write start cycle=", c, " ", req.txn);
 
     if (sim::trace::jsonEnabled()) {
         sim::trace::jsonSpan(
@@ -583,7 +581,7 @@ SystemBus::startWrite(Request &req, std::uint64_t c)
             else
                 noteFailure(txn, status, when);
             if (cb)
-                cb(when, status);
+                cb(when, status, txn.data);
         });
 }
 
@@ -629,8 +627,7 @@ SystemBus::startRead(Request &req, std::uint64_t c)
     monitor_.record(rec);
     ++inFlight_;
     sim_.noteProgress();
-    sim::trace::log("bus", "read start cycle=", c, " ",
-                    req.txn.toString());
+    sim::trace::log("bus", "read start cycle=", c, " ", req.txn);
 
     if (sim::trace::jsonEnabled()) {
         sim::trace::jsonSpan(
@@ -648,35 +645,35 @@ SystemBus::startRead(Request &req, std::uint64_t c)
     Tick addr_end = clockDomain().tickOfCycle(c + 1);
     sim_.eventQueue().scheduleFunc(
         addr_end,
-        [this, target, preset, req = std::move(req), addr_cycle = c,
-         addr_end]() mutable {
+        [this, target, preset, txn = std::move(req.txn),
+         on_read = std::move(req.onRead), request_tick = req.requestTick,
+         addr_cycle = c, addr_end]() mutable {
             BusStatus status = preset;
             if (status == BusStatus::Ok)
-                status = target->accept(req.txn, addr_end);
+                status = target->accept(txn, addr_end);
             if (status != BusStatus::Ok) {
                 // A NACKed/errored read never occupies a response
                 // tenure: the master learns at the address-cycle end
                 // and must retry (or give up) itself.
                 --inFlight_;
-                req.txn.status = status;
-                noteFailure(req.txn, status, addr_end);
-                if (req.onRead)
-                    req.onRead(addr_end, status, {});
+                txn.status = status;
+                noteFailure(txn, status, addr_end);
+                if (on_read)
+                    on_read(addr_end, status, {});
                 return;
             }
             std::vector<std::uint8_t> data;
-            Tick latency = target->read(req.txn, addr_end, data);
-            csb_assert(data.size() == req.txn.size,
+            Tick latency = target->read(txn, addr_end, data);
+            csb_assert(data.size() == txn.size,
                        "target returned wrong read size");
-            PendingResponse resp;
-            resp.txn = std::move(req.txn);
+            PendingResponse &resp = responses_.emplace_back();
+            resp.txn = std::move(txn);
             resp.txn.kind = TxnKind::ReadResp;
             resp.txn.data = std::move(data);
-            resp.onRead = std::move(req.onRead);
+            resp.onRead = std::move(on_read);
             resp.readyTick = addr_end + latency;
             resp.reqAddrCycle = addr_cycle;
-            resp.requestTick = req.requestTick;
-            responses_.push_back(std::move(resp));
+            resp.requestTick = request_tick;
         });
 }
 

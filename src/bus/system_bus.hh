@@ -39,6 +39,7 @@
 #include "snoop.hh"
 #include "sim/clocked.hh"
 #include "sim/fault.hh"
+#include "sim/inline_function.hh"
 #include "sim/simulator.hh"
 #include "sim/stats.hh"
 #include "transaction.hh"
@@ -79,19 +80,35 @@ struct BusParams
     void validate() const;
 };
 
-/** Invoked when a write transaction has fully transferred (or failed). */
+/*
+ * Master callbacks hold their closures inline (sim::InlineFunction),
+ * each type sized to the largest closure the tree passes as one:
+ * presenting a request allocates nothing beyond its payload, and a
+ * larger closure fails to compile.
+ */
+
+/**
+ * Invoked when a write transaction has fully transferred (or failed).
+ * @p payload is the transaction's data handed back to the master.  It
+ * is intact unless @p status is Ok (the target may have taken it), so
+ * a master re-presents a NACKed write from it without a copy of its
+ * own.
+ */
 using WriteCallback =
-    std::function<void(Tick completion_tick, BusStatus status)>;
+    sim::InlineFunction<void(Tick completion_tick, BusStatus status,
+                             std::vector<std::uint8_t> &payload),
+                        24>;
 /**
  * Invoked when read data has been returned over the bus.  On Nack or
  * Error the data vector is empty and the master should retry (Nack)
  * or give up (Error).
  */
 using ReadCallback =
-    std::function<void(Tick completion_tick, BusStatus status,
-                       const std::vector<std::uint8_t> &data)>;
+    sim::InlineFunction<void(Tick completion_tick, BusStatus status,
+                             const std::vector<std::uint8_t> &data),
+                        56>;
 /** Invoked when the request's address cycle is driven (txn started). */
-using StartCallback = std::function<void(Tick start_tick)>;
+using StartCallback = sim::InlineFunction<void(Tick start_tick), 16>;
 
 /**
  * The system bus.  Masters present at most one request at a time via
@@ -282,9 +299,9 @@ class SystemBus : public sim::Clocked, public sim::stats::StatGroup
     /** Abort with a diagnostic naming the issuing master. */
     [[noreturn]] void unmappedAbort(const BusTransaction &txn) const;
 
-    /** Count + trace a failed completion; @return the status. */
-    BusStatus noteFailure(const BusTransaction &txn, BusStatus status,
-                          Tick when);
+    /** Count + trace a failed completion. */
+    void noteFailure(const BusTransaction &txn, BusStatus status,
+                     Tick when);
 
     /** @return true when master @p m may start an ordered txn at @p c. */
     bool orderingAllows(const Request &req, std::uint64_t c) const;

@@ -86,7 +86,8 @@ TrafficGenerator::issue(Addr addr, bool is_write, unsigned attempt)
         bool ok = bus_.requestWrite(
             masterId_, addr, std::move(data),
             /*strongly_ordered=*/false,
-            [this, addr, attempt](Tick when, BusStatus status) {
+            [this, addr, attempt](Tick when, BusStatus status,
+                                  std::vector<std::uint8_t> &) {
                 onCompletion(addr, true, attempt, when, status);
             });
         csb_assert(ok, "traffic write refused despite idle master");

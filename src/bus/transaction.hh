@@ -8,7 +8,7 @@
 #define CSB_BUS_TRANSACTION_HH
 
 #include <cstdint>
-#include <string>
+#include <ostream>
 #include <vector>
 
 #include "sim/types.hh"
@@ -46,9 +46,13 @@ const char *busStatusName(BusStatus status);
 struct BusTransaction
 {
     TxnKind kind = TxnKind::Write;
-    Addr addr = 0;
-    unsigned size = 0;
+    /** Completion status (set by the bus before callbacks fire). */
+    BusStatus status = BusStatus::Ok;
     MasterId master = 0;
+    unsigned size = 0;
+    Addr addr = 0;
+    /** Unique id assigned by the bus at start. */
+    std::uint64_t id = 0;
     /**
      * Strongly ordered (uncached) transactions may not have their
      * address cycle issued before the previous strongly ordered
@@ -56,8 +60,6 @@ struct BusTransaction
      * (ackDelay bus cycles after its address cycle).
      */
     bool stronglyOrdered = false;
-    /** Write payload / read result. */
-    std::vector<std::uint8_t> data;
     /**
      * The payload is a snapshot of bytes that are already current in
      * the functional memory image (a cache-line spill: the tag model
@@ -67,13 +69,20 @@ struct BusTransaction
      * retried -- but timing, stats and traces treat it as any write.
      */
     bool snapshotPayload = false;
-    /** Unique id assigned by the bus at start. */
-    std::uint64_t id = 0;
-    /** Completion status (set by the bus before callbacks fire). */
-    BusStatus status = BusStatus::Ok;
-
-    std::string toString() const;
+    /**
+     * Write payload / read result.  A target's write() may move the
+     * payload out (a device log keeps it without a copy); otherwise it
+     * travels back to the master with the completion.
+     */
+    std::vector<std::uint8_t> data;
 };
+
+/**
+ * Trace text of a transaction, e.g.
+ * "write addr=0x22000000 size=64 master=1 ordered".  Streamed only
+ * inside an enabled trace::log, so a disabled channel never formats.
+ */
+std::ostream &operator<<(std::ostream &os, const BusTransaction &txn);
 
 /**
  * Completed-transaction record kept by the BusMonitor.  All cycle

@@ -103,6 +103,97 @@ System::mapIoPages(mem::PageTable &page_table, const SystemConfig &config)
     }
 }
 
+namespace {
+
+/** Backoff for NACKed miss-port transactions (only under faults). */
+const bus::RetryPolicy missRetry{};
+
+} // namespace
+
+void
+System::fetchLine(MasterId master, Addr line_addr,
+                  std::function<void(Tick)> done, unsigned try_no)
+{
+    // Retry until the miss port is free (overlapping misses serialize,
+    // as with a single MSHR); a NACKed fetch reissues after backoff.
+    if (!bus_->masterIdle(master)) {
+        sim_.eventQueue().scheduleFunc(
+            sim_.curTick() + 1,
+            [this, line_addr, done = std::move(done), master,
+             try_no]() mutable {
+                fetchLine(master, line_addr, std::move(done), try_no);
+            });
+        return;
+    }
+    bus_->requestRead(
+        master, line_addr, config_.lineBytes, /*strongly_ordered=*/false,
+        [this, line_addr, done = std::move(done), master,
+         try_no](Tick when, bus::BusStatus status,
+                 const std::vector<std::uint8_t> &) mutable {
+            if (status == bus::BusStatus::Ok) {
+                done(when);
+                return;
+            }
+            if (status == bus::BusStatus::Error) {
+                csb_fatal("bus error on cache line fetch at 0x", std::hex,
+                          line_addr);
+            }
+            if (try_no + 1 >= missRetry.maxAttempts) {
+                csb_fatal("cache line fetch retries exhausted at 0x",
+                          std::hex, line_addr);
+            }
+            sim_.eventQueue().scheduleFunc(
+                when + missRetry.backoffFor(try_no + 1),
+                [this, line_addr, done = std::move(done), master,
+                 try_no]() mutable {
+                    fetchLine(master, line_addr, std::move(done),
+                              try_no + 1);
+                });
+        });
+}
+
+void
+System::writebackLine(MasterId master, Addr line_addr, unsigned try_no)
+{
+    if (!bus_->masterIdle(master)) {
+        sim_.eventQueue().scheduleFunc(
+            sim_.curTick() + 1, [this, master, line_addr, try_no] {
+                writebackLine(master, line_addr, try_no);
+            });
+        return;
+    }
+    // Capture the payload fresh on EVERY attempt, not once at
+    // eviction: stores may commit to the image while the spill waits
+    // for the port or retries after a NACK, and a stale capture would
+    // clobber them at completion.  The payload is flagged as a
+    // snapshot so the memory counts it without re-applying it (see
+    // BusTransaction::snapshotPayload).
+    std::vector<std::uint8_t> data(config_.lineBytes);
+    physMem_.read(line_addr, data.data(), data.size());
+    bus_->requestWrite(
+        master, line_addr, std::move(data), /*strongly_ordered=*/false,
+        /*on_complete=*/
+        [this, line_addr, master, try_no](Tick when, bus::BusStatus status,
+                                          std::vector<std::uint8_t> &) {
+            if (status == bus::BusStatus::Ok)
+                return;
+            if (status == bus::BusStatus::Error) {
+                csb_fatal("bus error on cache writeback at 0x", std::hex,
+                          line_addr);
+            }
+            if (try_no + 1 >= missRetry.maxAttempts) {
+                csb_fatal("cache writeback retries exhausted at 0x",
+                          std::hex, line_addr);
+            }
+            sim_.eventQueue().scheduleFunc(
+                when + missRetry.backoffFor(try_no + 1),
+                [this, master, line_addr, try_no] {
+                    writebackLine(master, line_addr, try_no + 1);
+                });
+        },
+        /*on_start=*/{}, /*snapshot_payload=*/true);
+}
+
 void
 System::buildCoreSlice(unsigned cpu)
 {
@@ -136,103 +227,15 @@ System::buildCoreSlice(unsigned cpu)
         slice.missMaster =
             bus_->registerMaster("cachemiss" + suffix + ".port");
         MasterId miss_master = slice.missMaster;
-        bus::RetryPolicy miss_retry; // defaults; NACKs only under faults
         slice.caches->setLineFetch(
-            [this, miss_master, miss_retry](Addr line_addr,
-                                            std::function<void(Tick)> done) {
-                // Retry until the miss port is free (overlapping
-                // misses serialize, as with a single MSHR); a NACKed
-                // fetch reissues after backoff.
-                auto attempt =
-                    std::make_shared<std::function<void(unsigned)>>();
-                *attempt = [this, miss_master, line_addr, miss_retry,
-                            done = std::move(done),
-                            attempt](unsigned try_no) {
-                    bool ok = bus_->requestRead(
-                        miss_master, line_addr, config_.lineBytes,
-                        /*strongly_ordered=*/false,
-                        [this, done, attempt, try_no, miss_retry,
-                         line_addr](Tick when, bus::BusStatus status,
-                                    const std::vector<std::uint8_t> &) {
-                            if (status == bus::BusStatus::Ok) {
-                                done(when);
-                                // Break the attempt->attempt cycle.
-                                *attempt = {};
-                                return;
-                            }
-                            if (status == bus::BusStatus::Error) {
-                                csb_fatal("bus error on cache line "
-                                          "fetch at 0x", std::hex,
-                                          line_addr);
-                            }
-                            if (try_no + 1 >= miss_retry.maxAttempts) {
-                                csb_fatal("cache line fetch retries "
-                                          "exhausted at 0x", std::hex,
-                                          line_addr);
-                            }
-                            sim_.eventQueue().scheduleFunc(
-                                when + miss_retry.backoffFor(try_no + 1),
-                                [attempt, try_no] {
-                                    (*attempt)(try_no + 1);
-                                });
-                        });
-                    if (!ok) {
-                        sim_.eventQueue().scheduleFunc(
-                            sim_.curTick() + 1,
-                            [attempt, try_no] { (*attempt)(try_no); });
-                    }
-                };
-                (*attempt)(0);
+            [this, miss_master](Addr line_addr,
+                                std::function<void(Tick)> done) {
+                fetchLine(miss_master, line_addr, std::move(done), 0);
             });
-        slice.caches->setLineWriteback([this, miss_master,
-                                        miss_retry](Addr line_addr) {
-            auto attempt =
-                std::make_shared<std::function<void(unsigned)>>();
-            *attempt = [this, miss_master, line_addr, miss_retry,
-                        attempt](unsigned try_no) {
-                // Capture the payload fresh on EVERY attempt, not once
-                // at eviction: stores may commit to the image while the
-                // spill waits for the port or retries after a NACK, and
-                // a stale capture would clobber them at completion.
-                // The payload is flagged as a snapshot so the memory
-                // counts it without re-applying it (see
-                // BusTransaction::snapshotPayload).
-                std::vector<std::uint8_t> data(config_.lineBytes);
-                physMem_.read(line_addr, data.data(), data.size());
-                bool ok = bus_->requestWrite(
-                    miss_master, line_addr, std::move(data),
-                    /*strongly_ordered=*/false,
-                    /*on_complete=*/
-                    [this, attempt, try_no, miss_retry,
-                     line_addr](Tick when, bus::BusStatus status) {
-                        if (status == bus::BusStatus::Ok) {
-                            *attempt = {};
-                            return;
-                        }
-                        if (status == bus::BusStatus::Error) {
-                            csb_fatal("bus error on cache writeback "
-                                      "at 0x", std::hex, line_addr);
-                        }
-                        if (try_no + 1 >= miss_retry.maxAttempts) {
-                            csb_fatal("cache writeback retries "
-                                      "exhausted at 0x", std::hex,
-                                      line_addr);
-                        }
-                        sim_.eventQueue().scheduleFunc(
-                            when + miss_retry.backoffFor(try_no + 1),
-                            [attempt, try_no] {
-                                (*attempt)(try_no + 1);
-                            });
-                    },
-                    /*on_start=*/{}, /*snapshot_payload=*/true);
-                if (!ok) {
-                    sim_.eventQueue().scheduleFunc(
-                        sim_.curTick() + 1,
-                        [attempt, try_no] { (*attempt)(try_no); });
-                }
-            };
-            (*attempt)(0);
-        });
+        slice.caches->setLineWriteback(
+            [this, miss_master](Addr line_addr) {
+                writebackLine(miss_master, line_addr, 0);
+            });
     }
 
     slice.ubuf = std::make_unique<mem::UncachedBuffer>(

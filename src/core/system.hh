@@ -180,6 +180,17 @@ class System : public sim::stats::StatGroup
 
     void buildCoreSlice(unsigned cpu);
 
+    /**
+     * Fetch a line over the miss port @p master for a cache miss and
+     * call @p done when it arrives; a busy port retries next tick, a
+     * NACK after backoff.
+     */
+    void fetchLine(MasterId master, Addr line_addr,
+                   std::function<void(Tick)> done, unsigned try_no);
+
+    /** Spill a dirty line over the miss port; retries like fetchLine. */
+    void writebackLine(MasterId master, Addr line_addr, unsigned try_no);
+
     SystemConfig config_;
     sim::Simulator sim_;
     mem::PhysicalMemory physMem_;

@@ -51,9 +51,9 @@ Core::Core(sim::Simulator &simulator, const CoreParams &params,
               double cycles = numCycles.value();
               return cycles > 0 ? instsRetired.value() / cycles : 0.0;
           }),
-      sim_(simulator), params_(params), ports_(ports)
+      sim_(simulator), params_(validated(params)), ports_(ports),
+      window_(params_.windowSize)
 {
-    params_.validate();
     csb_assert(ports_.tlb && ports_.caches && ports_.ubuf && ports_.memory,
                "core is missing a memory port");
     simulator.registerClocked(this);
@@ -354,7 +354,7 @@ Core::fetchStage()
 
         RegId rd = destOf(inst);
         std::uint64_t seq = di.seq;
-        window_.push_back(std::move(di));
+        window_.emplace_back() = di;
         instsDispatched += 1;
         ++fetched;
         if (rd.valid() && !rd.isZero())
@@ -402,9 +402,9 @@ Core::finishInst(DynInst &inst, std::uint64_t result)
         spec_.writeReg(rd, result);
 
     // Only younger instructions can consume this result.
-    for (auto it = window_.begin() + windowIndex(inst.seq) + 1;
-         it != window_.end(); ++it) {
-        DynInst &di = *it;
+    for (std::size_t i = windowIndex(inst.seq) + 1; i < window_.size();
+         ++i) {
+        DynInst &di = window_[i];
         if (di.src1Producer == inst.seq) {
             di.src1Producer = 0;
             di.src1Val = result;
@@ -442,9 +442,8 @@ Core::loadBlockedByStore(const DynInst &load, std::uint64_t &fwd_val,
     // whenever two same-address stores were in flight, as in a tight
     // read-modify-write loop.)  Anything older than the deciding store
     // is irrelevant: the younger store supersedes its bytes.
-    for (auto it = window_.rend() - windowIndex(load.seq);
-         it != window_.rend(); ++it) {
-        const DynInst &di = *it;
+    for (std::size_t i = windowIndex(load.seq); i-- > 0;) {
+        const DynInst &di = window_[i];
         if (!isStore(di.inst.op))
             continue;
         if (!di.addrKnown)
@@ -484,19 +483,19 @@ Core::issueStage()
     // costs nothing here.
     if (numDispatched_ == 0)
         return;
-    auto it = window_.begin();
+    std::size_t i = 0;
     if (issueFrom_ > window_.front().seq)
-        it += windowIndex(issueFrom_);
-    while (it->state != State::Dispatched)
-        ++it;
-    issueFrom_ = it->seq;
+        i = windowIndex(issueFrom_);
+    while (window_[i].state != State::Dispatched)
+        ++i;
+    issueFrom_ = window_[i].seq;
 
     unsigned int_free = params_.intUnits;
     unsigned fp_free = params_.fpUnits;
     unsigned mem_free = params_.memPorts;
     Tick now = sim_.curTick();
-    for (unsigned unseen = numDispatched_; unseen > 0; ++it) {
-        DynInst &di = *it;
+    for (unsigned unseen = numDispatched_; unseen > 0; ++i) {
+        DynInst &di = window_[i];
         if (di.state != State::Dispatched)
             continue;
         --unseen;

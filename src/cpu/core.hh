@@ -30,7 +30,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
 #include <utility>
@@ -44,6 +43,7 @@
 #include "mem/physical_memory.hh"
 #include "mem/uncached_buffer.hh"
 #include "sim/clocked.hh"
+#include "sim/fixed_ring.hh"
 #include "sim/simulator.hh"
 #include "sim/stats.hh"
 #include "sim/trace_recorder.hh"
@@ -264,7 +264,8 @@ class Core : public sim::Clocked, public sim::stats::StatGroup
      * are contiguous: dispatch appends nextSeq_++, retire pops the
      * front and a squash clears the whole window.
      */
-    std::deque<DynInst> window_;
+    /** params_.windowSize slots, allocated once. */
+    sim::FixedRing<DynInst> window_;
     std::uint64_t nextSeq_ = 1;
     /** Window entries still in State::Dispatched. */
     unsigned numDispatched_ = 0;

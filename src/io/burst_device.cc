@@ -32,7 +32,7 @@ BurstDevice::accept(const bus::BusTransaction &txn, Tick now)
 }
 
 void
-BurstDevice::write(const bus::BusTransaction &txn, Tick now)
+BurstDevice::write(bus::BusTransaction &txn, Tick now)
 {
     if (txn.size > maxAccept_) {
         csb_fatal("device '", name_, "' cannot accept a ", txn.size,
@@ -41,7 +41,7 @@ BurstDevice::write(const bus::BusTransaction &txn, Tick now)
     }
     DeviceWrite rec;
     rec.addr = txn.addr;
-    rec.data = txn.data;
+    rec.data = std::move(txn.data);
     rec.completionTick = now;
     writeLog_.push_back(std::move(rec));
     writesReceived += 1;

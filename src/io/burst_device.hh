@@ -55,7 +55,8 @@ class BurstDevice : public bus::BusTarget, public sim::stats::StatGroup
     bus::BusStatus accept(const bus::BusTransaction &txn,
                           Tick now) override;
 
-    void write(const bus::BusTransaction &txn, Tick now) override;
+    /** Logs the write, taking txn.data without a copy. */
+    void write(bus::BusTransaction &txn, Tick now) override;
 
     Tick read(const bus::BusTransaction &txn, Tick now,
               std::vector<std::uint8_t> &data) override;

@@ -65,7 +65,7 @@ NetworkInterface::NetworkInterface(sim::Simulator &simulator,
 }
 
 void
-NetworkInterface::write(const bus::BusTransaction &txn, Tick now)
+NetworkInterface::write(bus::BusTransaction &txn, Tick now)
 {
     csb_assert(txn.addr >= base_ &&
                txn.addr + txn.size <= base_ + NiMap::windowSize,

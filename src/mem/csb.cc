@@ -51,21 +51,15 @@ ConditionalStoreBuffer::ConditionalStoreBuffer(
       fillAtFlush(this, "fillAtFlush",
                   "valid bytes in the line at a successful flush",
                   0, params.lineBytes, 8),
-      sim_(simulator), bus_(bus), params_(params)
+      sim_(simulator), bus_(bus), params_(validated(params)),
+      outbox_(params_.numLineBuffers)
 {
-    params_.validate();
     if (params_.lineBytes > bus_.params().maxBurstBytes)
         csb_fatal("CSB line (", params_.lineBytes,
                   ") exceeds the bus max burst (",
                   bus_.params().maxBurstBytes, ")");
     masterId_ = bus_.registerMaster(name + ".port");
     simulator.registerClocked(this);
-}
-
-bool
-ConditionalStoreBuffer::canAcceptStore() const
-{
-    return outbox_.size() < params_.numLineBuffers;
 }
 
 void
@@ -159,11 +153,10 @@ ConditionalStoreBuffer::conditionalFlush(ProcId pid, Addr addr,
         sim::trace::log("csb", "flush line DROPPED (debug bug knob) "
                         "pid=", pid, " line=0x", std::hex, line);
     } else {
-        OutLine out;
+        OutLine &out = outbox_.emplace_back();
         out.addr = lineAddr_;
         out.data = data_;
         out.valid = valid_;
-        outbox_.push_back(std::move(out));
     }
 
     sim::trace::log("csb", "flush OK pid=", pid, " line=0x", std::hex,
@@ -233,37 +226,40 @@ ConditionalStoreBuffer::tick()
 
     OutLine &head = outbox_.front();
 
-    if (degraded_ && headChunks_.empty()) {
-        // Degraded mode: the device is refusing bursts, so fall back
-        // to the PIO path -- decomposed <= 8-byte aligned stores of
-        // the valid bytes (docs/FAULTS.md).
-        for (const Chunk &chunk :
-             decomposeAligned(head.addr, head.valid, params_.lineBytes,
-                              /*max_chunk=*/8)) {
-            headChunks_.push_back(chunk);
+    if (headChunkMax_ == 0) {
+        if (degraded_) {
+            // Degraded mode: the device is refusing bursts, so fall
+            // back to the PIO path -- decomposed <= 8-byte aligned
+            // stores of the valid bytes (docs/FAULTS.md).
+            headChunkMax_ = 8;
+        } else if (params_.partialFlush &&
+                   head.valid.count() != params_.lineBytes) {
+            // Relaxed mode: issue only the valid bytes.
+            headChunkMax_ = bus_.params().maxBurstBytes;
         }
-        csb_assert(!headChunks_.empty(), "flushed an empty line");
-    } else if (params_.partialFlush && headChunks_.empty() &&
-               head.valid.count() != params_.lineBytes) {
-        // Relaxed mode: issue only the valid bytes.
-        for (const Chunk &chunk :
-             decomposeAligned(head.addr, head.valid, params_.lineBytes,
-                              bus_.params().maxBurstBytes)) {
-            headChunks_.push_back(chunk);
-        }
-        csb_assert(!headChunks_.empty(), "flushed an empty line");
     }
 
     Addr txn_addr;
     unsigned txn_size;
     bool last_chunk;
-    // Drain pending chunks unconditionally: a re-promotion mid-line
+    // Finish a chunked line unconditionally: a re-promotion mid-line
     // must not re-issue already-sent bytes as a fresh full burst.
-    if (!headChunks_.empty()) {
-        txn_addr = headChunks_.front().addr;
-        txn_size = headChunks_.front().size;
-        headChunks_.pop_front();
-        last_chunk = headChunks_.empty();
+    if (headChunkMax_ != 0) {
+        Chunk chunk = nextAlignedChunk(head.addr, head.valid,
+                                       params_.lineBytes, headChunkMax_,
+                                       headCursor_);
+        csb_assert(chunk.size != 0, "flushed an empty line");
+        txn_addr = chunk.addr;
+        txn_size = chunk.size;
+        headCursor_ = static_cast<unsigned>(chunk.addr - head.addr) +
+                      chunk.size;
+        last_chunk = nextAlignedChunk(head.addr, head.valid,
+                                      params_.lineBytes, headChunkMax_,
+                                      headCursor_).size == 0;
+        if (last_chunk) {
+            headChunkMax_ = 0;
+            headCursor_ = 0;
+        }
     } else {
         // Base design: always a full zero-padded line burst.
         txn_addr = head.addr;
@@ -271,12 +267,9 @@ ConditionalStoreBuffer::tick()
         last_chunk = true;
     }
 
-    std::vector<std::uint8_t> payload(txn_size);
-    std::memcpy(payload.data(), head.data.data() + (txn_addr - head.addr),
-                txn_size);
-
-    issueWrite(txn_addr, std::move(payload), last_chunk, /*attempt=*/0,
-               /*from_outbox=*/true);
+    const std::uint8_t *bytes = head.data.data() + (txn_addr - head.addr);
+    issueWrite(txn_addr, std::vector<std::uint8_t>(bytes, bytes + txn_size),
+               last_chunk, /*attempt=*/0, /*from_outbox=*/true);
     if (last_chunk)
         ++linesIssued;
 }
@@ -287,14 +280,12 @@ ConditionalStoreBuffer::issueWrite(Addr addr,
                                    bool last_chunk, unsigned attempt,
                                    bool from_outbox)
 {
-    // Keep our own copy until the bus acknowledges: the transaction's
-    // payload is consumed by the bus whether or not delivery succeeds.
-    std::vector<std::uint8_t> keep = payload;
     bool accepted = bus_.requestWrite(
         masterId_, addr, std::move(payload), /*strongly_ordered=*/true,
         /*on_complete=*/
-        [this, addr, keep = std::move(keep), last_chunk,
-         attempt](Tick when, bus::BusStatus status) mutable {
+        [this, addr, last_chunk,
+         attempt](Tick when, bus::BusStatus status,
+                  std::vector<std::uint8_t> &returned) {
             csb_assert(inflight_ > 0, "CSB completion underflow");
             --inflight_;
             if (status == bus::BusStatus::Ok) {
@@ -325,7 +316,7 @@ ConditionalStoreBuffer::issueWrite(Addr addr,
             }
             busRetries += 1;
             retryQueue_.push_back(RetryWrite{
-                addr, std::move(keep), last_chunk, next_attempt,
+                addr, std::move(returned), last_chunk, next_attempt,
                 when + params_.retry.backoffFor(attempt + 1)});
         },
         /*on_start=*/

@@ -40,6 +40,7 @@
 #include "decompose.hh"
 #include "sim/clocked.hh"
 #include "sim/fault.hh"
+#include "sim/fixed_ring.hh"
 #include "sim/simulator.hh"
 #include "sim/stats.hh"
 
@@ -105,7 +106,7 @@ class ConditionalStoreBuffer : public sim::Clocked,
      * while all line buffers hold flushed data awaiting the bus (the
      * core stalls retire in that case).
      */
-    bool canAcceptStore() const;
+    bool canAcceptStore() const { return !outbox_.full(); }
 
     /**
      * A combining store retires.
@@ -231,9 +232,9 @@ class ConditionalStoreBuffer : public sim::Clocked,
     void exitDegraded(Tick now);
 
     /**
-     * Present one write to the bus.  The CSB keeps its own copy of the
-     * payload until the bus acknowledges delivery, so a NACKed chunk
-     * can be reissued byte-identically.
+     * Present one write to the bus.  A NACKed chunk is reissued
+     * byte-identically from the payload the bus hands back with the
+     * completion, so the CSB keeps no copy of its own.
      */
     void issueWrite(Addr addr, std::vector<std::uint8_t> payload,
                     bool last_chunk, unsigned attempt, bool from_outbox);
@@ -254,10 +255,18 @@ class ConditionalStoreBuffer : public sim::Clocked,
     /** Tick of the first store of the current sequence (trace spans). */
     Tick accumStartTick_ = 0;
 
-    /** Flushed lines waiting for their bus transaction to start. */
-    std::deque<OutLine> outbox_;
-    /** Chunks of the partially-flushed head line (partialFlush mode). */
-    std::deque<Chunk> headChunks_;
+    /**
+     * Flushed lines waiting for their bus transaction to start: one
+     * slot per line buffer, allocated once.
+     */
+    sim::FixedRing<OutLine> outbox_;
+    /**
+     * Largest chunk of the head line while it is issued as decomposed
+     * chunks (partialFlush or degraded mode); 0 when it is not.
+     */
+    unsigned headChunkMax_ = 0;
+    /** Line offset where the head line's next chunk starts. */
+    unsigned headCursor_ = 0;
     /**
      * NACKed chunks awaiting reissue.  Serviced strictly before the
      * outbox so a retried chunk is never overtaken by younger data

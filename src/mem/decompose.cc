@@ -19,38 +19,33 @@ allValid(const ValidMask &valid, unsigned offset, unsigned size)
 
 } // namespace
 
-std::vector<Chunk>
-decomposeAligned(Addr block_base, const ValidMask &valid,
-                 unsigned block_size, unsigned max_txn_bytes)
+Chunk
+nextAlignedChunk(Addr block_base, const ValidMask &valid,
+                 unsigned block_size, unsigned max_txn_bytes, unsigned from)
 {
     csb_assert(isPowerOf2(block_size) && block_size <= maxBlockBytes,
                "bad block size ", block_size);
     csb_assert(isPowerOf2(max_txn_bytes), "bad max txn ", max_txn_bytes);
     csb_assert(block_base % block_size == 0, "unaligned block base");
 
-    std::vector<Chunk> chunks;
-    unsigned offset = 0;
-    while (offset < block_size) {
-        if (!valid.test(offset)) {
-            ++offset;
-            continue;
-        }
-        // Largest aligned power-of-two fully-valid chunk at offset.
-        unsigned best = 1;
-        for (unsigned size = 2;
-             size <= max_txn_bytes && size <= block_size; size *= 2) {
-            if (offset % size != 0)
-                break;
-            if (offset + size > block_size)
-                break;
-            if (!allValid(valid, offset, size))
-                break;
-            best = size;
-        }
-        chunks.push_back(Chunk{block_base + offset, best});
-        offset += best;
+    unsigned offset = from;
+    while (offset < block_size && !valid.test(offset))
+        ++offset;
+    if (offset >= block_size)
+        return Chunk{};
+    // Largest aligned power-of-two fully-valid chunk at offset.
+    unsigned best = 1;
+    for (unsigned size = 2; size <= max_txn_bytes && size <= block_size;
+         size *= 2) {
+        if (offset % size != 0)
+            break;
+        if (offset + size > block_size)
+            break;
+        if (!allValid(valid, offset, size))
+            break;
+        best = size;
     }
-    return chunks;
+    return Chunk{block_base + offset, best};
 }
 
 } // namespace csb::mem

@@ -18,7 +18,6 @@
 
 #include <bitset>
 #include <cstdint>
-#include <vector>
 
 #include "sim/types.hh"
 
@@ -44,19 +43,24 @@ struct Chunk
 };
 
 /**
- * Split the valid bytes of the block at @p block_base into naturally
- * aligned power-of-two chunks, none exceeding @p max_txn_bytes, each
- * covering only valid bytes.
+ * The next transaction of a partially valid block: the largest
+ * naturally aligned power-of-two chunk, no larger than
+ * @p max_txn_bytes and covering only valid bytes, that starts at the
+ * first valid byte at or after offset @p from; a zero-size chunk when
+ * no valid byte is left.  Masters walk a locked block with it -- one
+ * call per bus transaction, resuming at the previous chunk's end -- so
+ * they keep no chunk list, and the chunks come out in ascending
+ * address order.
  *
  * @param block_base    block-aligned base address
  * @param valid         per-byte valid bits (bit i = block_base + i)
  * @param block_size    block size in bytes (power of two <= 128)
  * @param max_txn_bytes largest legal transaction (power of two)
- * @return chunks in ascending address order
+ * @param from          byte offset in the block to resume at
  */
-std::vector<Chunk> decomposeAligned(Addr block_base, const ValidMask &valid,
-                                    unsigned block_size,
-                                    unsigned max_txn_bytes);
+Chunk nextAlignedChunk(Addr block_base, const ValidMask &valid,
+                       unsigned block_size, unsigned max_txn_bytes,
+                       unsigned from);
 
 } // namespace csb::mem
 

@@ -13,7 +13,7 @@ MainMemory::MainMemory(PhysicalMemory &storage, Tick read_latency,
 }
 
 void
-MainMemory::write(const bus::BusTransaction &txn, Tick)
+MainMemory::write(bus::BusTransaction &txn, Tick)
 {
     // A snapshot payload (cache-line spill) describes bytes the image
     // already holds; re-applying it could clobber stores that

@@ -25,7 +25,7 @@ class MainMemory : public bus::BusTarget, public sim::stats::StatGroup
 
     const std::string &targetName() const override { return name_; }
 
-    void write(const bus::BusTransaction &txn, Tick now) override;
+    void write(bus::BusTransaction &txn, Tick now) override;
 
     Tick read(const bus::BusTransaction &txn, Tick now,
               std::vector<std::uint8_t> &data) override;

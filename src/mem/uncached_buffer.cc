@@ -38,9 +38,9 @@ UncachedBuffer::UncachedBuffer(sim::Simulator &simulator,
                  "NACKed transactions reissued after backoff"),
       entryOccupancy(this, "entryOccupancy",
                      "stores combined per entry", 1, 16, 1),
-      sim_(simulator), bus_(bus), params_(params)
+      sim_(simulator), bus_(bus), params_(validated(params)),
+      entries_(params_.entries)
 {
-    params_.validate();
     masterId_ = bus_.registerMaster(name + ".port");
     simulator.registerClocked(this);
 }
@@ -83,13 +83,13 @@ UncachedBuffer::canAcceptStore(Addr addr, unsigned size) const
         canCoalesceInto(entries_.back(), addr, size)) {
         return true; // coalesces; no new entry needed
     }
-    return entries_.size() < params_.entries;
+    return !entries_.full();
 }
 
 bool
 UncachedBuffer::canAcceptLoad() const
 {
-    return entries_.size() < params_.entries;
+    return !entries_.full();
 }
 
 void
@@ -110,9 +110,11 @@ UncachedBuffer::pushStore(Addr addr, unsigned size, const void *data)
         std::memcpy(tail.data.data() + offset, data, size);
         for (unsigned i = 0; i < size; ++i)
             tail.valid.set(offset + i);
+        if (params_.policy == CombinePolicy::SequentialOnly)
+            tail.storeSizes[tail.storeCount] =
+                static_cast<std::uint8_t>(size);
         ++tail.storeCount;
         tail.lastStoreEnd = addr + size;
-        tail.pieces.emplace_back(offset, size);
         ++storesPushed;
         ++storesCoalesced;
         sim::trace::log("ubuf", "coalesce 0x", std::hex, addr,
@@ -122,16 +124,16 @@ UncachedBuffer::pushStore(Addr addr, unsigned size, const void *data)
         return;
     }
 
-    Entry entry;
+    Entry &entry = entries_.emplace_back();
     entry.kind = Kind::Store;
     entry.addr = block;
     std::memcpy(entry.data.data() + offset, data, size);
     for (unsigned i = 0; i < size; ++i)
         entry.valid.set(offset + i);
+    entry.firstOffset = offset;
+    entry.storeSizes[0] = static_cast<std::uint8_t>(size);
     entry.storeCount = 1;
     entry.lastStoreEnd = addr + size;
-    entry.pieces.emplace_back(offset, size);
-    entries_.push_back(std::move(entry));
     ++storesPushed;
     ++entriesCreated;
     sim::trace::log("ubuf", "new entry 0x", std::hex, block, std::dec,
@@ -145,12 +147,11 @@ UncachedBuffer::pushLoad(Addr addr, unsigned size, UncachedLoadCallback done)
     csb_assert(canAcceptLoad(), "pushLoad without capacity");
     csb_assert(size > 0 && isPowerOf2(size) && addr % size == 0,
                "bad uncached load shape");
-    Entry entry;
+    Entry &entry = entries_.emplace_back();
     entry.kind = Kind::Load;
     entry.addr = addr;
     entry.size = size;
     entry.loadDone = std::move(done);
-    entries_.push_back(std::move(entry));
     ++loadsPushed;
     ++entriesCreated;
 }
@@ -218,57 +219,61 @@ UncachedBuffer::tick()
     }
 }
 
+Chunk
+UncachedBuffer::nextChunk(const Entry &entry) const
+{
+    if (entry.perStore) {
+        if (entry.nextStore == entry.storeCount)
+            return Chunk{};
+        return Chunk{entry.addr + entry.cursor,
+                     entry.storeSizes[entry.nextStore]};
+    }
+    return nextAlignedChunk(entry.addr, entry.valid, blockBytes(),
+                            maxTxnBytes(), entry.cursor);
+}
+
 void
 UncachedBuffer::presentHeadStore()
 {
     Entry &head = entries_.front();
     if (!head.locked) {
         head.locked = true;
-        head.chunks.clear();
         bool full_block =
             head.valid.count() == blockBytes() &&
             blockBytes() <= maxTxnBytes();
-        if (params_.policy == CombinePolicy::SequentialOnly &&
-            !full_block) {
-            // R10000 semantics: a burst only for a fully combined
-            // block; otherwise one single-beat per original store.
-            for (const auto &[offset, size] : head.pieces)
-                head.chunks.push_back(Chunk{head.addr + offset, size});
-        } else {
-            for (const Chunk &chunk :
-                 decomposeAligned(head.addr, head.valid, blockBytes(),
-                                  maxTxnBytes())) {
-                head.chunks.push_back(chunk);
-            }
-        }
-        csb_assert(!head.chunks.empty(), "locked an empty store entry");
+        // R10000 semantics: a burst only for a fully combined block;
+        // otherwise one single-beat per original store.
+        head.perStore = params_.policy == CombinePolicy::SequentialOnly &&
+                        !full_block;
+        head.cursor = head.perStore ? head.firstOffset : 0;
         entryOccupancy.sample(head.storeCount);
     }
 
-    Chunk chunk = head.chunks.front();
-    std::vector<std::uint8_t> payload(chunk.size);
-    std::memcpy(payload.data(),
-                head.data.data() + (chunk.addr - head.addr), chunk.size);
-    std::vector<std::uint8_t> keep = payload;
+    Chunk chunk = nextChunk(head);
+    csb_assert(chunk.size != 0, "locked an empty store entry");
+    head.cursor = static_cast<unsigned>(chunk.addr - head.addr) + chunk.size;
+    if (head.perStore)
+        ++head.nextStore;
+    head.lastPresented = nextChunk(head).size == 0;
 
+    const std::uint8_t *bytes = head.data.data() + (chunk.addr - head.addr);
     bool accepted = bus_.requestWrite(
-        masterId_, chunk.addr, std::move(payload), /*strongly_ordered=*/true,
+        masterId_, chunk.addr,
+        std::vector<std::uint8_t>(bytes, bytes + chunk.size),
+        /*strongly_ordered=*/true,
         /*on_complete=*/
-        [this, addr = chunk.addr,
-         keep = std::move(keep)](Tick when,
-                                 bus::BusStatus status) mutable {
-            handleWriteStatus(addr, std::move(keep), /*attempt=*/0, when,
-                              status);
+        [this, addr = chunk.addr](Tick when, bus::BusStatus status,
+                                  std::vector<std::uint8_t> &payload) {
+            handleWriteStatus(addr, payload, /*attempt=*/0, when, status);
         },
         /*on_start=*/[this](Tick) {
             Entry &started = entries_.front();
             started.presentPending = false;
-            if (started.chunks.empty())
+            if (started.lastPresented)
                 entries_.pop_front();
         });
     csb_assert(accepted, "bus refused request despite idle master");
 
-    head.chunks.pop_front();
     head.presentPending = true;
     ++inflightStores_;
     ++txnsIssued;
@@ -282,8 +287,9 @@ UncachedBuffer::presentHeadLoad()
         masterId_, head.addr, head.size, /*strongly_ordered=*/true,
         /*on_complete=*/
         [this, addr = head.addr, size = head.size,
-         done = head.loadDone](Tick when, bus::BusStatus status,
-                               const std::vector<std::uint8_t> &data) {
+         done = std::move(head.loadDone)](
+            Tick when, bus::BusStatus status,
+            const std::vector<std::uint8_t> &data) mutable {
             handleReadStatus(addr, size, done, /*attempt=*/0, when,
                              status, data);
         },
@@ -300,16 +306,14 @@ void
 UncachedBuffer::issueRetry(PendingRetry redo)
 {
     if (redo.isWrite) {
-        std::vector<std::uint8_t> keep = redo.data;
         bool accepted = bus_.requestWrite(
             masterId_, redo.addr, std::move(redo.data),
             /*strongly_ordered=*/true,
             /*on_complete=*/
-            [this, addr = redo.addr, keep = std::move(keep),
-             attempt = redo.attempt](Tick when,
-                                     bus::BusStatus status) mutable {
-                handleWriteStatus(addr, std::move(keep), attempt, when,
-                                  status);
+            [this, addr = redo.addr,
+             attempt = redo.attempt](Tick when, bus::BusStatus status,
+                                     std::vector<std::uint8_t> &payload) {
+                handleWriteStatus(addr, payload, attempt, when, status);
             },
             /*on_start=*/[this](Tick) { retryPresentPending_ = false; });
         csb_assert(accepted, "bus refused retry despite idle master");
@@ -319,9 +323,9 @@ UncachedBuffer::issueRetry(PendingRetry redo)
             masterId_, redo.addr, redo.size, /*strongly_ordered=*/true,
             /*on_complete=*/
             [this, addr = redo.addr, size = redo.size,
-             done = std::move(redo.loadDone),
-             attempt = redo.attempt](Tick when, bus::BusStatus status,
-                                     const std::vector<std::uint8_t> &data) {
+             attempt = redo.attempt, done = std::move(redo.loadDone)](
+                Tick when, bus::BusStatus status,
+                const std::vector<std::uint8_t> &data) mutable {
                 handleReadStatus(addr, size, done, attempt, when, status,
                                  data);
             },
@@ -334,7 +338,7 @@ UncachedBuffer::issueRetry(PendingRetry redo)
 
 void
 UncachedBuffer::handleWriteStatus(Addr addr,
-                                  std::vector<std::uint8_t> keep,
+                                  std::vector<std::uint8_t> &payload,
                                   unsigned attempt, Tick when,
                                   bus::BusStatus status)
 {
@@ -355,8 +359,8 @@ UncachedBuffer::handleWriteStatus(Addr addr,
     PendingRetry redo;
     redo.isWrite = true;
     redo.addr = addr;
-    redo.size = static_cast<unsigned>(keep.size());
-    redo.data = std::move(keep);
+    redo.size = static_cast<unsigned>(payload.size());
+    redo.data = std::move(payload);
     redo.attempt = attempt + 1;
     redo.earliest = when + params_.retry.backoffFor(attempt + 1);
     retries_.push_back(std::move(redo));
@@ -364,7 +368,7 @@ UncachedBuffer::handleWriteStatus(Addr addr,
 
 void
 UncachedBuffer::handleReadStatus(Addr addr, unsigned size,
-                                 UncachedLoadCallback done,
+                                 UncachedLoadCallback &done,
                                  unsigned attempt, Tick when,
                                  bus::BusStatus status,
                                  const std::vector<std::uint8_t> &data)

@@ -23,7 +23,6 @@
 #include <array>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -31,6 +30,8 @@
 #include "bus/system_bus.hh"
 #include "decompose.hh"
 #include "sim/clocked.hh"
+#include "sim/fixed_ring.hh"
+#include "sim/inline_function.hh"
 #include "sim/simulator.hh"
 #include "sim/stats.hh"
 
@@ -73,10 +74,11 @@ struct UncachedBufferParams
     void validate() const;
 };
 
-/** Callback delivering uncached load data. */
+/** Callback delivering uncached load data (held inline). */
 using UncachedLoadCallback =
-    std::function<void(Tick completion_tick,
-                       const std::vector<std::uint8_t> &data)>;
+    sim::InlineFunction<void(Tick completion_tick,
+                             const std::vector<std::uint8_t> &data),
+                        24>;
 
 /**
  * FIFO buffer for uncached loads and stores with optional combining.
@@ -137,6 +139,10 @@ class UncachedBuffer : public sim::Clocked, public sim::stats::StatGroup
   private:
     enum class Kind : std::uint8_t { Store, Load };
 
+    /**
+     * One buffer slot.  Everything is inline, so the entry ring never
+     * allocates after construction.
+     */
     struct Entry
     {
         Kind kind = Kind::Store;
@@ -147,17 +153,32 @@ class UncachedBuffer : public sim::Clocked, public sim::stats::StatGroup
         std::array<std::uint8_t, maxBlockBytes> data{};
         /** Locked once the first transaction was presented. */
         bool locked = false;
-        /** Address one past the last coalesced store (sequential). */
-        Addr lastStoreEnd = 0;
-        /** Individual (offset, size) stores, for SequentialOnly. */
-        std::vector<std::pair<unsigned, unsigned>> pieces;
-        /** Remaining decomposed chunks (locked stores only). */
-        std::deque<Chunk> chunks;
+        /**
+         * Locked store issues one transaction per coalesced store
+         * (SequentialOnly, partial block) instead of aligned chunks.
+         */
+        bool perStore = false;
+        /** The entry's last transaction has been presented. */
+        bool lastPresented = false;
         /** A presented transaction has not started yet. */
         bool presentPending = false;
-        UncachedLoadCallback loadDone;
+        /** Offset of the first store; SequentialOnly stores follow it. */
+        unsigned firstOffset = 0;
+        /** Address one past the last coalesced store (sequential). */
+        Addr lastStoreEnd = 0;
         /** Number of stores coalesced into this entry. */
         unsigned storeCount = 0;
+        /**
+         * SequentialOnly only: sizes of the coalesced stores in
+         * arrival order.  Those stores extend the entry contiguously
+         * from firstOffset, so at most maxBlockBytes of them fit.
+         */
+        std::array<std::uint8_t, maxBlockBytes> storeSizes{};
+        /** Locked store: block offset where the next transaction starts. */
+        unsigned cursor = 0;
+        /** Locked per-store entry: index of the next store to issue. */
+        unsigned nextStore = 0;
+        UncachedLoadCallback loadDone;
     };
 
     /** A NACKed transaction waiting out its backoff. */
@@ -180,17 +201,27 @@ class UncachedBuffer : public sim::Clocked, public sim::stats::StatGroup
     bool canCoalesceInto(const Entry &tail, Addr addr,
                          unsigned size) const;
 
+    /**
+     * The next transaction of the locked store entry @p entry, or a
+     * zero-size chunk when all of it has been presented.
+     */
+    Chunk nextChunk(const Entry &entry) const;
+
     void presentHeadStore();
     void presentHeadLoad();
     void issueRetry(PendingRetry redo);
 
-    /** Shared write-completion handling (first issue and retries). */
-    void handleWriteStatus(Addr addr, std::vector<std::uint8_t> keep,
+    /**
+     * Shared write-completion handling (first issue and retries).  A
+     * NACKed write takes its retry data from @p payload, the bytes
+     * the bus handed back.
+     */
+    void handleWriteStatus(Addr addr, std::vector<std::uint8_t> &payload,
                            unsigned attempt, Tick when,
                            bus::BusStatus status);
     /** Shared read-completion handling (first issue and retries). */
     void handleReadStatus(Addr addr, unsigned size,
-                          UncachedLoadCallback done, unsigned attempt,
+                          UncachedLoadCallback &done, unsigned attempt,
                           Tick when, bus::BusStatus status,
                           const std::vector<std::uint8_t> &data);
 
@@ -198,7 +229,8 @@ class UncachedBuffer : public sim::Clocked, public sim::stats::StatGroup
     bus::SystemBus &bus_;
     UncachedBufferParams params_;
     MasterId masterId_;
-    std::deque<Entry> entries_;
+    /** params_.entries slots, allocated once. */
+    sim::FixedRing<Entry> entries_;
     /**
      * NACKed transactions awaiting reissue; serviced strictly before
      * entries_ so the port's access order is preserved.

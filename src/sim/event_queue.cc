@@ -7,39 +7,26 @@ namespace csb::sim {
 
 namespace {
 
-/**
- * Event adapter that runs a std::function exactly once.
- *
- * Instances are owned by the queue and recycled through its free
- * list, so the steady-state cost of scheduleFunc() is a pool pop and
- * a std::function move -- no heap allocation.
- */
-class FuncEvent : public Event
-{
-  public:
-    FuncEvent() = default;
-
-    void
-    process() override
-    {
-        state->done = true;
-        // Move the callback out so its closure is released as soon as
-        // it returns, even though the event itself is recycled.
-        auto fn_local = std::move(fn);
-        fn = nullptr;
-        fn_local();
-    }
-
-    std::string name() const override { return "func-event"; }
-
-    std::function<void()> fn;
-    std::shared_ptr<detail::FuncEventState> state;
-};
-
 /** Compact once the heap is this large and mostly stale. */
 constexpr std::size_t compactMinHeapSize = 64;
 
 } // namespace
+
+/**
+ * The closure lives in fn's inline buffer: funcEventCapacity bytes,
+ * checked by scheduleFunc()'s static_assert, with no heap fallback.
+ * With the event recycled through the queue's free list, the steady
+ * state of scheduleFunc() is a pool pop and a closure move -- no heap
+ * allocation.
+ */
+void
+detail::FuncEvent::process()
+{
+    state->done = true;
+    fn();
+    // Release the closure's captures now rather than at recycling.
+    fn = nullptr;
+}
 
 Event::~Event()
 {
@@ -113,19 +100,24 @@ EventQueue::reschedule(Event *event, Tick when)
     schedule(event, when);
 }
 
-EventHandle
-EventQueue::scheduleFunc(Tick when, std::function<void()> fn, int priority)
+detail::FuncEvent *
+EventQueue::acquireFunc(int priority)
 {
-    FuncEvent *ev;
+    detail::FuncEvent *ev;
     if (!funcPool_.empty()) {
-        ev = static_cast<FuncEvent *>(funcPool_.back());
+        ev = static_cast<detail::FuncEvent *>(funcPool_.back());
         funcPool_.pop_back();
     } else {
-        ev = new FuncEvent;
+        ev = new detail::FuncEvent;
         ev->selfDeleting_ = true;
     }
     ev->priority_ = priority;
-    ev->fn = std::move(fn);
+    return ev;
+}
+
+EventHandle
+EventQueue::armFunc(detail::FuncEvent *ev, Tick when)
+{
     // Reuse the attached handle state only when no old handle still
     // references it; otherwise that handle would observe this event.
     if (!ev->state || ev->state.use_count() != 1)
@@ -151,7 +143,7 @@ EventQueue::cancelFunc(detail::FuncEventState &state)
 void
 EventQueue::recycleFunc(Event *event)
 {
-    auto *fe = static_cast<FuncEvent *>(event);
+    auto *fe = static_cast<detail::FuncEvent *>(event);
     fe->fn = nullptr;
     if (fe->state) {
         fe->state->done = true;

@@ -4,7 +4,7 @@
  *
  * Two usage styles are supported:
  *  - subclassing Event and overriding process(), gem5 style;
- *  - scheduling a std::function via EventQueue::scheduleFunc(), which
+ *  - scheduling a closure via EventQueue::scheduleFunc(), which
  *    returns a handle that can cancel the callback.
  *
  * Events at the same tick fire in (priority, insertion-order) order,
@@ -18,18 +18,25 @@
  *    mismatch), but the heap is compacted eagerly once stale entries
  *    outnumber live ones, bounding memory under cancel-heavy churn;
  *  - scheduleFunc() recycles its one-shot events and their handle
- *    state through a free list, so the common case allocates nothing.
+ *    state through a free list, and stores each closure inline in its
+ *    pooled event (up to funcEventCapacity bytes, enforced by a
+ *    static_assert; there is no heap fallback), so once the pool is
+ *    warm scheduling a callback allocates nothing.  Only a handle kept
+ *    alive past its event's firing forces fresh handle state.
  */
 
 #ifndef CSB_SIM_EVENT_QUEUE_HH
 #define CSB_SIM_EVENT_QUEUE_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
+#include "inline_function.hh"
 #include "logging.hh"
 #include "types.hh"
 
@@ -89,6 +96,34 @@ struct FuncEventState
 } // namespace detail
 
 /**
+ * Closure bytes a scheduleFunc() event holds inline.  Sized to the
+ * largest closure in the tree: the bus's read address-cycle closure
+ * (the transaction, its ReadCallback and four words of timing state).
+ * A larger closure fails to compile.
+ */
+inline constexpr std::size_t funcEventCapacity = 168;
+
+namespace detail {
+
+/**
+ * Event adapter that runs a closure exactly once.  Instances are
+ * owned by their queue and recycled through its free list; the
+ * closure lives in the event's inline buffer.
+ */
+class FuncEvent final : public Event
+{
+  public:
+    void process() override;
+
+    std::string name() const override { return "func-event"; }
+
+    InlineFunction<void(), funcEventCapacity> fn;
+    std::shared_ptr<FuncEventState> state;
+};
+
+} // namespace detail
+
+/**
  * Handle returned by scheduleFunc(); safe to use after the event fired
  * and after the owning queue was destroyed.
  */
@@ -141,10 +176,20 @@ class EventQueue
 
     /**
      * Schedule a one-shot callback at absolute tick @p when.
-     * The returned handle may be used to cancel it.
+     * The closure is stored inline in a pooled event; it must fit in
+     * funcEventCapacity bytes.  The returned handle may be used to
+     * cancel it.
      */
-    EventHandle scheduleFunc(Tick when, std::function<void()> fn,
-                             int priority = Event::DefaultPri);
+    template <typename F>
+    EventHandle
+    scheduleFunc(Tick when, F &&fn, int priority = Event::DefaultPri)
+    {
+        static_assert(sizeof(std::decay_t<F>) <= funcEventCapacity,
+                      "scheduleFunc closure exceeds funcEventCapacity");
+        detail::FuncEvent *ev = acquireFunc(priority);
+        ev->fn = std::forward<F>(fn);
+        return armFunc(ev, when);
+    }
 
     /** @return true when no events are pending.  O(1). */
     bool empty() const { return liveCount_ == 0; }
@@ -235,6 +280,12 @@ class EventQueue
 
     /** Rebuild the heap with live entries only when stale ones win. */
     void maybeCompact();
+
+    /** Take a one-shot event off the free list (or make one). */
+    detail::FuncEvent *acquireFunc(int priority);
+
+    /** Attach handle state to @p ev and schedule it at @p when. */
+    EventHandle armFunc(detail::FuncEvent *ev, Tick when);
 
     /** Cancel a pending scheduleFunc() callback via its handle state. */
     void cancelFunc(detail::FuncEventState &state);

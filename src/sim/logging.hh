@@ -50,6 +50,19 @@ concat(Args &&...args)
 
 } // namespace detail
 
+/**
+ * @return @p params after params.validate(), which throws FatalError
+ * on a bad config.  Lets a constructor check its parameters in its
+ * member-initializer list, before sizing members by them.
+ */
+template <typename Params>
+const Params &
+validated(const Params &params)
+{
+    params.validate();
+    return params;
+}
+
 /** Control whether warn()/inform() print to stderr (tests silence them). */
 void setLogQuiet(bool quiet);
 bool logQuiet();

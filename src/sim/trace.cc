@@ -14,14 +14,14 @@ namespace {
 /**
  * Channel configuration is process-wide and mutex-guarded so that
  * concurrent Simulator instances (core::SweepRunner workers) can
- * trace safely.  The hot disabled path reads one relaxed atomic.
+ * trace safely.  The hot disabled path reads one relaxed atomic,
+ * detail::maybeEnabled, inline in the caller.
  */
 struct TraceState
 {
     std::mutex mutex;
-    std::set<std::string> channels;
+    std::set<std::string, std::less<>> channels;
     bool all = false;
-    std::atomic<bool> anyEnabled{false};
     std::atomic<bool> envLoaded{false};
     std::ostream *out = &std::cerr;
 };
@@ -38,6 +38,16 @@ state()
  * Simulator, and its trace lines must show that simulator's ticks.
  */
 thread_local std::function<Tick()> tickSource;
+
+/** Recompute maybeEnabled.  @pre s.mutex is held. */
+void
+publishMaybeEnabled(const TraceState &s)
+{
+    detail::maybeEnabled.store(
+        !s.envLoaded.load(std::memory_order_relaxed) || s.all ||
+            !s.channels.empty(),
+        std::memory_order_relaxed);
+}
 
 void
 loadEnvOnce()
@@ -62,27 +72,33 @@ loadEnvOnce()
                 s.all = true;
             else
                 s.channels.insert(name);
-            s.anyEnabled.store(true, std::memory_order_relaxed);
         }
         if (comma == std::string::npos)
             break;
         start = comma + 1;
     }
     s.envLoaded.store(true, std::memory_order_release);
+    publishMaybeEnabled(s);
 }
 
 } // namespace
 
+namespace detail {
+
+std::atomic<bool> maybeEnabled{true};
+
 bool
-enabled(const std::string &name)
+enabledSlow(std::string_view name)
 {
     loadEnvOnce();
-    TraceState &s = state();
-    if (!s.anyEnabled.load(std::memory_order_relaxed))
+    if (!maybeEnabled.load(std::memory_order_relaxed))
         return false;
+    TraceState &s = state();
     std::lock_guard<std::mutex> lock(s.mutex);
-    return s.all || s.channels.count(name) != 0;
+    return s.all || s.channels.find(name) != s.channels.end();
 }
+
+} // namespace detail
 
 void
 enable(const std::string &name)
@@ -96,7 +112,7 @@ enable(const std::string &name)
     } else {
         s.channels.insert(name);
     }
-    s.anyEnabled.store(true, std::memory_order_relaxed);
+    publishMaybeEnabled(s);
 }
 
 void
@@ -107,12 +123,10 @@ disable(const std::string &name)
     if (name == "all") {
         s.all = false;
         s.channels.clear();
-        s.anyEnabled.store(false, std::memory_order_relaxed);
     } else {
         s.channels.erase(name);
-        s.anyEnabled.store(s.all || !s.channels.empty(),
-                           std::memory_order_relaxed);
     }
+    publishMaybeEnabled(s);
 }
 
 void
@@ -138,7 +152,7 @@ initFromEnvironment()
 namespace detail {
 
 void
-emit(const std::string &channel, const std::string &message)
+emit(std::string_view channel, const std::string &message)
 {
     TraceState &s = state();
     // Format outside the lock; the tick source is thread-local.

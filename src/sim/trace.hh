@@ -15,22 +15,48 @@
  *
  * The tick source is registered once by the owning Simulator (or any
  * clock authority); without one, ticks print as '-'.
+ *
+ * A disabled call costs one relaxed atomic load: enabled() and log()
+ * are inline and consult an "any channel may be on" flag before any
+ * out-of-line call, and log() formats its arguments only inside the
+ * enabled branch.  The flag starts set so that the first call still
+ * reads CSBSIM_TRACE lazily.
  */
 
 #ifndef CSB_SIM_TRACE_HH
 #define CSB_SIM_TRACE_HH
 
+#include <atomic>
 #include <functional>
 #include <ostream>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "types.hh"
 
 namespace csb::sim::trace {
 
+namespace detail {
+/**
+ * False only once CSBSIM_TRACE has been read and no channel is on;
+ * true while the environment is unread or any channel is enabled.
+ */
+extern std::atomic<bool> maybeEnabled;
+
+/** Load the environment if needed, then look @p name up. */
+bool enabledSlow(std::string_view name);
+
+void emit(std::string_view channel, const std::string &message);
+} // namespace detail
+
 /** @return true when channel @p name is enabled (cheap check). */
-bool enabled(const std::string &name);
+inline bool
+enabled(std::string_view name)
+{
+    return detail::maybeEnabled.load(std::memory_order_relaxed) &&
+           detail::enabledSlow(name);
+}
 
 /** Enable a channel ("all" enables everything). */
 void enable(const std::string &name);
@@ -52,17 +78,13 @@ void setTickSource(std::function<Tick()> source);
 /** Re-read CSBSIM_TRACE from the environment (called once lazily). */
 void initFromEnvironment();
 
-namespace detail {
-void emit(const std::string &channel, const std::string &message);
-}
-
 /**
- * Log to a channel.  Arguments are streamed; nothing is evaluated
- * when the channel is disabled.
+ * Log to a channel.  Arguments are streamed; their operator<< runs
+ * only when the channel is enabled.
  */
 template <typename... Args>
 void
-log(const std::string &channel, Args &&...args)
+log(std::string_view channel, Args &&...args)
 {
     if (!enabled(channel))
         return;

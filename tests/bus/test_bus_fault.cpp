@@ -43,7 +43,7 @@ class CountingTarget : public bus::BusTarget
     }
 
     void
-    write(const BusTransaction &txn, Tick) override
+    write(BusTransaction &txn, Tick) override
     {
         writes.push_back(txn.data);
     }
@@ -98,13 +98,18 @@ TEST_F(BusFaultFixture, InjectedWriteNackReachesCallbackNotTarget)
     BusStatus got = BusStatus::Ok;
     bool done = false;
     std::vector<std::uint8_t> data(8, 0xaa);
+    std::vector<std::uint8_t> returned;
     ASSERT_TRUE(bus->requestWrite(master, 0x100, data, true,
-                                  [&](Tick, BusStatus status) {
+                                  [&](Tick, BusStatus status,
+                                      std::vector<std::uint8_t> &payload) {
                                       got = status;
+                                      returned = std::move(payload);
                                       done = true;
                                   }));
     sim.run([&] { return done; }, 10000);
     EXPECT_EQ(got, BusStatus::Nack);
+    EXPECT_EQ(returned, data)
+        << "a NACKed write hands its payload back for the retry";
     EXPECT_TRUE(target->writes.empty())
         << "a NACKed write must not be delivered";
     EXPECT_EQ(bus->numNacks.value(), 1.0);
@@ -146,7 +151,8 @@ TEST_F(BusFaultFixture, TargetAcceptNackHonoredAtCompletion)
     for (int i = 0; i < 3; ++i) {
         bool done = false;
         ASSERT_TRUE(bus->requestWrite(master, 0x100, data, true,
-                                      [&](Tick, BusStatus status) {
+                                      [&](Tick, BusStatus status,
+                                          std::vector<std::uint8_t> &) {
                                           (status == BusStatus::Ok
                                                ? oks
                                                : nacks) += 1;
@@ -173,7 +179,8 @@ TEST_F(BusFaultFixture, InjectedBusErrorIsNotRetryable)
     bool done = false;
     std::vector<std::uint8_t> data(8, 0xcc);
     ASSERT_TRUE(bus->requestWrite(master, 0x100, data, true,
-                                  [&](Tick, BusStatus status) {
+                                  [&](Tick, BusStatus status,
+                                      std::vector<std::uint8_t> &) {
                                       got = status;
                                       done = true;
                                   }));
@@ -198,7 +205,8 @@ TEST_F(BusFaultFixture, UnmappedAddressDeliversErrorWhenEnabled)
     bool done = false;
     std::vector<std::uint8_t> data(8, 0);
     ASSERT_TRUE(bus->requestWrite(master, 0x900000, data, true,
-                                  [&](Tick, BusStatus status) {
+                                  [&](Tick, BusStatus status,
+                                      std::vector<std::uint8_t> &) {
                                       got = status;
                                       done = true;
                                   }));

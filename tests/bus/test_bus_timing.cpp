@@ -10,10 +10,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
 #include <vector>
 
 #include "bus/system_bus.hh"
 #include "sim/simulator.hh"
+#include "sim/trace.hh"
 
 namespace {
 
@@ -32,7 +34,7 @@ class TestTarget : public bus::BusTarget
     const std::string &targetName() const override { return name_; }
 
     void
-    write(const bus::BusTransaction &txn, Tick now) override
+    write(bus::BusTransaction &txn, Tick now) override
     {
         writes.emplace_back(txn.addr, now);
         lastData = txn.data;
@@ -90,7 +92,9 @@ class BusFixture : public ::testing::Test
                     bool ok = bus->requestWrite(
                         master, static_cast<Addr>(issued) * size,
                         std::move(data), ordered,
-                        [&](Tick, BusStatus) { ++completed; });
+                        [&](Tick, BusStatus, std::vector<std::uint8_t> &) {
+                            ++completed;
+                        });
                     EXPECT_TRUE(ok);
                     ++issued;
                 }
@@ -279,12 +283,41 @@ TEST_F(BusFixture, RoundRobinBetweenMasters)
     MasterId second = bus->registerMaster("second");
     unsigned done = 0;
     std::vector<std::uint8_t> data(8, 0);
-    auto cb = [&](Tick, BusStatus) { ++done; };
+    auto cb = [&](Tick, BusStatus, std::vector<std::uint8_t> &) {
+        ++done;
+    };
     ASSERT_TRUE(bus->requestWrite(master, 0, data, false, cb));
     ASSERT_TRUE(bus->requestWrite(second, 64, data, false, cb));
     sim.run([&] { return done == 2; }, 10000);
     ASSERT_EQ(records().size(), 2u);
     EXPECT_NE(records()[0].master, records()[1].master);
+}
+
+TEST_F(BusFixture, TraceLinesKeepTheirText)
+{
+    // The transaction streams itself into the enabled trace line; the
+    // text must stay what BusTransaction::toString() used to produce.
+    makeBus(BusKind::Multiplexed, 8, 6);
+    MasterId second = bus->registerMaster("second");
+    std::ostringstream out;
+    sim::trace::setOutput(&out);
+    sim::trace::enable("bus");
+    bool read_done = false;
+    ASSERT_TRUE(bus->requestWrite(master, 0x1f8,
+                                  std::vector<std::uint8_t>(8, 1), true, {}));
+    ASSERT_TRUE(bus->requestRead(second, 0xabc0, 64, false,
+                                 [&](Tick, BusStatus,
+                                     const std::vector<std::uint8_t> &) {
+                                     read_done = true;
+                                 }));
+    sim.run([&] { return read_done && bus->quiescent(); }, 100000);
+    sim::trace::disable("bus");
+    sim::trace::setOutput(nullptr);
+    EXPECT_EQ(out.str(),
+              "[        0] bus: read start cycle=0 read-req addr=0xabc0 "
+              "size=64 master=1\n"
+              "[        6] bus: write start cycle=1 write addr=0x1f8 size=8 "
+              "master=0 ordered\n");
 }
 
 } // namespace

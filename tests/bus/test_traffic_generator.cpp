@@ -154,7 +154,10 @@ TEST_F(TgenFixture, SharesBusFairlyWithSecondMaster)
                 std::vector<std::uint8_t> data(8, 1);
                 if (bus->requestWrite(victim, 0x80000 + issued * 8,
                                       std::move(data), true,
-                                      [&](Tick, BusStatus) { ++completed; })) {
+                                      [&](Tick, BusStatus,
+                                          std::vector<std::uint8_t> &) {
+                                          ++completed;
+                                      })) {
                     ++issued;
                 }
             }

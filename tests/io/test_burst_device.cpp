@@ -29,11 +29,16 @@ makeWrite(Addr addr, unsigned size, std::uint8_t fill = 0xaa)
 TEST(BurstDevice, RecordsWritesWithTimestamps)
 {
     BurstDevice device;
-    device.write(makeWrite(0x100, 8), 42);
-    device.write(makeWrite(0x200, 64), 99);
+    bus::BusTransaction first = makeWrite(0x100, 8);
+    bus::BusTransaction second = makeWrite(0x200, 64, 0x5c);
+    device.write(first, 42);
+    device.write(second, 99);
     ASSERT_EQ(device.writeLog().size(), 2u);
     EXPECT_EQ(device.writeLog()[0].completionTick, 42u);
     EXPECT_EQ(device.writeLog()[1].completionTick, 99u);
+    // The log keeps the payload bytes (taken from the transaction).
+    EXPECT_EQ(device.writeLog()[1].data,
+              std::vector<std::uint8_t>(64, 0x5c));
     EXPECT_EQ(device.writesReceived.value(), 2.0);
     EXPECT_EQ(device.bytesReceived.value(), 72.0);
 }
@@ -43,8 +48,10 @@ TEST(BurstDevice, NonBurstCapableDeviceRejectsLines)
     // Section 3.3: the CSB needs the target to accept burst writes; a
     // device that cannot surfaces it loudly.
     BurstDevice device(12, /*max_accept=*/8);
-    device.write(makeWrite(0x0, 8), 1); // fine
-    EXPECT_THROW(device.write(makeWrite(0x40, 64), 2), FatalError);
+    bus::BusTransaction dword = makeWrite(0x0, 8);
+    bus::BusTransaction line = makeWrite(0x40, 64);
+    device.write(dword, 1); // fine
+    EXPECT_THROW(device.write(line, 2), FatalError);
 }
 
 TEST(BurstDevice, RegistersReadBack)
@@ -95,7 +102,8 @@ TEST(BurstDevice, UnsetRegistersReadZero)
 TEST(BurstDevice, ClearLogResets)
 {
     BurstDevice device;
-    device.write(makeWrite(0x0, 8), 1);
+    bus::BusTransaction txn = makeWrite(0x0, 8);
+    device.write(txn, 1);
     device.clearLog();
     EXPECT_TRUE(device.writeLog().empty());
 }

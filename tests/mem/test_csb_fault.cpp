@@ -42,7 +42,7 @@ class RecordingTarget : public bus::BusTarget
     }
 
     void
-    write(const BusTransaction &txn, Tick now) override
+    write(BusTransaction &txn, Tick now) override
     {
         writes.push_back({txn.addr, txn.data, now});
     }

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "mem/decompose.hh"
 
 namespace {
@@ -13,7 +15,25 @@ using csb::Addr;
 using csb::isPowerOf2;
 using csb::mem::Chunk;
 using csb::mem::ValidMask;
-using csb::mem::decomposeAligned;
+using csb::mem::nextAlignedChunk;
+
+/** Walk the whole block chunk by chunk, as the buffers do. */
+std::vector<Chunk>
+decomposeAligned(Addr block_base, const ValidMask &valid,
+                 unsigned block_size, unsigned max_txn_bytes)
+{
+    std::vector<Chunk> chunks;
+    unsigned offset = 0;
+    for (;;) {
+        Chunk chunk = nextAlignedChunk(block_base, valid, block_size,
+                                       max_txn_bytes, offset);
+        if (chunk.size == 0)
+            return chunks;
+        chunks.push_back(chunk);
+        offset = static_cast<unsigned>(chunk.addr - block_base) +
+                 chunk.size;
+    }
+}
 
 ValidMask
 maskRange(unsigned from, unsigned to)

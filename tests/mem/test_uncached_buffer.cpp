@@ -12,6 +12,7 @@
 #include "bus/system_bus.hh"
 #include "io/burst_device.hh"
 #include "mem/uncached_buffer.hh"
+#include "sim/fault.hh"
 #include "sim/simulator.hh"
 
 namespace {
@@ -270,6 +271,32 @@ TEST_F(SeqUbufFixture, PartialBlockIssuesSingleBeats)
         EXPECT_EQ(write.data.size(), 8u);
 }
 
+TEST_F(SeqUbufFixture, PartialBlockBeatsFollowTheStores)
+{
+    // A partial sequential block that starts mid-block, with mixed
+    // store sizes: one transaction per store, at the store's own
+    // address and size, carrying its bytes.
+    makeSequential(64);
+    const std::pair<Addr, unsigned> stores[] = {
+        {0x1008, 8}, {0x1010, 4}, {0x1014, 2}, {0x1016, 2}, {0x1018, 8}};
+    std::uint8_t tag = 1;
+    for (auto [addr, size] : stores) {
+        std::uint64_t value = 0x0101010101010101ull * tag++;
+        ASSERT_TRUE(unit->canAcceptStore(addr, size));
+        unit->pushStore(addr, size, &value);
+    }
+    EXPECT_EQ(unit->depth(), 1u);
+    drain();
+    ASSERT_EQ(device->writeLog().size(), 5u);
+    tag = 1;
+    for (std::size_t i = 0; i < 5; ++i) {
+        const io::DeviceWrite &write = device->writeLog()[i];
+        EXPECT_EQ(write.addr, stores[i].first);
+        EXPECT_EQ(write.data,
+                  std::vector<std::uint8_t>(stores[i].second, tag++));
+    }
+}
+
 TEST_F(SeqUbufFixture, DescendingOrderNeverCombines)
 {
     makeSequential(64);
@@ -281,6 +308,31 @@ TEST_F(SeqUbufFixture, DescendingOrderNeverCombines)
     }
     EXPECT_EQ(unit->storesCoalesced.value(), 0.0);
     EXPECT_EQ(unit->depth(), 8u);
+}
+
+TEST_F(UbufFixture, NackedStoresReplayTheirOwnBytes)
+{
+    // The bus hands a NACKed write's payload back to the buffer; each
+    // retry must carry exactly the bytes of its original store.
+    make(0);
+    sim::FaultPlan plan;
+    plan.schedule = sim::parseFaultSchedule("hang:0..300");
+    sim::FaultInjector injector(plan);
+    bus->setFaultInjector(&injector);
+    device->setFaultInjector(&injector);
+    for (unsigned i = 0; i < 3; ++i)
+        pushDword(0x1000 + i * 8, 0x1111111111111111ull * (i + 1));
+    drain();
+    EXPECT_GT(unit->busNacks.value(), 0.0);
+    ASSERT_EQ(device->writeLog().size(), 3u);
+    for (unsigned i = 0; i < 3; ++i) {
+        const io::DeviceWrite &write = device->writeLog()[i];
+        EXPECT_EQ(write.addr, 0x1000u + i * 8);
+        ASSERT_EQ(write.data.size(), 8u);
+        std::uint64_t value = 0;
+        std::memcpy(&value, write.data.data(), 8);
+        EXPECT_EQ(value, 0x1111111111111111ull * (i + 1));
+    }
 }
 
 TEST_F(UbufFixture, SubDwordStores)

@@ -13,6 +13,19 @@ namespace {
 
 namespace trace = csb::sim::trace;
 
+/** Streams as "counted" and counts how often it was formatted. */
+struct CountingArg
+{
+    int *calls;
+};
+
+std::ostream &
+operator<<(std::ostream &os, const CountingArg &arg)
+{
+    ++*arg.calls;
+    return os << "counted";
+}
+
 class TraceFixture : public ::testing::Test
 {
   protected:
@@ -74,6 +87,20 @@ TEST_F(TraceFixture, DisableStopsEmission)
     trace::log("ch", "two");
     EXPECT_NE(out.str().find("one"), std::string::npos);
     EXPECT_EQ(out.str().find("two"), std::string::npos);
+}
+
+TEST_F(TraceFixture, DisabledChannelNeverFormatsItsArguments)
+{
+    int calls = 0;
+    trace::log("lazy", CountingArg{&calls});
+    EXPECT_EQ(calls, 0) << "no channel on";
+    trace::enable("other");
+    trace::log("lazy", CountingArg{&calls});
+    EXPECT_EQ(calls, 0) << "another channel on";
+    trace::enable("lazy");
+    trace::log("lazy", CountingArg{&calls});
+    EXPECT_EQ(calls, 1);
+    EXPECT_NE(out.str().find("lazy: counted"), std::string::npos);
 }
 
 TEST_F(TraceFixture, StreamedArgumentsFormat)
