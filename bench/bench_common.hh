@@ -1,19 +1,22 @@
 /**
  * @file
- * Shared helpers for the figure-regeneration benchmark binaries.
+ * Shared plumbing of the figure-regeneration benchmark binaries: the
+ * one command-line parser every main() calls (parseArgs), the
+ * JsonReport that prints the paper-style tables and records them for
+ * the `--json` artifact, and the sweep-panel helpers.
  *
- * Each binary prints the paper-style series table(s) for its figure
- * panel group and registers one google-benchmark per data point whose
- * counters carry the measured value.  Simulations are deterministic,
- * so every benchmark runs a single iteration.
+ * Each binary runs every data point of its figure panel group once
+ * -- the simulations are deterministic -- and prints the tables; the
+ * artifact carries the same numbers in machine-readable form.
  */
 
 #ifndef CSB_BENCH_COMMON_HH
 #define CSB_BENCH_COMMON_HH
 
-#include <benchmark/benchmark.h>
-
+#include <charconv>
+#include <cmath>
 #include <cstdarg>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -29,131 +32,159 @@
 
 namespace csb::bench {
 
-/**
- * Strip a `--jobs N` (or `--jobs=N`) argument before google-benchmark
- * sees argv, exactly like JsonReport strips `--json`.  Returns the
- * requested worker count for the binary's SweepRunner: 0 means auto
- * (one per hardware thread) and is the default, 1 is the exact serial
- * path.  Results are byte-identical for every value -- the runner
- * collects by point index -- so the flag only changes wall-clock.
- */
-inline unsigned
-stripJobsFlag(int &argc, char **argv)
+/** A bench binary's command line, as parsed by parseArgs(). */
+struct BenchArgs
 {
+    /**
+     * `--jobs N`: worker count of the binary's SweepRunner.  0 means
+     * auto (one per hardware thread) and is the default, 1 is the
+     * exact serial path.  Results are byte-identical for every value
+     * -- the runner collects by point index -- so the flag only
+     * changes wall-clock.
+     */
     unsigned jobs = 0;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        int consumed = 0;
-        if (arg == "--jobs" && i + 1 < argc) {
-            jobs = unsigned(std::strtoul(argv[i + 1], nullptr, 10));
-            consumed = 2;
-        } else if (arg.rfind("--jobs=", 0) == 0) {
-            jobs = unsigned(std::strtoul(arg.c_str() + 7, nullptr, 10));
-            consumed = 1;
-        }
-        if (consumed > 0) {
-            for (int j = i; j + consumed < argc; ++j)
-                argv[j] = argv[j + consumed];
-            argc -= consumed;
-            break;
-        }
-    }
-    return jobs;
-}
-
-/**
- * Trace capture/replay file arguments of a bench binary
- * (docs/TRACE_FORMAT.md).  Stripped before google-benchmark sees argv.
- */
-struct TraceFileFlags
-{
-    /** `--trace-record PREFIX`: write point i to `PREFIX.<i>.csbt`. */
-    std::string record;
+    /** `--json PATH`: also write a csbsim-bench-1 artifact there. */
+    std::string json;
+    /**
+     * `--trace-record PREFIX`: write point i to `PREFIX.<i>.csbt`
+     * (docs/TRACE_FORMAT.md).
+     */
+    std::string traceRecord;
     /** `--trace-replay PREFIX`: replay from `PREFIX.<i>.csbt` files. */
-    std::string replay;
+    std::string traceReplay;
+    /** The bench's `--min-*-speedup X` wall-clock gate; 0 = off. */
+    double minSpeedup = 0;
 };
 
-/**
- * Strip `--trace-record PREFIX` / `--trace-replay PREFIX` (and their
- * `=`-joined forms).  Benches with trace support write every recorded
- * grid point to its own CSBT file, or feed the replay phase from
- * previously written files instead of in-memory streams, exercising
- * the on-disk round trip end to end.
- */
-inline TraceFileFlags
-stripTraceFlags(int &argc, char **argv)
+/** The flags a bench accepts on top of `--jobs` and `--json`. */
+struct BenchFlags
 {
-    TraceFileFlags flags;
-    const std::pair<const char *, std::string *> known[] = {
-        {"--trace-record", &flags.record},
-        {"--trace-replay", &flags.replay},
+    /** Its wall-clock gate, e.g. "--min-churn-speedup"; null = none. */
+    const char *speedupGate = nullptr;
+    /** Whether it takes `--trace-record` / `--trace-replay`. */
+    bool traceFiles = false;
+};
+
+namespace detail {
+
+/** Parse all of @p text as a T; false on garbage, sign or overflow. */
+template <typename T>
+bool
+parseNumber(const std::string &text, T &out)
+{
+    const char *end = text.data() + text.size();
+    auto [ptr, ec] = std::from_chars(text.data(), end, out);
+    return ec == std::errc() && ptr == end;
+}
+
+} // namespace detail
+
+/**
+ * Parse a bench binary's command line: `--jobs`, `--json` and the
+ * extra @p flags, each as `--flag VALUE` or `--flag=VALUE`.  Any other
+ * argument, a missing value or a malformed number prints what is
+ * wrong plus the usage to stderr and exits 2, so a typo can neither
+ * drop an artifact nor switch a gate off.
+ */
+inline BenchArgs
+parseArgs(int argc, char **argv, const BenchFlags &flags = {})
+{
+    std::string prog = argc > 0 ? argv[0] : "bench";
+    prog.erase(0, prog.find_last_of('/') + 1);
+    auto fail = [&](const std::string &why) {
+        std::fprintf(stderr,
+                     "%s: %s\n"
+                     "usage: %s [--flag VALUE | --flag=VALUE]...\n"
+                     "  --jobs N               sweep workers; 0 = one "
+                     "per hardware thread (default), 1 = serial\n"
+                     "  --json PATH            also write a "
+                     "csbsim-bench-1 artifact\n",
+                     prog.c_str(), why.c_str(), prog.c_str());
+        if (flags.speedupGate) {
+            std::fprintf(stderr,
+                         "  %-22s exit 1 below a wall-clock speedup "
+                         "of X\n",
+                         (std::string(flags.speedupGate) + " X").c_str());
+        }
+        if (flags.traceFiles) {
+            std::fprintf(stderr,
+                         "  --trace-record PREFIX  write point i's trace "
+                         "to PREFIX.<i>.csbt\n"
+                         "  --trace-replay PREFIX  replay point i from "
+                         "PREFIX.<i>.csbt\n");
+        }
+        std::exit(2);
     };
-    for (int i = 1; i < argc;) {
+
+    BenchArgs args;
+    for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
-        int consumed = 0;
-        for (const auto &[name, slot] : known) {
-            std::string joined = std::string(name) + "=";
-            if (arg == name && i + 1 < argc) {
-                *slot = argv[i + 1];
-                consumed = 2;
-            } else if (arg.rfind(joined, 0) == 0) {
-                *slot = arg.substr(joined.size());
-                consumed = 1;
+        std::size_t eq = arg.find('=');
+        std::string name = arg.substr(0, eq);
+        bool gate = flags.speedupGate && name == flags.speedupGate;
+        bool trace = flags.traceFiles &&
+                     (name == "--trace-record" || name == "--trace-replay");
+        if (name != "--jobs" && name != "--json" && !gate && !trace)
+            fail("unknown argument '" + arg + "'");
+
+        std::string value;
+        if (eq != std::string::npos)
+            value = arg.substr(eq + 1);
+        else if (i + 1 < argc)
+            value = argv[++i];
+        if (value.empty())
+            fail(name + " needs a value");
+
+        if (name == "--jobs") {
+            if (!detail::parseNumber(value, args.jobs))
+                fail("--jobs needs a worker count, got '" + value + "'");
+        } else if (gate) {
+            if (!detail::parseNumber(value, args.minSpeedup) ||
+                !std::isfinite(args.minSpeedup) || args.minSpeedup < 0) {
+                fail(name + " needs a non-negative number, got '" +
+                     value + "'");
             }
+        } else if (name == "--json") {
+            args.json = value;
+        } else if (name == "--trace-record") {
+            args.traceRecord = value;
+        } else {
+            args.traceReplay = value;
         }
-        if (consumed == 0) {
-            ++i;
-            continue;
-        }
-        for (int j = i; j + consumed < argc; ++j)
-            argv[j] = argv[j + consumed];
-        argc -= consumed;
     }
-    return flags;
+    return args;
 }
 
 /**
  * Machine-readable companion to the printed tables.
  *
- * Every bench binary owns one JsonReport.  It strips a `--json <path>`
- * (or `--json=<path>`) argument before google-benchmark sees argv;
- * when present, the destructor writes a `BENCH_<name>.json`-style
+ * Every bench binary owns one JsonReport.  Given a `--json` path it
+ * opens the file at construction, so a bad path fails before any
+ * simulation runs, and finish() writes a `BENCH_<name>.json`-style
  * artifact with the structured series (`tables`) plus the exact text
  * the binary printed (`rendered`), which tools/regen_experiments
- * splices back into EXPERIMENTS.md.  Without `--json` the report only
- * forwards text to stdout.
+ * splices back into EXPERIMENTS.md.  With an empty path the report
+ * only forwards text to stdout.
  */
 class JsonReport
 {
   public:
-    JsonReport(int &argc, char **argv, std::string name)
-        : name_(std::move(name))
+    /** Exits 1 if @p path is set but cannot be opened for writing. */
+    JsonReport(std::string name, const std::string &path)
+        : name_(std::move(name)), path_(path)
     {
-        for (int i = 1; i < argc; ++i) {
-            std::string arg = argv[i];
-            int consumed = 0;
-            if (arg == "--json" && i + 1 < argc) {
-                path_ = argv[i + 1];
-                consumed = 2;
-            } else if (arg.rfind("--json=", 0) == 0) {
-                path_ = arg.substr(7);
-                consumed = 1;
-            }
-            if (consumed > 0) {
-                for (int j = i; j + consumed < argc; ++j)
-                    argv[j] = argv[j + consumed];
-                argc -= consumed;
-                break;
-            }
+        if (path_.empty())
+            return;
+        os_.open(path_);
+        if (!os_.is_open()) {
+            std::fprintf(stderr, "%s: cannot open --json file '%s'\n",
+                         name_.c_str(), path_.c_str());
+            std::exit(1);
         }
     }
 
-    ~JsonReport() { write(); }
-
     JsonReport(const JsonReport &) = delete;
     JsonReport &operator=(const JsonReport &) = delete;
-
-    bool enabled() const { return !path_.empty(); }
 
     /**
      * Emit @p text to stdout and record it for the artifact.
@@ -251,6 +282,26 @@ class JsonReport
         scorecard_ = std::move(entries);
     }
 
+    /**
+     * Write the artifact, if there is one, and return the bench's
+     * exit status: @p rc, or 1 when the artifact could not be
+     * written.  Every main() ends with `return report.finish(...)`.
+     */
+    int
+    finish(int rc = 0)
+    {
+        if (path_.empty())
+            return rc;
+        write();
+        os_.close();
+        if (os_.fail()) {
+            std::fprintf(stderr, "%s: cannot write --json file '%s'\n",
+                         name_.c_str(), path_.c_str());
+            return 1;
+        }
+        return rc;
+    }
+
   private:
     struct Row
     {
@@ -268,15 +319,7 @@ class JsonReport
     void
     write()
     {
-        if (!enabled())
-            return;
-        std::ofstream os(path_);
-        if (!os.is_open()) {
-            std::fprintf(stderr, "cannot open --json file '%s'\n",
-                         path_.c_str());
-            return;
-        }
-        sim::JsonWriter jw(os, 2);
+        sim::JsonWriter jw(os_, 2);
         jw.beginObject();
         jw.kv("schema", "csbsim-bench-1");
         jw.kv("name", name_);
@@ -317,40 +360,33 @@ class JsonReport
         }
         jw.kv("rendered", rendered_);
         jw.endObject();
-        os << "\n";
+        os_ << "\n";
     }
 
     std::string name_;
     std::string path_;
+    std::ofstream os_;
     std::string rendered_;
     std::vector<Table> tables_;
     std::vector<std::pair<std::string, double>> scorecard_;
 };
 
-/** Register one benchmark per (scheme, size) point of a sweep. */
+namespace detail {
+
+/** Written by sink(); volatile, so no store to it can be elided. */
+inline volatile std::uint64_t sinkSlot = 0;
+
+} // namespace detail
+
+/**
+ * Consume a value a timed loop computed, so the compiler must do the
+ * loop's work even though nothing else reads the result.  Not for
+ * concurrent callers: the timed loops run on the main thread.
+ */
 inline void
-registerBandwidthPanel(const std::string &panel,
-                       const core::BandwidthSetup &setup)
+sink(std::uint64_t value)
 {
-    using core::Scheme;
-    for (Scheme scheme : core::schemesForLine(setup.lineBytes)) {
-        for (unsigned size : core::defaultTransferSizes()) {
-            std::string name =
-                panel + "/" + core::schemeName(scheme) + "/" +
-                std::to_string(size) + "B";
-            benchmark::RegisterBenchmark(
-                name.c_str(),
-                [setup, scheme, size](benchmark::State &state) {
-                    double bw = 0;
-                    for (auto _ : state) {
-                        bw = core::measureStoreBandwidth(setup, scheme,
-                                                         size);
-                    }
-                    state.counters["bytes_per_bus_cycle"] = bw;
-                })
-                ->Iterations(1)->Unit(benchmark::kMillisecond);
-        }
-    }
+    detail::sinkSlot = value;
 }
 
 /**
@@ -358,7 +394,7 @@ registerBandwidthPanel(const std::string &panel,
  * points execute through @p runner's workers; rendering and the
  * JsonReport stay on the calling thread.
  */
-inline core::BandwidthSweep
+inline void
 printBandwidthPanel(JsonReport &report, core::SweepRunner &runner,
                     const std::string &title,
                     const core::BandwidthSetup &setup)
@@ -370,11 +406,10 @@ printBandwidthPanel(JsonReport &report, core::SweepRunner &runner,
     core::printSweep(sweep, os);
     report.print(os.str());
     report.addSweep(sweep);
-    return sweep;
 }
 
 /** Run, print and record one figure-5 latency panel. */
-inline core::LatencySweep
+inline void
 printLatencyPanel(JsonReport &report, core::SweepRunner &runner,
                   const std::string &title,
                   const core::BandwidthSetup &setup, bool lock_miss)
@@ -385,7 +420,6 @@ printLatencyPanel(JsonReport &report, core::SweepRunner &runner,
     core::printLatencySweep(sweep, os);
     report.print(os.str());
     report.addLatencySweep(sweep);
-    return sweep;
 }
 
 /** Multiplexed-bus setup shorthand. */

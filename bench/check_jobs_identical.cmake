@@ -10,7 +10,6 @@ foreach(jobs 1 4)
     execute_process(
         COMMAND ${BENCH} --jobs ${jobs}
                 --json ${OUT_DIR}/jobs${jobs}.json
-                --benchmark_filter=__nothing__
         RESULT_VARIABLE bench_rc
         OUTPUT_FILE ${OUT_DIR}/jobs${jobs}.txt)
     if(NOT bench_rc EQUAL 0)

@@ -3,7 +3,7 @@
 # schema.  Invoked as
 #   cmake -DBENCH=... -DPYTHON=... -DVALIDATOR=... -DOUT=... -P this
 execute_process(
-    COMMAND ${BENCH} --json ${OUT} --benchmark_filter=__nothing__
+    COMMAND ${BENCH} --json ${OUT}
     RESULT_VARIABLE bench_rc
     OUTPUT_QUIET)
 if(NOT bench_rc EQUAL 0)

@@ -23,8 +23,9 @@ main(int argc, char **argv)
     namespace core = csb::core;
     using core::MessageSizeDistribution;
 
-    core::SweepRunner runner(stripJobsFlag(argc, argv));
-    JsonReport report(argc, argv, "ext_app_messages");
+    BenchArgs args = parseArgs(argc, argv);
+    JsonReport report("ext_app_messages", args.json);
+    core::SweepRunner runner(args.jobs);
     core::BandwidthSetup setup = muxSetup(6, 64);
     constexpr unsigned kMessages = 48;
 
@@ -89,7 +90,7 @@ main(int argc, char **argv)
         if (r.locked.delivered != workloads[i].sizes.size() ||
             r.viaCsb.delivered != workloads[i].sizes.size()) {
             std::fprintf(stderr, "message count mismatch!\n");
-            return 1;
+            return report.finish(1);
         }
     }
     report.print("(48 messages per run; every message delivered by the "
@@ -97,26 +98,5 @@ main(int argc, char **argv)
                  "application-like traffic, not just the paper's "
                  "maximum-pressure loops.)\n\n");
 
-    for (bool use_csb : {false, true}) {
-        std::string name = std::string("AppMessages/scientific/") +
-                           (use_csb ? "csb" : "locked");
-        benchmark::RegisterBenchmark(
-            name.c_str(),
-            [setup, use_csb](benchmark::State &state) {
-                auto sizes = core::drawSizes(
-                    MessageSizeDistribution::scientific(42), kMessages);
-                core::AppTrafficResult result;
-                for (auto _ : state) {
-                    result = core::runMessageWorkload(setup, use_csb,
-                                                      sizes);
-                }
-                state.counters["cycles_per_message"] =
-                    result.cyclesPerMessage;
-            })
-            ->Iterations(1)->Unit(benchmark::kMillisecond);
-    }
-
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    return 0;
+    return report.finish();
 }

@@ -92,8 +92,9 @@ csbLatency(Tick flush_latency, unsigned n_dwords)
 int
 main(int argc, char **argv)
 {
-    core::SweepRunner runner(csb::bench::stripJobsFlag(argc, argv));
-    csb::bench::JsonReport report(argc, argv, "ext_csb_ablation");
+    csb::bench::BenchArgs args = csb::bench::parseArgs(argc, argv);
+    csb::bench::JsonReport report("ext_csb_ablation", args.json);
+    core::SweepRunner runner(args.jobs);
 
     struct GridPoint
     {
@@ -216,38 +217,5 @@ main(int argc, char **argv)
     }
     report.print("\n");
 
-    for (unsigned ratio : {1u, 6u}) {
-        std::string name =
-            "CsbAblation/lineBuffers/ratio" + std::to_string(ratio);
-        benchmark::RegisterBenchmark(
-            name.c_str(),
-            [ratio](benchmark::State &state) {
-                double one = 0;
-                double two = 0;
-                for (auto _ : state) {
-                    one = csbBandwidth(ratio, 1, false, 1024);
-                    two = csbBandwidth(ratio, 2, false, 1024);
-                }
-                state.counters["one_buffer_bw"] = one;
-                state.counters["two_buffer_bw"] = two;
-            })
-            ->Iterations(1)->Unit(benchmark::kMillisecond);
-    }
-    benchmark::RegisterBenchmark(
-        "CsbAblation/partialFlush/16B",
-        [](benchmark::State &state) {
-            double full = 0;
-            double partial = 0;
-            for (auto _ : state) {
-                full = csbBandwidth(6, 1, false, 16);
-                partial = csbBandwidth(6, 1, true, 16);
-            }
-            state.counters["full_line_bw"] = full;
-            state.counters["partial_bw"] = partial;
-        })
-        ->Iterations(1)->Unit(benchmark::kMillisecond);
-
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    return 0;
+    return report.finish();
 }

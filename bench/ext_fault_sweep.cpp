@@ -22,8 +22,9 @@ main(int argc, char **argv)
     namespace core = csb::core;
     using core::MessageSizeDistribution;
 
-    core::SweepRunner runner(stripJobsFlag(argc, argv));
-    JsonReport report(argc, argv, "ext_fault_sweep");
+    BenchArgs args = parseArgs(argc, argv);
+    JsonReport report("ext_fault_sweep", args.json);
+    core::SweepRunner runner(args.jobs);
     core::BandwidthSetup setup = muxSetup(6, 64);
     constexpr unsigned kMessages = 48;
     const std::vector<unsigned> sizes = core::drawSizes(
@@ -110,36 +111,8 @@ main(int argc, char **argv)
     if (!all_exactly_once) {
         std::fprintf(stderr,
                      "exactly-once delivery violated under faults!\n");
-        return 1;
+        return report.finish(1);
     }
 
-    for (double rate : {0.0, 0.05}) {
-        std::string name = "FaultSweep/scientific/rate_" +
-                           std::to_string(static_cast<int>(rate * 100)) +
-                           "pct";
-        benchmark::RegisterBenchmark(
-            name.c_str(),
-            [setup, sizes, rate](benchmark::State &state) {
-                csb::sim::FaultPlan plan;
-                plan.seed = 7;
-                plan.busWriteNackRate = rate;
-                plan.wireDropRate = rate;
-                plan.wireCorruptRate = rate;
-                plan.ackDropRate = rate;
-                core::AppTrafficResult result;
-                for (auto _ : state) {
-                    result = core::runMessageWorkload(setup, true, sizes,
-                                                      &plan);
-                }
-                state.counters["cycles_per_message"] =
-                    result.cyclesPerMessage;
-                state.counters["retransmits"] =
-                    static_cast<double>(result.retransmits);
-            })
-            ->Iterations(1)->Unit(benchmark::kMillisecond);
-    }
-
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    return 0;
+    return report.finish();
 }

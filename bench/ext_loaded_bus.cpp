@@ -82,8 +82,9 @@ int
 main(int argc, char **argv)
 {
     using core::Scheme;
-    core::SweepRunner runner(csb::bench::stripJobsFlag(argc, argv));
-    csb::bench::JsonReport report(argc, argv, "ext_loaded_bus");
+    csb::bench::BenchArgs args = csb::bench::parseArgs(argc, argv);
+    csb::bench::JsonReport report("ext_loaded_bus", args.json);
+    core::SweepRunner runner(args.jobs);
     const std::vector<Scheme> schemes = {Scheme::NoCombine,
                                          Scheme::Combine64, Scheme::Csb};
     const std::vector<double> loads = {0.0, 8.0, 4.0, 2.0};
@@ -120,24 +121,5 @@ main(int argc, char **argv)
                  "bursts defend their share, single-beat stores "
                  "lose theirs)\n\n");
 
-    for (double load : {0.0, 4.0}) {
-        for (Scheme scheme : schemes) {
-            std::string name =
-                "LoadedBus/" + core::schemeName(scheme) +
-                (load == 0 ? "/idle" : "/loaded");
-            benchmark::RegisterBenchmark(
-                name.c_str(),
-                [scheme, load](benchmark::State &state) {
-                    double bw = 0;
-                    for (auto _ : state)
-                        bw = loadedBandwidth(scheme, load, transfer);
-                    state.counters["bytes_per_bus_cycle"] = bw;
-                })
-                ->Iterations(1)->Unit(benchmark::kMillisecond);
-        }
-    }
-
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    return 0;
+    return report.finish();
 }

@@ -15,8 +15,9 @@ main(int argc, char **argv)
     using namespace csb::bench;
     namespace core = csb::core;
 
-    core::SweepRunner runner(stripJobsFlag(argc, argv));
-    JsonReport report(argc, argv, "ext_pio_vs_dma");
+    BenchArgs args = parseArgs(argc, argv);
+    JsonReport report("ext_pio_vs_dma", args.json);
+    core::SweepRunner runner(args.jobs);
     core::BandwidthSetup setup = muxSetup(6, 64);
     const std::vector<unsigned> sizes = {16,  32,  64,   128, 256,
                                          512, 1024, 2048, 4096};
@@ -65,22 +66,5 @@ main(int argc, char **argv)
     report.print("(the CSB moves the PIO/DMA break-even point towards "
                  "bigger messages -- paper section 5)\n\n");
 
-    for (unsigned size : sizes) {
-        std::string name = "PioVsDma/" + std::to_string(size) + "B";
-        benchmark::RegisterBenchmark(
-            name.c_str(),
-            [setup, size](benchmark::State &state) {
-                core::MessageLatency lat;
-                for (auto _ : state)
-                    lat = core::measureMessageLatency(setup, size);
-                state.counters["lock_pio_cycles"] = lat.pioLockedCycles;
-                state.counters["csb_pio_cycles"] = lat.pioCsbCycles;
-                state.counters["dma_cycles"] = lat.dmaCycles;
-            })
-            ->Iterations(1)->Unit(benchmark::kMillisecond);
-    }
-
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    return 0;
+    return report.finish();
 }

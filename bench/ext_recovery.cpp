@@ -69,8 +69,9 @@ main(int argc, char **argv)
     using namespace csb::bench;
     namespace core = csb::core;
 
-    core::SweepRunner runner(stripJobsFlag(argc, argv));
-    JsonReport report(argc, argv, "ext_recovery");
+    BenchArgs args = parseArgs(argc, argv);
+    JsonReport report("ext_recovery", args.json);
+    core::SweepRunner runner(args.jobs);
 
     const std::vector<core::CampaignScenario> scenarios =
         benchScenarios();
@@ -188,26 +189,8 @@ main(int argc, char **argv)
         std::fprintf(stderr, "recovery gate violated: a campaign run "
                              "failed to recover or lost/duplicated a "
                              "message\n");
-        return 1;
+        return report.finish(1);
     }
 
-    for (const core::CampaignScenario &sc : scenarios) {
-        std::string name = "Recovery/" + sc.name;
-        benchmark::RegisterBenchmark(
-            name.c_str(),
-            [sc](benchmark::State &state) {
-                core::CampaignResult r;
-                for (auto _ : state)
-                    r = core::runCampaign(sc, 1);
-                state.counters["recovered"] = r.recovered ? 1.0 : 0.0;
-                state.counters["mttr_ticks"] = r.mttrTicks;
-                state.counters["faults_injected"] =
-                    static_cast<double>(r.faultsInjected);
-            })
-            ->Iterations(1)->Unit(benchmark::kMillisecond);
-    }
-
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    return 0;
+    return report.finish();
 }

@@ -165,8 +165,9 @@ measure(Pattern pattern, bool coherent)
 int
 main(int argc, char **argv)
 {
-    core::SweepRunner runner(csb::bench::stripJobsFlag(argc, argv));
-    csb::bench::JsonReport report(argc, argv, "ext_sharing_sweep");
+    csb::bench::BenchArgs args = csb::bench::parseArgs(argc, argv);
+    csb::bench::JsonReport report("ext_sharing_sweep", args.json);
+    core::SweepRunner runner(args.jobs);
     const std::vector<Pattern> patterns = {
         Pattern::Private, Pattern::ProducerConsumer, Pattern::Migratory,
         Pattern::FalseSharing};
@@ -221,24 +222,5 @@ main(int argc, char **argv)
                  "no data, the classic argument for line-aligned queue "
                  "slots.)\n\n");
 
-    for (Pattern pattern : patterns) {
-        for (bool coherent : {false, true}) {
-            std::string name = std::string("SharingSweep/") +
-                               patternName(pattern) + "/" +
-                               (coherent ? "mesi" : "base");
-            benchmark::RegisterBenchmark(
-                name.c_str(),
-                [pattern, coherent](benchmark::State &state) {
-                    double ticks = 0;
-                    for (auto _ : state)
-                        ticks = measure(pattern, coherent).ticks;
-                    state.counters["ticks"] = ticks;
-                })
-                ->Iterations(1)->Unit(benchmark::kMillisecond);
-        }
-    }
-
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    return 0;
+    return report.finish();
 }

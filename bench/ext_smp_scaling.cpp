@@ -79,8 +79,9 @@ int
 main(int argc, char **argv)
 {
     using core::Scheme;
-    core::SweepRunner runner(csb::bench::stripJobsFlag(argc, argv));
-    csb::bench::JsonReport report(argc, argv, "ext_smp_scaling");
+    csb::bench::BenchArgs args = csb::bench::parseArgs(argc, argv);
+    csb::bench::JsonReport report("ext_smp_scaling", args.json);
+    core::SweepRunner runner(args.jobs);
     constexpr unsigned per_core = 1024;
     const std::vector<Scheme> schemes = {Scheme::NoCombine,
                                          Scheme::Combine64, Scheme::Csb};
@@ -126,24 +127,5 @@ main(int argc, char **argv)
                  "occupancy pressure the paper's introduction blames "
                  "for the SMP I/O bottleneck.)\n\n");
 
-    for (Scheme scheme : schemes) {
-        for (unsigned cores : {1u, 2u}) {
-            std::string name = "SmpScaling/" +
-                               core::schemeName(scheme) + "/" +
-                               std::to_string(cores) + "core";
-            benchmark::RegisterBenchmark(
-                name.c_str(),
-                [scheme, cores](benchmark::State &state) {
-                    double bw = 0;
-                    for (auto _ : state)
-                        bw = measure(scheme, cores, per_core).aggregate;
-                    state.counters["aggregate_bytes_per_cycle"] = bw;
-                })
-                ->Iterations(1)->Unit(benchmark::kMillisecond);
-        }
-    }
-
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    return 0;
+    return report.finish();
 }

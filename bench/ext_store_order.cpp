@@ -86,8 +86,9 @@ mechanismName(Mechanism mechanism)
 int
 main(int argc, char **argv)
 {
-    core::SweepRunner runner(csb::bench::stripJobsFlag(argc, argv));
-    csb::bench::JsonReport report(argc, argv, "ext_store_order");
+    csb::bench::BenchArgs args = csb::bench::parseArgs(argc, argv);
+    csb::bench::JsonReport report("ext_store_order", args.json);
+    core::SweepRunner runner(args.jobs);
     constexpr unsigned transfer = 1024;
     const std::vector<Mechanism> mechanisms = {
         Mechanism::SeqOnly, Mechanism::Block, Mechanism::Csb};
@@ -126,25 +127,5 @@ main(int argc, char **argv)
                  "loses its combining on shuffled stores; the "
                  "software-controlled CSB is order-blind.)\n\n");
 
-    for (Mechanism mechanism : mechanisms) {
-        for (bool shuffled : {false, true}) {
-            std::string name = std::string("StoreOrder/") +
-                               mechanismName(mechanism) + "/" +
-                               (shuffled ? "shuffled" : "ascending");
-            benchmark::RegisterBenchmark(
-                name.c_str(),
-                [mechanism, shuffled](benchmark::State &state) {
-                    double bw = 0;
-                    for (auto _ : state)
-                        bw = orderBandwidth(mechanism, shuffled,
-                                            transfer);
-                    state.counters["bytes_per_bus_cycle"] = bw;
-                })
-                ->Iterations(1)->Unit(benchmark::kMillisecond);
-        }
-    }
-
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    return 0;
+    return report.finish();
 }

@@ -11,8 +11,9 @@ int
 main(int argc, char **argv)
 {
     using namespace csb::bench;
-    csb::core::SweepRunner runner(stripJobsFlag(argc, argv));
-    JsonReport report(argc, argv, "fig3_mux_block");
+    BenchArgs args = parseArgs(argc, argv);
+    JsonReport report("fig3_mux_block", args.json);
+    csb::core::SweepRunner runner(args.jobs);
 
     struct Panel
     {
@@ -31,10 +32,7 @@ main(int argc, char **argv)
             std::string(panel.name) +
                 ": 8B multiplexed bus, ratio 6, no turnaround",
             muxSetup(6, panel.block));
-        registerBandwidthPanel(panel.name, muxSetup(6, panel.block));
     }
 
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    return 0;
+    return report.finish();
 }

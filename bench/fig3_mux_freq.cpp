@@ -12,8 +12,9 @@ int
 main(int argc, char **argv)
 {
     using namespace csb::bench;
-    csb::core::SweepRunner runner(stripJobsFlag(argc, argv));
-    JsonReport report(argc, argv, "fig3_mux_freq");
+    BenchArgs args = parseArgs(argc, argv);
+    JsonReport report("fig3_mux_freq", args.json);
+    csb::core::SweepRunner runner(args.jobs);
 
     struct Panel
     {
@@ -32,10 +33,7 @@ main(int argc, char **argv)
             std::string(panel.name) +
                 ": 8B multiplexed bus, 32B block, no turnaround",
             muxSetup(panel.ratio, 32));
-        registerBandwidthPanel(panel.name, muxSetup(panel.ratio, 32));
     }
 
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    return 0;
+    return report.finish();
 }

@@ -12,8 +12,9 @@ int
 main(int argc, char **argv)
 {
     using namespace csb::bench;
-    csb::core::SweepRunner runner(stripJobsFlag(argc, argv));
-    JsonReport report(argc, argv, "fig3_mux_overhead");
+    BenchArgs args = parseArgs(argc, argv);
+    JsonReport report("fig3_mux_overhead", args.json);
+    csb::core::SweepRunner runner(args.jobs);
 
     struct Panel
     {
@@ -33,12 +34,7 @@ main(int argc, char **argv)
             std::string(panel.name) +
                 ": 8B multiplexed bus, ratio 6, 64B block",
             muxSetup(6, 64, panel.turnaround, panel.ack));
-        registerBandwidthPanel(panel.name,
-                               muxSetup(6, 64, panel.turnaround,
-                                        panel.ack));
     }
 
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    return 0;
+    return report.finish();
 }

@@ -12,8 +12,9 @@ int
 main(int argc, char **argv)
 {
     using namespace csb::bench;
-    csb::core::SweepRunner runner(stripJobsFlag(argc, argv));
-    JsonReport report(argc, argv, "fig4_split_overhead");
+    BenchArgs args = parseArgs(argc, argv);
+    JsonReport report("fig4_split_overhead", args.json);
+    csb::core::SweepRunner runner(args.jobs);
 
     struct Panel
     {
@@ -32,11 +33,7 @@ main(int argc, char **argv)
             report, runner,
             std::string(panel.name) + ": 16B split bus, ratio 6, 64B block",
             splitSetup(16, 6, 64, panel.turnaround, panel.ack));
-        registerBandwidthPanel(
-            panel.name, splitSetup(16, 6, 64, panel.turnaround, panel.ack));
     }
 
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    return 0;
+    return report.finish();
 }

@@ -11,8 +11,9 @@ int
 main(int argc, char **argv)
 {
     using namespace csb::bench;
-    csb::core::SweepRunner runner(stripJobsFlag(argc, argv));
-    JsonReport report(argc, argv, "fig4_split_width");
+    BenchArgs args = parseArgs(argc, argv);
+    JsonReport report("fig4_split_width", args.json);
+    csb::core::SweepRunner runner(args.jobs);
 
     struct Panel
     {
@@ -30,10 +31,7 @@ main(int argc, char **argv)
             std::string(panel.name) +
                 ": ratio 6, 64B block, no turnaround",
             splitSetup(panel.width, 6, 64));
-        registerBandwidthPanel(panel.name, splitSetup(panel.width, 6, 64));
     }
 
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    return 0;
+    return report.finish();
 }

@@ -12,45 +12,15 @@ main(int argc, char **argv)
 {
     using namespace csb::bench;
     namespace core = csb::core;
-    using csb::core::Scheme;
 
-    core::SweepRunner runner(stripJobsFlag(argc, argv));
-    JsonReport report(argc, argv, "fig5_lock_miss");
-    core::BandwidthSetup setup = muxSetup(6, 64);
+    BenchArgs args = parseArgs(argc, argv);
+    JsonReport report("fig5_lock_miss", args.json);
+    core::SweepRunner runner(args.jobs);
 
-    core::LatencySweep sweep = printLatencyPanel(
+    printLatencyPanel(
         report, runner,
         "Fig 5(b): lock misses all caches -- 8B multiplexed bus, ratio 6",
-        setup, /*lock_miss=*/true);
+        muxSetup(6, 64), /*lock_miss=*/true);
 
-    for (std::size_t i = 0; i < sweep.schemes.size(); ++i) {
-        for (std::size_t j = 0; j < sweep.dwords.size(); ++j) {
-            Scheme scheme = sweep.schemes[i];
-            unsigned n = sweep.dwords[j];
-            std::string name =
-                std::string("Fig 5(b)/") +
-                (scheme == Scheme::Csb
-                     ? core::schemeName(scheme)
-                     : "lock+" + core::schemeName(scheme)) +
-                "/" + std::to_string(n * 8) + "B";
-            benchmark::RegisterBenchmark(
-                name.c_str(),
-                [setup, scheme, n](benchmark::State &state) {
-                    double cycles = 0;
-                    for (auto _ : state) {
-                        cycles =
-                            scheme == Scheme::Csb
-                                ? core::measureCsbSequence(setup, n)
-                                : core::measureLockedSequence(
-                                      setup, scheme, n, true);
-                    }
-                    state.counters["cpu_cycles"] = cycles;
-                })
-                ->Iterations(1)->Unit(benchmark::kMillisecond);
-        }
-    }
-
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    return 0;
+    return report.finish();
 }

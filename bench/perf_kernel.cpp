@@ -11,7 +11,7 @@
  * to the JSON artifact's tables and to stderr.
  *
  * The churn workload doubles as the perf-smoke regression gate:
- * `--min-churn-speedup=N` makes the binary exit non-zero unless the
+ * `--min-churn-speedup N` makes the binary exit non-zero unless the
  * current kernel beats the legacy kernel by at least N x.  The ratio
  * is in-process and relative, so it is stable on shared runners.
  */
@@ -19,7 +19,6 @@
 #include "bench_common.hh"
 
 #include <chrono>
-#include <cstdlib>
 #include <memory>
 #include <queue>
 
@@ -238,7 +237,7 @@ runChurn(Queue &q, unsigned window, std::uint64_t iters)
         slots[slot] = q.scheduleFunc(
             now + 1 + rng.uniform(0, 100000),
             [&res] { ++res.fired; });
-        benchmark::DoNotOptimize(q.nextTick());
+        csb::bench::sink(q.nextTick());
         ++res.peeks;
         if ((i & 1023) == 1023)
             q.serviceUntil(now + 16);
@@ -332,24 +331,12 @@ main(int argc, char **argv)
 {
     using namespace csb::bench;
 
-    // Strip --min-churn-speedup=N before google-benchmark sees argv.
-    double min_speedup = 0.0;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg.rfind("--min-churn-speedup=", 0) == 0) {
-            min_speedup = std::atof(arg.c_str() + 20);
-            for (int j = i; j + 1 < argc; ++j)
-                argv[j] = argv[j + 1];
-            --argc;
-            break;
-        }
-    }
-
-    // Accept --jobs like every other bench, but run the workloads
-    // serially regardless: this binary measures wall-clock kernel
+    // --jobs is accepted like every other bench, but the workloads
+    // run serially regardless: this binary measures wall-clock kernel
     // rates, and concurrent workloads would time each other's noise.
-    (void)stripJobsFlag(argc, argv);
-    JsonReport report(argc, argv, "perf_kernel");
+    BenchArgs args =
+        parseArgs(argc, argv, {.speedupGate = "--min-churn-speedup"});
+    JsonReport report("perf_kernel", args.json);
 
     constexpr std::uint64_t kThroughputEvents = 200'000;
     constexpr unsigned kChurnWindow = 1024;
@@ -393,7 +380,7 @@ main(int argc, char **argv)
                      static_cast<unsigned long long>(churn_new.fired),
                      static_cast<unsigned long long>(fired_old),
                      static_cast<unsigned long long>(churn_old.fired));
-        return 1;
+        return report.finish(1);
     }
 
     double speedup = churn_new.seconds > 0
@@ -470,35 +457,11 @@ main(int argc, char **argv)
                       {"speedup"});
     report.addRow("churn", {speedup});
 
-    if (min_speedup > 0 && speedup < min_speedup) {
+    if (args.minSpeedup > 0 && speedup < args.minSpeedup) {
         std::fprintf(stderr,
                      "FAIL: churn speedup %.2fx below required %.2fx\n",
-                     speedup, min_speedup);
-        return 1;
+                     speedup, args.minSpeedup);
+        return report.finish(1);
     }
-
-    benchmark::RegisterBenchmark(
-        "Kernel/churn", [&](benchmark::State &state) {
-            ChurnResult r;
-            for (auto _ : state) {
-                csb::sim::EventQueue q;
-                r = runChurn(q, kChurnWindow, kChurnIters);
-            }
-            state.counters["iters_per_sec"] =
-                rate(static_cast<double>(kChurnIters), r.seconds);
-        })
-        ->Iterations(1)->Unit(benchmark::kMillisecond);
-    benchmark::RegisterBenchmark(
-        "Kernel/gated_sim", [&](benchmark::State &state) {
-            GatingResult r;
-            for (auto _ : state)
-                r = runGated(kGatedTicks, kGatedPeriod);
-            state.counters["ticks_per_sec"] =
-                rate(static_cast<double>(r.simTicks), r.seconds);
-        })
-        ->Iterations(1)->Unit(benchmark::kMillisecond);
-
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    return 0;
+    return report.finish();
 }

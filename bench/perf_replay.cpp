@@ -12,7 +12,7 @@
  * to stderr.
  *
  * The identity check doubles as the replay regression gate:
- * `--min-replay-speedup=N` makes the binary exit non-zero unless
+ * `--min-replay-speedup N` makes the binary exit non-zero unless
  * replay beats live execution by at least N x over the grid (and any
  * per-point divergence fails the binary unconditionally).
  *
@@ -26,7 +26,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 
 #include "sim/trace_recorder.hh"
 
@@ -105,22 +104,11 @@ secondsSince(std::chrono::steady_clock::time_point t0)
 int
 main(int argc, char **argv)
 {
-    // Strip --min-replay-speedup=N before google-benchmark sees argv.
-    double min_speedup = 0.0;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg.rfind("--min-replay-speedup=", 0) == 0) {
-            min_speedup = std::atof(arg.c_str() + 21);
-            for (int j = i; j + 1 < argc; ++j)
-                argv[j] = argv[j + 1];
-            --argc;
-            break;
-        }
-    }
-
-    core::SweepRunner runner(stripJobsFlag(argc, argv));
-    TraceFileFlags files = stripTraceFlags(argc, argv);
-    JsonReport report(argc, argv, "perf_replay");
+    BenchArgs args = parseArgs(
+        argc, argv,
+        {.speedupGate = "--min-replay-speedup", .traceFiles = true});
+    JsonReport report("perf_replay", args.json);
+    core::SweepRunner runner(args.jobs);
 
     // The fig3/fig5 reference machine: 8-byte multiplexed bus at
     // ratio 6, 64-byte lines.
@@ -138,14 +126,14 @@ main(int argc, char **argv)
             res.live = core::recordStoreBandwidth(
                 setup, point.scheme, point.bytes, &recorder,
                 point.aluPerStore);
-            if (!files.record.empty()) {
-                recorder.writeFile(files.record + "." +
+            if (!args.traceRecord.empty()) {
+                recorder.writeFile(args.traceRecord + "." +
                                    std::to_string(index) + ".csbt");
             }
             res.trace =
-                files.replay.empty()
+                args.traceReplay.empty()
                     ? sim::MemTrace::fromRecorder(recorder)
-                    : sim::MemTrace::loadFile(files.replay + "." +
+                    : sim::MemTrace::loadFile(args.traceReplay + "." +
                                               std::to_string(index) +
                                               ".csbt");
             res.replayed = core::replayStoreBandwidth(
@@ -186,17 +174,19 @@ main(int argc, char **argv)
     for (int r = 0; r < kRepeats; ++r) {
         auto t0 = std::chrono::steady_clock::now();
         for (const GridPoint &point : grid) {
-            benchmark::DoNotOptimize(core::recordStoreBandwidth(
-                setup, point.scheme, point.bytes, nullptr,
-                point.aluPerStore));
+            sink(core::recordStoreBandwidth(setup, point.scheme,
+                                            point.bytes, nullptr,
+                                            point.aluPerStore)
+                     .endTick);
         }
         live_s = std::min(live_s, secondsSince(t0));
 
         t0 = std::chrono::steady_clock::now();
         for (std::size_t i = 0; i < grid.size(); ++i) {
-            benchmark::DoNotOptimize(core::replayStoreBandwidth(
-                setup, grid[i].scheme, grid[i].bytes,
-                results[i].trace));
+            sink(core::replayStoreBandwidth(setup, grid[i].scheme,
+                                            grid[i].bytes,
+                                            results[i].trace)
+                     .endTick);
         }
         replay_s = std::min(replay_s, secondsSince(t0));
     }
@@ -249,35 +239,12 @@ main(int argc, char **argv)
     report.addRow("grid", {speedup});
 
     if (!all_identical)
-        return 1;
-    if (min_speedup > 0 && speedup < min_speedup) {
+        return report.finish(1);
+    if (args.minSpeedup > 0 && speedup < args.minSpeedup) {
         std::fprintf(stderr,
                      "FAIL: replay speedup %.2fx below required %.2fx\n",
-                     speedup, min_speedup);
-        return 1;
+                     speedup, args.minSpeedup);
+        return report.finish(1);
     }
-
-    for (std::size_t i = 0; i < grid.size(); ++i) {
-        std::string name = "Replay/" + pointName(grid[i]);
-        const PointResult &res = results[i];
-        benchmark::RegisterBenchmark(
-            name.c_str(),
-            [setup, point = grid[i], trace = res.trace](
-                benchmark::State &state) {
-                core::TracedRun run;
-                for (auto _ : state) {
-                    run = core::replayStoreBandwidth(
-                        setup, point.scheme, point.bytes, trace);
-                }
-                state.counters["bytes_per_bus_cycle"] =
-                    run.bytesPerBusCycle;
-                state.counters["end_tick"] =
-                    static_cast<double>(run.endTick);
-            })
-            ->Iterations(1)->Unit(benchmark::kMillisecond);
-    }
-
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    return 0;
+    return report.finish();
 }

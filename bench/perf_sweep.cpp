@@ -12,7 +12,7 @@
  * worker count go to the JSON artifact's tables and to stderr.
  *
  * The speedup doubles as the parallel-sweep regression gate:
- * `--min-sweep-speedup=N` makes the binary exit non-zero unless the
+ * `--min-sweep-speedup N` makes the binary exit non-zero unless the
  * pool beats the serial path by at least N x.  Hosts with fewer than
  * 4 hardware threads skip the gate (a 1-core CI box cannot show a
  * parallel speedup); the determinism check always runs.
@@ -21,7 +21,6 @@
 #include "bench_common.hh"
 
 #include <chrono>
-#include <cstdlib>
 
 #include "sim/thread_pool.hh"
 
@@ -81,21 +80,10 @@ main(int argc, char **argv)
 {
     using namespace csb::bench;
 
-    // Strip --min-sweep-speedup=N before google-benchmark sees argv.
-    double min_speedup = 0.0;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg.rfind("--min-sweep-speedup=", 0) == 0) {
-            min_speedup = std::atof(arg.c_str() + 20);
-            for (int j = i; j + 1 < argc; ++j)
-                argv[j] = argv[j + 1];
-            --argc;
-            break;
-        }
-    }
-
-    unsigned jobs = core::resolveJobs(stripJobsFlag(argc, argv));
-    JsonReport report(argc, argv, "perf_sweep");
+    BenchArgs args =
+        parseArgs(argc, argv, {.speedupGate = "--min-sweep-speedup"});
+    JsonReport report("perf_sweep", args.json);
+    unsigned jobs = core::resolveJobs(args.jobs);
 
     const std::vector<GridPoint> grid = buildGrid();
 
@@ -149,46 +137,22 @@ main(int argc, char **argv)
     if (!identical) {
         std::fprintf(stderr,
                      "FAIL: pooled sweep diverged from serial sweep\n");
-        return 1;
+        return report.finish(1);
     }
 
-    if (min_speedup > 0) {
+    if (args.minSpeedup > 0) {
         if (sim::ThreadPool::defaultThreads() < 4) {
             std::fprintf(stderr,
                          "SKIP: sweep-speedup gate needs >= 4 hardware "
                          "threads (this host has %u)\n",
                          sim::ThreadPool::defaultThreads());
-        } else if (speedup < min_speedup) {
+        } else if (speedup < args.minSpeedup) {
             std::fprintf(stderr,
                          "FAIL: sweep speedup %.2fx below required "
                          "%.2fx\n",
-                         speedup, min_speedup);
-            return 1;
+                         speedup, args.minSpeedup);
+            return report.finish(1);
         }
     }
-
-    benchmark::RegisterBenchmark(
-        "Sweep/pooled", [&](benchmark::State &state) {
-            double seconds = 0;
-            core::SweepRunner runner(jobs);
-            for (auto _ : state)
-                runGrid(runner, grid, seconds);
-            state.counters["points_per_sec"] =
-                seconds > 0 ? grid.size() / seconds : 0;
-        })
-        ->Iterations(1)->Unit(benchmark::kMillisecond);
-    benchmark::RegisterBenchmark(
-        "Sweep/serial", [&](benchmark::State &state) {
-            double seconds = 0;
-            core::SweepRunner runner(1);
-            for (auto _ : state)
-                runGrid(runner, grid, seconds);
-            state.counters["points_per_sec"] =
-                seconds > 0 ? grid.size() / seconds : 0;
-        })
-        ->Iterations(1)->Unit(benchmark::kMillisecond);
-
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    return 0;
+    return report.finish();
 }
