@@ -94,8 +94,15 @@ class LegacyEventQueue
 
     Tick curTick() const { return curTick_; }
 
-    Handle
+    void
     scheduleFunc(Tick when, std::function<void()> fn)
+    {
+        // The legacy kernel paid for handle state on every call.
+        scheduleCancellable(when, std::move(fn));
+    }
+
+    Handle
+    scheduleCancellable(Tick when, std::function<void()> fn)
     {
         auto state = std::make_shared<FuncState>();
         auto *ev = new FuncEvent;
@@ -225,7 +232,7 @@ ChurnResult
 runChurn(Queue &q, unsigned window, std::uint64_t iters)
 {
     using Handle =
-        decltype(q.scheduleFunc(Tick(0), std::function<void()>()));
+        decltype(q.scheduleCancellable(Tick(0), std::function<void()>()));
     std::vector<Handle> slots(window);
     csb::sim::Random rng(0x0c5b0c5bULL);
     ChurnResult res;
@@ -234,7 +241,7 @@ runChurn(Queue &q, unsigned window, std::uint64_t iters)
         Tick now = q.curTick();
         auto slot = static_cast<std::size_t>(rng.uniform(0, window - 1));
         slots[slot].cancel();
-        slots[slot] = q.scheduleFunc(
+        slots[slot] = q.scheduleCancellable(
             now + 1 + rng.uniform(0, 100000),
             [&res] { ++res.fired; });
         csb::bench::sink(q.nextTick());

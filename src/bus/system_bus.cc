@@ -337,6 +337,27 @@ SystemBus::wouldAcceptAtNextEdge(MasterId master, bool strongly_ordered,
     return true;
 }
 
+Tick
+SystemBus::earliestAcceptTick(MasterId master, bool strongly_ordered,
+                              bool is_write) const
+{
+    csb_assert(master < slots_.size(), "unknown master");
+    // The check at tick t examines cycle cycleAt(t) + 1, so a floor of
+    // cycle f is first met at the edge of cycle f - 1.  The response
+    // clause only ever says no, so a lower bound may ignore it.
+    std::int64_t floor = static_cast<std::int64_t>(addrNextFree_);
+    if (is_write && params_.kind == BusKind::Split)
+        floor = std::max(floor, static_cast<std::int64_t>(dataNextFree_));
+    if (strongly_ordered && params_.ackDelay != 0) {
+        floor = std::max(floor,
+                         lastOrderedAddrCycle_[master] +
+                             static_cast<std::int64_t>(params_.ackDelay));
+    }
+    if (floor <= 0)
+        return 0;
+    return clockDomain().tickOfCycle(static_cast<std::uint64_t>(floor - 1));
+}
+
 bool
 SystemBus::quiescent() const
 {
@@ -373,17 +394,76 @@ SystemBus::orderingAllows(const Request &req, std::uint64_t c) const
 }
 
 void
+SystemBus::accrueStalls(Tick until)
+{
+    orderingStallCycles +=
+        double(stallsPerCycle_) * double(takeSkippedEdges(until));
+}
+
+void
+SystemBus::settle()
+{
+    accrueStalls(sim_.curTick());
+}
+
+void
 SystemBus::tick()
 {
+    accrueStalls(sim_.curTick());
+    stallsPerCycle_ = 0;
+    std::uint64_t c = curBusCycle();
     if (quiescent()) {
         // No request, no queued response, nothing in flight: the bus
         // sleeps until a master presents a new transaction.
         gate();
         return;
     }
-    std::uint64_t c = curBusCycle();
     bool data_path_taken = tryStartResponse(c);
-    tryStartRequest(c, data_path_taken);
+    if (!tryStartRequest(c, data_path_taken) && !data_path_taken) {
+        // Nothing started, and nothing can before the tick below
+        // unless a request or a read response arrives, which wakes
+        // the bus.
+        Tick wake = nextStartTick(c);
+        if (wake == maxTick)
+            gate();
+        else
+            sleepUntil(wake);
+    }
+}
+
+Tick
+SystemBus::nextStartTick(std::uint64_t c) const
+{
+    const sim::ClockDomain &clock = clockDomain();
+    Tick wake = maxTick;
+    if (!responses_.empty()) {
+        const PendingResponse &resp = responses_.front();
+        if (resp.readyTick > sim_.curTick()) {
+            wake = resp.readyTick;
+        } else {
+            wake = clock.tickOfCycle(params_.kind == BusKind::Multiplexed
+                                         ? addrNextFree_
+                                         : dataNextFree_);
+        }
+    }
+    for (const auto &slot : slots_) {
+        if (!slot.has_value())
+            continue;
+        std::uint64_t cycle;
+        if (c < addrNextFree_) {
+            cycle = addrNextFree_;
+        } else if (!orderingAllows(*slot, c)) {
+            cycle = static_cast<std::uint64_t>(
+                lastOrderedAddrCycle_[slot->txn.master] +
+                static_cast<std::int64_t>(params_.ackDelay));
+        } else {
+            // Only a split-bus write waiting for the data path is
+            // left: nothing else stops a ready request.
+            cycle = dataNextFree_;
+        }
+        wake = std::min(wake, clock.tickOfCycle(cycle));
+    }
+    return wake;
 }
 
 bool
@@ -473,6 +553,7 @@ SystemBus::tryStartRequest(std::uint64_t c, bool data_path_taken)
         Request &req = *slots_[m];
         if (!orderingAllows(req, c)) {
             orderingStallCycles += 1;
+            ++stallsPerCycle_;
             continue;
         }
         if (req.txn.kind == TxnKind::Write) {
@@ -666,6 +747,7 @@ SystemBus::startRead(Request &req, std::uint64_t c)
             Tick latency = target->read(txn, addr_end, data);
             csb_assert(data.size() == txn.size,
                        "target returned wrong read size");
+            ungate();
             PendingResponse &resp = responses_.emplace_back();
             resp.txn = std::move(txn);
             resp.txn.kind = TxnKind::ReadResp;

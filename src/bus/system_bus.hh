@@ -179,6 +179,15 @@ class SystemBus : public sim::Clocked, public sim::stats::StatGroup
     bool wouldAcceptAtNextEdge(MasterId master, bool strongly_ordered,
                                bool is_write) const;
 
+    /**
+     * A lower bound on the first tick at which wouldAcceptAtNextEdge()
+     * can return true for these arguments.  Everything it reads only
+     * moves later as the bus runs, so a master that finds the bus
+     * busy may sleep until this tick.
+     */
+    Tick earliestAcceptTick(MasterId master, bool strongly_ordered,
+                            bool is_write) const;
+
     /** @return true when nothing is pending or in flight. */
     bool quiescent() const;
 
@@ -218,6 +227,8 @@ class SystemBus : public sim::Clocked, public sim::stats::StatGroup
     }
 
     void tick() override;
+
+    void settle() override;
 
     void debugDump(std::ostream &os) const override;
 
@@ -308,6 +319,19 @@ class SystemBus : public sim::Clocked, public sim::stats::StatGroup
 
     bool tryStartResponse(std::uint64_t c);
     bool tryStartRequest(std::uint64_t c, bool data_path_taken);
+
+    /**
+     * After a cycle @p c that started nothing: the first tick at which
+     * a pending response or request can start (maxTick: none can
+     * until new input arrives).
+     */
+    Tick nextStartTick(std::uint64_t c) const;
+
+    /**
+     * Count the ordering stalls of the cycles skipped while asleep, up
+     * to but excluding tick @p until.
+     */
+    void accrueStalls(Tick until);
     void startWrite(Request &req, std::uint64_t c);
     void startRead(Request &req, std::uint64_t c);
 
@@ -328,6 +352,12 @@ class SystemBus : public sim::Clocked, public sim::stats::StatGroup
     std::size_t lastGranted_ = 0;
     /** Transactions started but not yet completed. */
     unsigned inFlight_ = 0;
+    /**
+     * Ordering stalls counted in the last evaluated cycle.  Nothing
+     * changes while the bus sleeps, so each skipped cycle repeats
+     * them.
+     */
+    unsigned stallsPerCycle_ = 0;
     /** Optional fault injector (not owned). */
     sim::FaultInjector *injector_ = nullptr;
     /** Coherent cached masters, probed on every broadcast (not owned). */

@@ -306,6 +306,10 @@ System::run(const isa::Program &program, ProcId pid, Tick max_ticks)
                "a replay-mode system executes traces via replay(), "
                "not programs via run()");
     cores_.at(0).core->loadProgram(&program, pid);
+    // The done predicate reads component state only, so the run may
+    // jump over ticks at which nothing is due.
+    const bool fast_forward = sim_.idleFastForward();
+    sim_.setIdleFastForward(true);
     Tick end = sim_.run(
         [this] {
             for (const CoreSlice &slice : cores_) {
@@ -315,6 +319,7 @@ System::run(const isa::Program &program, ProcId pid, Tick max_ticks)
             return quiescent();
         },
         max_ticks);
+    sim_.setIdleFastForward(fast_forward);
     if (!cores_.at(0).core->halted()) {
         csb_fatal("program did not halt within ", max_ticks,
                   " ticks (deadlock or runaway loop?)");

@@ -12,6 +12,12 @@ ContextScheduler::ContextScheduler(sim::Simulator &simulator, Core &core,
 {
     csb_assert(quantum > 0, "scheduler quantum must be positive");
     simulator.registerClocked(this);
+    core_.setContextWaiter(this);
+}
+
+ContextScheduler::~ContextScheduler()
+{
+    core_.setContextWaiter(nullptr);
 }
 
 void
@@ -32,6 +38,7 @@ ContextScheduler::start()
     current_ = 0;
     sliceStart_ = sim_.curTick();
     core_.loadProgram(processes_[0].program, processes_[0].state.pid);
+    ungate();
 }
 
 bool
@@ -87,23 +94,39 @@ ContextScheduler::switchTo(int index)
 void
 ContextScheduler::tick()
 {
-    if (!started_ || core_.switchPending())
-        return;
-
+    // The scheduler sleeps until its quantum ends; the core wakes it
+    // when a HALT commits, a program loads or a switch completes.
     Tick now = sim_.curTick();
+    if (idleHalted_) {
+        sliceStart_ = now - 1;
+        idleHalted_ = false;
+    }
+    if (!started_ || core_.switchPending()) {
+        gate();
+        return;
+    }
+
     bool quantum_over = now - sliceStart_ >= quantum_;
     bool current_halted = core_.halted();
-    if (!quantum_over && !current_halted)
+    if (!quantum_over && !current_halted) {
+        sleepUntil(sliceStart_ + quantum_);
         return;
+    }
 
     int next = nextRunnable(current_);
     if (next < 0) {
         // Nothing else runnable; extend the current slice.
         sliceStart_ = now;
+        if (current_halted) {
+            idleHalted_ = true;
+            gate();
+        } else {
+            sleepUntil(now + quantum_);
+        }
         return;
     }
-    if (current_halted || quantum_over)
-        switchTo(next);
+    switchTo(next);
+    gate();
 }
 
 } // namespace csb::cpu

@@ -28,6 +28,8 @@ class ContextScheduler : public sim::Clocked, public sim::stats::StatGroup
                      std::string name = "sched",
                      sim::stats::StatGroup *stat_parent = nullptr);
 
+    ~ContextScheduler() override;
+
     /** Register a process.  Call before start(). */
     void addProcess(const isa::Program *program, ProcId pid);
 
@@ -71,6 +73,11 @@ class ContextScheduler : public sim::Clocked, public sim::stats::StatGroup
     int current_ = -1;
     Tick sliceStart_ = 0;
     bool started_ = false;
+    /**
+     * Asleep with the current process halted and none other runnable:
+     * each skipped tick would have restarted the slice.
+     */
+    bool idleHalted_ = false;
 };
 
 } // namespace csb::cpu

@@ -56,6 +56,11 @@ Core::Core(sim::Simulator &simulator, const CoreParams &params,
 {
     csb_assert(ports_.tlb && ports_.caches && ports_.ubuf && ports_.memory,
                "core is missing a memory port");
+    // The retire stage waits on exactly these two buffers' slots and
+    // drains.
+    ports_.ubuf->setWaiter(this);
+    if (ports_.csb)
+        ports_.csb->setWaiter(this);
     simulator.registerClocked(this);
 }
 
@@ -88,6 +93,8 @@ Core::loadProgram(const isa::Program *program, ProcId pid)
     fetchStallSeq_ = 0;
     switchPending_ = false;
     ++epoch_;
+    ungate();
+    wakeContextWaiter();
 }
 
 void
@@ -177,6 +184,7 @@ Core::requestContextSwitch(
     nextProgram_ = next_program;
     nextState_ = next_state;
     onSwitched_ = std::move(on_switched);
+    ungate();
 }
 
 void
@@ -195,6 +203,7 @@ Core::doSquashAndSwitch()
     contextSwitches += 1;
     sim::trace::log("cpu", "context switch to pid=", arch_.pid,
                     " pc=", arch_.pc);
+    wakeContextWaiter();
     if (onSwitched_) {
         auto cb = std::move(onSwitched_);
         onSwitched_ = nullptr;
@@ -202,21 +211,71 @@ Core::doSquashAndSwitch()
     }
 }
 
+sim::stats::Scalar &
+Core::stallCounter(Stall which)
+{
+    switch (which) {
+      case UncachedRetireStall: return uncachedRetireStallCycles;
+      case CsbStoreStall: return csbStoreStallCycles;
+      case MembarStall: return membarStallCycles;
+      case WindowFullStall: return windowFullStallCycles;
+      default: return branchFetchStallCycles;
+    }
+}
+
+void
+Core::noteStall(Stall which)
+{
+    stalls_ |= 1u << which;
+    stallCounter(which) += 1;
+    if (which == UncachedRetireStall || which == CsbStoreStall)
+        ++uncachedStallRun_;
+}
+
+void
+Core::accrueSkipped(Tick until)
+{
+    std::uint64_t cycles = takeSkippedEdges(until);
+    if (cycles == 0)
+        return;
+    numCycles += double(cycles);
+    for (unsigned which = 0; which < numStalls; ++which) {
+        if (stalls_ & (1u << which))
+            stallCounter(Stall(which)) += double(cycles);
+    }
+    if (stalls_ & ((1u << UncachedRetireStall) | (1u << CsbStoreStall)))
+        uncachedStallRun_ += unsigned(cycles);
+}
+
+void
+Core::settle()
+{
+    accrueSkipped(sim_.curTick());
+}
+
 void
 Core::tick()
 {
+    accrueSkipped(sim_.curTick());
+    stalls_ = 0;
+    worked_ = false;
+
     numCycles += 1;
     if (switchPending_) {
         // Squash only when no non-speculative head operation is in
         // flight, preserving exactly-once semantics for I/O.
-        if (window_.empty() || !window_.front().headOpStarted)
+        if (window_.empty() || !window_.front().headOpStarted) {
             doSquashAndSwitch();
+            worked_ = true;
+        }
     }
-    if (program_ == nullptr)
-        return;
-    retireStage();
-    issueStage();
-    fetchStage();
+    if (program_ != nullptr) {
+        retireStage();
+        issueStage();
+        fetchStage();
+    }
+    if (!worked_)
+        gate();
 }
 
 // ---------------------------------------------------------------------
@@ -288,6 +347,7 @@ Core::captureOperand(const RegId &reg, std::uint64_t &producer,
             value = writer->result;
         } else {
             producer = writer->seq;
+            ++writer->consumers;
             value = 0;
         }
         return;
@@ -307,7 +367,7 @@ Core::fetchStage()
     if (fetchHalted_ || program_ == nullptr)
         return;
     if (fetchStallSeq_ != 0) {
-        branchFetchStallCycles += 1;
+        noteStall(BranchFetchStall);
         return;
     }
 
@@ -315,7 +375,7 @@ Core::fetchStage()
     unsigned fetched = 0;
     while (fetched < params_.fetchWidth) {
         if (window_.size() >= params_.windowSize) {
-            windowFullStallCycles += 1;
+            noteStall(WindowFullStall);
             break;
         }
         csb_assert(fetchPc_ < program_->size(),
@@ -356,6 +416,7 @@ Core::fetchStage()
         std::uint64_t seq = di.seq;
         window_.emplace_back() = di;
         instsDispatched += 1;
+        worked_ = true;
         ++fetched;
         if (rd.valid() && !rd.isZero())
             lastWriter_[regSlot(rd)] = seq;
@@ -387,6 +448,7 @@ Core::markIssued(DynInst &inst)
 {
     inst.state = State::Issued;
     --numDispatched_;
+    worked_ = true;
 }
 
 void
@@ -396,22 +458,27 @@ Core::finishInst(DynInst &inst, std::uint64_t result)
                inst.seq);
     inst.result = result;
     inst.state = State::Done;
+    worked_ = true;
+    ungate();
 
     RegId rd = destOf(inst.inst);
     if (rd.valid() && !rd.isZero() && lastWriter_[regSlot(rd)] == inst.seq)
         spec_.writeReg(rd, result);
 
-    // Only younger instructions can consume this result.
-    for (std::size_t i = windowIndex(inst.seq) + 1; i < window_.size();
-         ++i) {
+    // Only younger instructions can consume this result, and the
+    // scan stops once every waiting operand has it.
+    for (std::size_t i = windowIndex(inst.seq) + 1;
+         inst.consumers > 0 && i < window_.size(); ++i) {
         DynInst &di = window_[i];
         if (di.src1Producer == inst.seq) {
             di.src1Producer = 0;
             di.src1Val = result;
+            --inst.consumers;
         }
         if (di.src2Producer == inst.seq) {
             di.src2Producer = 0;
             di.src2Val = result;
+            --inst.consumers;
         }
     }
 
@@ -555,6 +622,7 @@ Core::issueStage()
             Tick tlb_penalty = 0;
             mem::PageAttr attr =
                 ports_.tlb->translate(addr, arch_.pid, tlb_penalty);
+            worked_ = true;
             di.effAddr = addr;
             di.size = size;
             di.attr = attr;
@@ -622,8 +690,10 @@ Core::retireStage()
             break;
         ++retired;
     }
-    if (retired > 0)
+    if (retired > 0) {
+        worked_ = true;
         sim_.noteProgress();
+    }
 }
 
 void
@@ -635,6 +705,7 @@ Core::startHeadSwap(DynInst &head)
 
     if (head.attr == mem::PageAttr::Cached) {
         head.headOpStarted = true;
+        worked_ = true;
         recordRef(sim::TraceOp::CachedSwapStart, head.effAddr,
                   head.size, head.src2Val, head.attr,
                   sim::TraceFlagSwap);
@@ -663,6 +734,7 @@ Core::startHeadSwap(DynInst &head)
         // expected hit count; success leaves it unchanged, failure
         // returns zero.
         head.headOpStarted = true;
+        worked_ = true;
         recordRef(sim::TraceOp::CsbFlush, head.effAddr, head.size,
                   head.src2Val, head.attr, sim::TraceFlagSwap);
         bool ok = ports_.csb->conditionalFlush(arch_.pid, head.effAddr,
@@ -684,6 +756,7 @@ Core::startHeadSwap(DynInst &head)
     if (!ports_.ubuf->canAcceptLoad())
         return; // retry next cycle
     head.headOpStarted = true;
+    worked_ = true;
     recordRef(sim::TraceOp::UncachedLoad, head.effAddr, head.size, 0,
               head.attr, sim::TraceFlagSwap);
     ports_.ubuf->pushLoad(
@@ -715,6 +788,7 @@ Core::startHeadUncachedLoad(DynInst &head)
     std::uint64_t seq = head.seq;
     std::uint64_t epoch = epoch_;
     head.headOpStarted = true;
+    worked_ = true;
     recordRef(sim::TraceOp::UncachedLoad, head.effAddr, head.size, 0,
               head.attr);
     ports_.ubuf->pushLoad(
@@ -746,15 +820,13 @@ Core::commitStore(DynInst &head, unsigned &uncached_retired)
 
     // All flavours of uncached stores obey the per-cycle retire limit.
     if (uncached_retired >= params_.maxUncachedRetirePerCycle) {
-        uncachedRetireStallCycles += 1;
-        ++uncachedStallRun_;
+        noteStall(UncachedRetireStall);
         return false;
     }
 
     if (head.attr == mem::PageAttr::UncachedCombining && ports_.csb) {
         if (!ports_.csb->canAcceptStore()) {
-            csbStoreStallCycles += 1;
-            ++uncachedStallRun_;
+            noteStall(CsbStoreStall);
             return false;
         }
         recordRef(sim::TraceOp::CsbStore, head.effAddr, head.size,
@@ -768,8 +840,7 @@ Core::commitStore(DynInst &head, unsigned &uncached_retired)
     }
 
     if (!ports_.ubuf->canAcceptStore(head.effAddr, head.size)) {
-        uncachedRetireStallCycles += 1;
-        ++uncachedStallRun_;
+        noteStall(UncachedRetireStall);
         return false;
     }
     recordRef(sim::TraceOp::UncachedStore, head.effAddr, head.size,
@@ -795,7 +866,7 @@ Core::commitHead(unsigned &uncached_retired)
         // after the barrier cannot pass earlier I/O traffic.
         if (!ports_.ubuf->empty() ||
             (ports_.csb && !ports_.csb->drained())) {
-            membarStallCycles += 1;
+            noteStall(MembarStall);
             return false;
         }
         recordRef(sim::TraceOp::Membar, 0, 0, 0, mem::PageAttr::Cached);
@@ -833,6 +904,7 @@ Core::commitHead(unsigned &uncached_retired)
       case InstClass::Halt:
         arch_.halted = true;
         fetchHalted_ = true;
+        wakeContextWaiter();
         break;
 
       default:

@@ -127,6 +127,13 @@ class Core : public sim::Clocked, public sim::stats::StatGroup
     bool switchPending() const { return switchPending_; }
 
     /**
+     * Wake @p waiter whenever halted() or switchPending() may change:
+     * a HALT commits, a program loads or a switch completes.  Null
+     * detaches.
+     */
+    void setContextWaiter(sim::Clocked *waiter) { contextWaiter_ = waiter; }
+
+    /**
      * Record every data reference this core issues to the memory
      * system into @p recorder, stamped as core @p cpu_index (see
      * docs/TRACE_FORMAT.md for the record catalogue).  Null detaches.
@@ -141,6 +148,8 @@ class Core : public sim::Clocked, public sim::stats::StatGroup
     }
 
     void tick() override;
+
+    void settle() override;
 
     const CoreParams &params() const { return params_; }
 
@@ -172,6 +181,17 @@ class Core : public sim::Clocked, public sim::stats::StatGroup
   private:
     enum class State : std::uint8_t { Dispatched, Issued, Done };
 
+    /** The per-cycle stall counters. */
+    enum Stall : unsigned
+    {
+        UncachedRetireStall,
+        CsbStoreStall,
+        MembarStall,
+        WindowFullStall,
+        BranchFetchStall,
+        numStalls,
+    };
+
     struct DynInst
     {
         std::uint64_t seq = 0;
@@ -185,6 +205,8 @@ class Core : public sim::Clocked, public sim::stats::StatGroup
         std::uint64_t src2Producer = 0;
         std::uint64_t src1Val = 0;
         std::uint64_t src2Val = 0;
+        /** Operands of younger instructions still waiting on this one. */
+        unsigned consumers = 0;
 
         std::uint64_t result = 0;
 
@@ -249,6 +271,25 @@ class Core : public sim::Clocked, public sim::stats::StatGroup
 
     void doSquashAndSwitch();
 
+    /** Count one cycle of @p which in its counter and this tick's mask. */
+    void noteStall(Stall which);
+
+    sim::stats::Scalar &stallCounter(Stall which);
+
+    /**
+     * Accrue the cycles skipped while asleep, up to but excluding
+     * @p until: each repeats the tick that put the core to sleep.
+     */
+    void accrueSkipped(Tick until);
+
+    /** Wake the context waiter, if any. */
+    void
+    wakeContextWaiter()
+    {
+        if (contextWaiter_)
+            contextWaiter_->ungate();
+    }
+
     sim::Simulator &sim_;
     CoreParams params_;
     CoreMemPorts ports_;
@@ -300,6 +341,19 @@ class Core : public sim::Clocked, public sim::stats::StatGroup
     std::function<void(const ArchState &)> onSwitched_;
     /** Bumped on every squash; stale callbacks check it. */
     std::uint64_t epoch_ = 0;
+
+    // Sleep bookkeeping.  A tick that changed nothing but per-cycle
+    // stall counters puts the core to sleep: every following cycle
+    // would repeat it exactly until a completion (finishInst), a
+    // buffer slot or drain (the ubuf and CSB wake the core), a new
+    // program or a context-switch request changes its inputs.
+
+    /** Set by every tick action other than a stall count. */
+    bool worked_ = false;
+    /** Stall bits counted by the last tick (and every cycle slept). */
+    unsigned stalls_ = 0;
+    /** Woken on halted()/switchPending() changes (not owned). */
+    sim::Clocked *contextWaiter_ = nullptr;
 
     /** Optional trace capture sink (not owned); null when detached. */
     sim::TraceRecorder *traceRec_ = nullptr;

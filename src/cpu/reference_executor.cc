@@ -1,5 +1,6 @@
 #include "reference_executor.hh"
 
+#include <algorithm>
 #include <cstring>
 
 #include "sim/logging.hh"
@@ -37,6 +38,39 @@ ReferenceExecutor::addContext(const isa::Program *program, ProcId pid,
     contexts_.push_back(std::move(ctx));
 }
 
+IoImage::const_iterator
+ioLowerBound(const IoImage &image, Addr addr)
+{
+    return std::lower_bound(image.begin(), image.end(), addr,
+                            [](const auto &entry, Addr key) {
+                                return entry.first < key;
+                            });
+}
+
+void
+writeIoBytes(IoImage &image, Addr addr, const std::uint8_t *bytes,
+             std::size_t size)
+{
+    auto it = image.begin() + (ioLowerBound(image, addr) - image.begin());
+    std::size_t i = 0;
+    while (i < size) {
+        if (it != image.end() && it->first == addr + i) {
+            (it++)->second = bytes[i++];
+            continue;
+        }
+        // The bytes up to the next address already present are new:
+        // insert them as one run.
+        std::size_t run = 1;
+        while (i + run < size &&
+               (it == image.end() || addr + i + run < it->first)) {
+            ++run;
+        }
+        it = image.insert(it, run, {});
+        for (std::size_t k = 0; k < run; ++k, ++i)
+            *it++ = {addr + i, bytes[i]};
+    }
+}
+
 void
 ReferenceExecutor::run(std::uint64_t max_steps_per_context)
 {
@@ -61,8 +95,7 @@ ReferenceExecutor::foldIoWrite(Context &ctx, Addr addr, unsigned size,
     ctx.ioWrites.push_back({addr, size, bits});
     std::uint8_t bytes[8];
     std::memcpy(bytes, &bits, sizeof(bytes));
-    for (unsigned i = 0; i < size; ++i)
-        ioImage_[addr + i] = bytes[i];
+    writeIoBytes(ioImage_, addr, bytes, size);
 }
 
 void
@@ -98,13 +131,18 @@ ReferenceExecutor::csbFlush(CsbUnit &unit, ProcId pid, Addr addr,
                  (!csbModel_.checkAddress || unit.lineAddr == line);
     if (match) {
         // Issue the line: all valid bytes, plus (in full-line mode)
-        // the zero padding of the invalid ones -- exactly what the
-        // cycle model's CSB hands to the bus.
-        for (unsigned i = 0; i < csbModel_.lineBytes; ++i) {
-            if (unit.valid[i])
-                ioImage_[unit.lineAddr + i] = unit.data[i];
-            else if (!csbModel_.partialFlush)
-                ioImage_[unit.lineAddr + i] = 0;
+        // the zero padding of the invalid ones, which the data
+        // register holds as zeros -- exactly what the cycle model's
+        // CSB hands to the bus.
+        if (!csbModel_.partialFlush) {
+            writeIoBytes(ioImage_, unit.lineAddr, unit.data.data(),
+                         csbModel_.lineBytes);
+        } else {
+            for (unsigned i = 0; i < csbModel_.lineBytes; ++i) {
+                if (unit.valid[i])
+                    writeIoBytes(ioImage_, unit.lineAddr + i,
+                                 &unit.data[i], 1);
+            }
         }
         ++unit.flushesSucceeded;
     }

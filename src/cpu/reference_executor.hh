@@ -28,7 +28,7 @@
 #define CSB_CPU_REFERENCE_EXECUTOR_HH
 
 #include <cstdint>
-#include <map>
+#include <utility>
 #include <vector>
 
 #include "arch_state.hh"
@@ -47,6 +47,19 @@ struct RefIoWrite
 
     bool operator==(const RefIoWrite &) const = default;
 };
+
+/**
+ * A byte image of a sparse address space: (address, byte) pairs in
+ * ascending address order, one per address written.
+ */
+using IoImage = std::vector<std::pair<Addr, std::uint8_t>>;
+
+/** Write @p size bytes at @p addr into @p image, keeping it sorted. */
+void writeIoBytes(IoImage &image, Addr addr, const std::uint8_t *bytes,
+                  std::size_t size);
+
+/** The first entry of @p image at or above @p addr. */
+IoImage::const_iterator ioLowerBound(const IoImage &image, Addr addr);
 
 /** Functional-CSB knobs that change the observable device image. */
 struct RefCsbModel
@@ -108,7 +121,7 @@ class ReferenceExecutor
      * Compare against the cycle model's device write log folded the
      * same way.
      */
-    const std::map<Addr, std::uint8_t> &ioImage() const { return ioImage_; }
+    const IoImage &ioImage() const { return ioImage_; }
 
     /**
      * Ordered non-combining uncached writes of context @p ctx.  Under
@@ -164,7 +177,7 @@ class ReferenceExecutor
     RefCsbModel csbModel_;
     mem::PageTable pageTable_;
     mem::PhysicalMemory memory_;
-    std::map<Addr, std::uint8_t> ioImage_;
+    IoImage ioImage_;
     std::vector<CsbUnit> units_;
     std::vector<Context> contexts_;
 };

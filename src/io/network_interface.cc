@@ -389,9 +389,14 @@ NetworkInterface::tick()
     DmaJob &job = dmaQueue_.front();
     Tick now = sim_.curTick();
 
+    // Every wait below sleeps: a descriptor, a read's start or its
+    // response wakes the engine, and a wait on time sleeps until it
+    // ends.
     if (!job.startupDone) {
-        if (now < job.startTick + params_.dmaStartupTicks)
+        if (now < job.startTick + params_.dmaStartupTicks) {
+            sleepUntil(job.startTick + params_.dmaStartupTicks);
             return;
+        }
         job.startupDone = true;
     }
 
@@ -399,8 +404,14 @@ NetworkInterface::tick()
     // fetched < length, so the job cannot complete under it.
     if (!dmaRetries_.empty()) {
         DmaRetry &head = dmaRetries_.front();
-        if (now < head.earliest || !bus_.masterIdle(masterId_))
+        if (now < head.earliest) {
+            sleepUntil(head.earliest);
             return;
+        }
+        if (!bus_.masterIdle(masterId_)) {
+            gate();
+            return;
+        }
         DmaRetry redo = head;
         dmaRetries_.pop_front();
         ++job.outstanding;
@@ -422,6 +433,7 @@ NetworkInterface::tick()
     if (job.issued >= job.length ||
         job.outstanding >= params_.dmaMaxOutstanding ||
         !bus_.masterIdle(masterId_)) {
+        gate();
         return;
     }
 
@@ -448,6 +460,7 @@ NetworkInterface::issueDmaRead(Addr addr, unsigned size, unsigned offset,
          attempt](Tick when, bus::BusStatus status,
                   const std::vector<std::uint8_t> &data) {
             csb_assert(!dmaQueue_.empty(), "DMA response without a job");
+            ungate();
             DmaJob &current = dmaQueue_.front();
             csb_assert(current.outstanding > 0, "DMA response underflow");
             --current.outstanding;
@@ -474,7 +487,8 @@ NetworkInterface::issueDmaRead(Addr addr, unsigned size, unsigned offset,
             dmaRetries_.push_back(DmaRetry{
                 addr, size, offset, attempt + 1,
                 when + params_.retry.backoffFor(attempt + 1)});
-        });
+        },
+        /*on_start=*/[this](Tick) { ungate(); });
     csb_assert(accepted, "bus refused DMA read despite idle master");
 }
 

@@ -1,7 +1,6 @@
 #include "oracle.hh"
 
 #include <cstring>
-#include <map>
 #include <memory>
 #include <sstream>
 
@@ -191,6 +190,8 @@ runCase(const TestCase &tc, const RunSpec &spec,
         System system(cfg);
         if (recorder)
             system.attachTraceRecorder(recorder);
+        // Both done predicates below read component state only.
+        system.simulator().setIdleFastForward(true);
 
         std::unique_ptr<cpu::ContextScheduler> sched;
         bool done = false;
@@ -258,42 +259,49 @@ runCase(const TestCase &tc, const RunSpec &spec,
             }
         }
 
-        // Device image: fold the write log, compare with reference.
-        std::map<Addr, std::uint8_t> got_image;
+        // Device image: replay the device's write log over the
+        // reference image's addresses (the last write of a byte wins)
+        // and name the first difference in either direction.  Of the
+        // bytes the reference never wrote, the lowest is reported.
+        const cpu::IoImage &ref_image = reference.ioImage();
+        constexpr int unwritten = -1;
+        std::vector<int> got(ref_image.size(), unwritten);
+        const cpu::IoImage::value_type *unexpected = nullptr;
+        cpu::IoImage::value_type unexpected_byte;
         for (const io::DeviceWrite &w : system.device().writeLog()) {
-            for (std::size_t i = 0; i < w.data.size(); ++i)
-                got_image[w.addr + Addr(i)] = w.data[i];
+            auto ref = cpu::ioLowerBound(ref_image, w.addr);
+            for (std::size_t i = 0; i < w.data.size(); ++i) {
+                Addr addr = w.addr + Addr(i);
+                while (ref != ref_image.end() && ref->first < addr)
+                    ++ref;
+                if (ref != ref_image.end() && ref->first == addr) {
+                    got[std::size_t(ref - ref_image.begin())] = w.data[i];
+                } else if (!unexpected || addr <= unexpected->first) {
+                    unexpected_byte = {addr, w.data[i]};
+                    unexpected = &unexpected_byte;
+                }
+            }
         }
-        if (got_image != reference.ioImage()) {
-            // Name the first difference in either direction.
-            const auto &ref_image = reference.ioImage();
-            std::string detail = "device image mismatch";
-            for (const auto &[addr, byte] : ref_image) {
-                auto it = got_image.find(addr);
-                if (it == got_image.end()) {
-                    detail = "device byte " + hex(addr) +
-                             " missing (reference " +
-                             std::to_string(byte) + ")";
-                    break;
-                }
-                if (it->second != byte) {
-                    detail = "device byte " + hex(addr) + " = " +
-                             std::to_string(it->second) +
-                             ", reference " + std::to_string(byte);
-                    break;
-                }
+        std::string detail;
+        for (std::size_t k = 0; k < ref_image.size() && detail.empty();
+             ++k) {
+            const auto &[addr, byte] = ref_image[k];
+            if (got[k] == unwritten) {
+                detail = "device byte " + hex(addr) +
+                         " missing (reference " + std::to_string(byte) +
+                         ")";
+            } else if (got[k] != byte) {
+                detail = "device byte " + hex(addr) + " = " +
+                         std::to_string(got[k]) + ", reference " +
+                         std::to_string(byte);
             }
-            if (detail == "device image mismatch") {
-                for (const auto &[addr, byte] : got_image) {
-                    if (!ref_image.count(addr)) {
-                        detail = "unexpected device byte " + hex(addr) +
-                                 " = " + std::to_string(byte);
-                        break;
-                    }
-                }
-            }
+        }
+        if (detail.empty() && unexpected) {
+            detail = "unexpected device byte " + hex(unexpected->first) +
+                     " = " + std::to_string(unexpected->second);
+        }
+        if (!detail.empty())
             out.push_back({detail});
-        }
 
         // CSB exactly-once accounting, per unit.
         unsigned units = spec.mode == CtxMode::Smp

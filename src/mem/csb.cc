@@ -76,7 +76,8 @@ void
 ConditionalStoreBuffer::store(ProcId pid, Addr addr, unsigned size,
                               const void *data)
 {
-    ungate();
+    // No wake-up: tick() has nothing to do with an accumulating line
+    // until a flush hands it to the outbox.
     csb_assert(canAcceptStore(), "CSB store while all line buffers busy");
     csb_assert(size > 0 && size <= 8 && isPowerOf2(size) &&
                addr % size == 0, "bad combining store shape");
@@ -175,8 +176,31 @@ ConditionalStoreBuffer::quiescent() const
 }
 
 void
+ConditionalStoreBuffer::accrueStalls(Tick until)
+{
+    std::uint64_t skipped = takeSkippedEdges(until);
+    if (stalled_)
+        storeStallCycles += double(skipped);
+}
+
+void
+ConditionalStoreBuffer::settle()
+{
+    accrueStalls(sim_.curTick());
+}
+
+void
 ConditionalStoreBuffer::tick()
 {
+    Tick now = sim_.curTick();
+    accrueStalls(now);
+    stalled_ = !canAcceptStore();
+
+    // Every wait below sleeps: conditionalFlush(), a chunk's start or
+    // a completion it waits for wakes the CSB, and a wait on time or
+    // on the bus sleeps until the first tick that can end it.  The
+    // outbox changes only where the CSB is woken, so a full one
+    // stalls every skipped edge, which accrueStalls() counts.
     if (quiescent()) {
         // Nothing buffered and nothing in flight: no future edge can
         // do work until store()/conditionalFlush() ungate us.
@@ -184,27 +208,35 @@ ConditionalStoreBuffer::tick()
         return;
     }
 
-    if (!canAcceptStore())
+    if (stalled_)
         storeStallCycles += 1;
 
-    if (presentPending_ || !bus_.masterIdle(masterId_))
+    if (presentPending_ || !bus_.masterIdle(masterId_)) {
+        gate();
         return;
+    }
 
     // With bus faults possible, wait for the in-flight chunk's status
     // before issuing the next: a NACK discovered at completion would
     // otherwise replay behind a younger chunk, reordering the stream.
-    if (inflight_ != 0 && bus_.ordersMustSerialize())
+    if (inflight_ != 0 && bus_.ordersMustSerialize()) {
+        gate();
         return;
+    }
 
     // NACKed chunks reissue strictly before new outbox data so the
     // stream out of this port keeps its order.
     if (!retryQueue_.empty()) {
         RetryWrite &head = retryQueue_.front();
-        if (sim_.curTick() < head.earliest)
+        if (now < head.earliest) {
+            sleepUntil(head.earliest);
             return;
+        }
         if (!bus_.wouldAcceptAtNextEdge(masterId_,
                                         /*strongly_ordered=*/true,
                                         /*is_write=*/true)) {
+            sleepUntil(bus_.earliestAcceptTick(
+                masterId_, /*strongly_ordered=*/true, /*is_write=*/true));
             return;
         }
         RetryWrite redo = std::move(head);
@@ -214,13 +246,17 @@ ConditionalStoreBuffer::tick()
         return;
     }
 
-    if (outbox_.empty())
+    if (outbox_.empty()) {
+        gate();
         return;
+    }
     // Hand a line to the system interface only when the bus will take
     // it at the next edge; until then the line buffer stays occupied
     // (which is what gates following combining stores).
     if (!bus_.wouldAcceptAtNextEdge(masterId_, /*strongly_ordered=*/true,
                                     /*is_write=*/true)) {
+        sleepUntil(bus_.earliestAcceptTick(
+            masterId_, /*strongly_ordered=*/true, /*is_write=*/true));
         return;
     }
 
@@ -288,6 +324,13 @@ ConditionalStoreBuffer::issueWrite(Addr addr,
                   std::vector<std::uint8_t> &returned) {
             csb_assert(inflight_ > 0, "CSB completion underflow");
             --inflight_;
+            // Only a serialized stream or a retry waits on a
+            // completion, and the retire stage sees it only as a
+            // drain.
+            if (status != bus::BusStatus::Ok || bus_.ordersMustSerialize())
+                ungate();
+            if (status == bus::BusStatus::Ok && drained())
+                wakeWaiter();
             if (status == bus::BusStatus::Ok) {
                 if (degraded_ && ++cleanStreak_ >= params_.repromoteAfter)
                     exitDegraded(when);
@@ -321,9 +364,12 @@ ConditionalStoreBuffer::issueWrite(Addr addr,
         },
         /*on_start=*/
         [this, last_chunk, from_outbox](Tick) {
+            ungate();
             presentPending_ = false;
-            if (from_outbox && last_chunk)
+            if (from_outbox && last_chunk) {
                 outbox_.pop_front();
+                wakeWaiter();
+            }
         });
     csb_assert(accepted, "bus refused CSB request despite idle master");
     presentPending_ = true;

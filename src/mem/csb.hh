@@ -152,7 +152,16 @@ class ConditionalStoreBuffer : public sim::Clocked,
 
     void tick() override;
 
+    void settle() override;
+
     void debugDump(std::ostream &os) const override;
+
+    /**
+     * Wake @p waiter whenever a line buffer frees or an in-flight
+     * chunk completes: the only moments canAcceptStore() and
+     * drained() can turn true.  Null detaches.
+     */
+    void setWaiter(sim::Clocked *waiter) { waiter_ = waiter; }
 
     /**
      * Attach the system's fault injector (null detaches).  The only
@@ -225,6 +234,20 @@ class ConditionalStoreBuffer : public sim::Clocked,
 
     void clearAccumulator();
 
+    /**
+     * Count the store stalls of the edges skipped while asleep, up to
+     * but excluding @p until.
+     */
+    void accrueStalls(Tick until);
+
+    /** Wake the waiter, if any. */
+    void
+    wakeWaiter()
+    {
+        if (waiter_)
+            waiter_->ungate();
+    }
+
     /** Escalate to degraded mode (idempotent while degraded). */
     void enterDegraded(Tick now);
 
@@ -275,6 +298,13 @@ class ConditionalStoreBuffer : public sim::Clocked,
     std::deque<RetryWrite> retryQueue_;
     bool presentPending_ = false;
     unsigned inflight_ = 0;
+    /** Woken when a line buffer frees or a chunk completes. */
+    sim::Clocked *waiter_ = nullptr;
+    /**
+     * The outbox was full at the last evaluated edge, so every edge
+     * slept through since then counts a store stall.
+     */
+    bool stalled_ = false;
 
     // Degraded-mode (PIO fallback) state, docs/FAULTS.md.
     bool degraded_ = false;

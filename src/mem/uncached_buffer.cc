@@ -95,7 +95,10 @@ UncachedBuffer::canAcceptLoad() const
 void
 UncachedBuffer::pushStore(Addr addr, unsigned size, const void *data)
 {
-    ungate();
+    // Only a new head entry changes what tick() does: it never looks
+    // past the head.
+    if (entries_.empty())
+        ungate();
     csb_assert(size > 0 && size <= 8 && isPowerOf2(size),
                "bad uncached store size ", size);
     csb_assert(addr % size == 0, "misaligned uncached store");
@@ -143,7 +146,8 @@ UncachedBuffer::pushStore(Addr addr, unsigned size, const void *data)
 void
 UncachedBuffer::pushLoad(Addr addr, unsigned size, UncachedLoadCallback done)
 {
-    ungate();
+    if (entries_.empty())
+        ungate();
     csb_assert(canAcceptLoad(), "pushLoad without capacity");
     csb_assert(size > 0 && isPowerOf2(size) && addr % size == 0,
                "bad uncached load shape");
@@ -173,26 +177,37 @@ UncachedBuffer::tick()
         return;
     }
 
+    // Every wait below sleeps: a new head entry, a transaction's start
+    // or a completion it waits for wakes the buffer, and a wait on
+    // time or on the bus sleeps until the first tick that can end it.
+
     // With bus faults possible, the status of an in-flight access must
     // come back before the next one may issue: a NACK discovered at
     // completion would otherwise replay behind a younger neighbour,
     // reordering this port's strongly-ordered stream.
     if ((inflightStores_ != 0 || inflightLoads_ != 0) &&
         bus_.ordersMustSerialize()) {
+        gate();
         return;
     }
 
     // NACKed transactions reissue strictly before queued entries so
     // the port's access order is preserved.
     if (!retries_.empty()) {
-        if (retryPresentPending_ || !bus_.masterIdle(masterId_))
+        if (retryPresentPending_ || !bus_.masterIdle(masterId_)) {
+            gate();
             return;
+        }
         PendingRetry &head = retries_.front();
-        if (sim_.curTick() < head.earliest)
+        if (sim_.curTick() < head.earliest) {
+            sleepUntil(head.earliest);
             return;
+        }
         if (!bus_.wouldAcceptAtNextEdge(masterId_,
                                         /*strongly_ordered=*/true,
                                         head.isWrite)) {
+            sleepUntil(bus_.earliestAcceptTick(
+                masterId_, /*strongly_ordered=*/true, head.isWrite));
             return;
         }
         PendingRetry redo = std::move(head);
@@ -201,15 +216,22 @@ UncachedBuffer::tick()
         return;
     }
 
-    if (entries_.empty())
+    if (entries_.empty()) {
+        gate();
         return;
+    }
     Entry &head = entries_.front();
-    if (head.presentPending || !bus_.masterIdle(masterId_))
+    if (head.presentPending || !bus_.masterIdle(masterId_)) {
+        gate();
         return;
+    }
     // Keep the head entry open (combining) until the bus can actually
     // take its transaction at the next edge.
+    const bool is_store = head.kind == Kind::Store;
     if (!bus_.wouldAcceptAtNextEdge(masterId_, /*strongly_ordered=*/true,
-                                    head.kind == Kind::Store)) {
+                                    is_store)) {
+        sleepUntil(bus_.earliestAcceptTick(
+            masterId_, /*strongly_ordered=*/true, is_store));
         return;
     }
     if (head.kind == Kind::Store) {
@@ -267,10 +289,13 @@ UncachedBuffer::presentHeadStore()
             handleWriteStatus(addr, payload, /*attempt=*/0, when, status);
         },
         /*on_start=*/[this](Tick) {
+            ungate();
             Entry &started = entries_.front();
             started.presentPending = false;
-            if (started.lastPresented)
+            if (started.lastPresented) {
                 entries_.pop_front();
+                wakeWaiter();
+            }
         });
     csb_assert(accepted, "bus refused request despite idle master");
 
@@ -294,7 +319,9 @@ UncachedBuffer::presentHeadLoad()
                              status, data);
         },
         /*on_start=*/[this](Tick) {
+            ungate();
             entries_.pop_front();
+            wakeWaiter();
         });
     csb_assert(accepted, "bus refused request despite idle master");
     head.presentPending = true;
@@ -315,7 +342,10 @@ UncachedBuffer::issueRetry(PendingRetry redo)
                                      std::vector<std::uint8_t> &payload) {
                 handleWriteStatus(addr, payload, attempt, when, status);
             },
-            /*on_start=*/[this](Tick) { retryPresentPending_ = false; });
+            /*on_start=*/[this](Tick) {
+                ungate();
+                retryPresentPending_ = false;
+            });
         csb_assert(accepted, "bus refused retry despite idle master");
         ++inflightStores_;
     } else {
@@ -329,11 +359,25 @@ UncachedBuffer::issueRetry(PendingRetry redo)
                 handleReadStatus(addr, size, done, attempt, when, status,
                                  data);
             },
-            /*on_start=*/[this](Tick) { retryPresentPending_ = false; });
+            /*on_start=*/[this](Tick) {
+                ungate();
+                retryPresentPending_ = false;
+            });
         csb_assert(accepted, "bus refused retry despite idle master");
         ++inflightLoads_;
     }
     retryPresentPending_ = true;
+}
+
+void
+UncachedBuffer::noteCompletion(bus::BusStatus status)
+{
+    // Only a serialized stream or a retry waits on a completion, and
+    // the retire stage sees it only when the buffer drains.
+    if (status != bus::BusStatus::Ok || bus_.ordersMustSerialize())
+        ungate();
+    if (status == bus::BusStatus::Ok && empty())
+        wakeWaiter();
 }
 
 void
@@ -344,6 +388,7 @@ UncachedBuffer::handleWriteStatus(Addr addr,
 {
     csb_assert(inflightStores_ > 0, "store completion underflow");
     --inflightStores_;
+    noteCompletion(status);
     if (status == bus::BusStatus::Ok)
         return;
     if (status == bus::BusStatus::Error) {
@@ -375,6 +420,7 @@ UncachedBuffer::handleReadStatus(Addr addr, unsigned size,
 {
     csb_assert(inflightLoads_ > 0, "load completion underflow");
     --inflightLoads_;
+    noteCompletion(status);
     if (status == bus::BusStatus::Ok) {
         if (done)
             done(when, data);

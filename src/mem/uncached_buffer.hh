@@ -116,6 +116,13 @@ class UncachedBuffer : public sim::Clocked, public sim::stats::StatGroup
      */
     bool empty() const;
 
+    /**
+     * Wake @p waiter whenever an entry leaves or an in-flight access
+     * completes: the only moments canAcceptStore(), canAcceptLoad()
+     * and empty() can turn true.  Null detaches.
+     */
+    void setWaiter(sim::Clocked *waiter) { waiter_ = waiter; }
+
     /** Number of queued entries (tests / debugging). */
     std::size_t depth() const { return entries_.size(); }
 
@@ -207,6 +214,17 @@ class UncachedBuffer : public sim::Clocked, public sim::stats::StatGroup
      */
     Chunk nextChunk(const Entry &entry) const;
 
+    /** Wake the waiter, if any. */
+    void
+    wakeWaiter()
+    {
+        if (waiter_)
+            waiter_->ungate();
+    }
+
+    /** Wake-ups owed to an in-flight access completing. */
+    void noteCompletion(bus::BusStatus status);
+
     void presentHeadStore();
     void presentHeadLoad();
     void issueRetry(PendingRetry redo);
@@ -242,6 +260,8 @@ class UncachedBuffer : public sim::Clocked, public sim::stats::StatGroup
     unsigned inflightStores_ = 0;
     /** Read transactions started but not completed. */
     unsigned inflightLoads_ = 0;
+    /** Woken when space or a drain appears (not owned). */
+    sim::Clocked *waiter_ = nullptr;
 };
 
 } // namespace csb::mem

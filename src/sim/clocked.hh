@@ -64,7 +64,7 @@ class ClockDomain
     {
         if (tick <= phase_)
             return phase_;
-        return phase_ + roundUp(tick - phase_, period_);
+        return phase_ + divCeil(tick - phase_, period_) * period_;
     }
 
   private:
@@ -80,11 +80,18 @@ class ClockDomain
  * (bus, memory) use lower values than producers (CPU) so that a value
  * produced in cycle N is consumed no earlier than cycle N+1.
  *
- * A quiescent component may gate() its clock: the simulator stops
- * evaluating it (and fast-forwards over event-free spans once every
- * registered component is gated).  The component must ungate() at
- * every point where work can arrive -- gating is purely an
- * optimisation and must never change simulated behaviour.
+ * Each component holds one wake tick: the next edge at which the
+ * simulator evaluates it.  After every tick() it defaults to the
+ * following edge.  A component that can prove it has nothing to do
+ * before some later tick sleeps: gate() ("never, until woken") or
+ * sleepUntil(t) ("the first edge at or after t").  Anything that
+ * hands it work calls ungate(), which makes it due at the next edge
+ * it has not been evaluated on.  The simulator jumps over ticks at
+ * which no event fires and no component is due.  Sleeping is purely
+ * an optimisation and must never change simulated behaviour: a
+ * component wakes at every point where work can arrive, and one that
+ * keeps per-cycle counters accrues the skipped edges in bulk when it
+ * wakes and in settle().
  */
 class Clocked
 {
@@ -98,8 +105,23 @@ class Clocked
     /** Called on every edge of the object's clock domain. */
     virtual void tick() = 0;
 
-    /** @return true while the clock is gated off (tick() suppressed). */
-    bool gated() const { return gated_; }
+    /** @return true while gated off until an ungate(). */
+    bool gated() const { return wakeTick_ == maxTick; }
+
+    /**
+     * Make the object due at its next edge (idempotent; wakes a
+     * sleeper early).  No-op before registration with a Simulator.
+     */
+    void ungate();
+
+    /**
+     * Bring per-cycle counters up to date with the edges skipped
+     * while asleep, up to but excluding curTick().  The simulator
+     * calls it on every component before run()/runFor() return, so
+     * stats read between runs are exact.  The default has nothing to
+     * accrue.
+     */
+    virtual void settle() {}
 
     /**
      * One-line description of internal state for the watchdog's
@@ -121,8 +143,21 @@ class Clocked
      */
     void gate();
 
-    /** Resume clock evaluation (idempotent). */
-    void ungate();
+    /**
+     * Skip evaluation until the first edge at or after @p when.  Call
+     * only when no edge before @p when can do work absent new input;
+     * ungate() still wakes the object early.
+     */
+    void sleepUntil(Tick when);
+
+    /**
+     * The edges before @p until that this object slept through and
+     * that no earlier call counted; a component with per-cycle
+     * counters adds that many repeats of the tick that put it to
+     * sleep.  tick() passes curTick() (the edge being evaluated is
+     * not skipped), settle() too.
+     */
+    std::uint64_t takeSkippedEdges(Tick until);
 
   private:
     friend class Simulator;
@@ -131,7 +166,13 @@ class Clocked
     ClockDomain domain_;
     int evalOrder_;
     Simulator *sim_ = nullptr;
-    bool gated_ = false;
+    /**
+     * Evaluation due at this edge; maxTick while gated.  A wake tick
+     * the simulator already passed means the next edge.
+     */
+    Tick wakeTick_ = 0;
+    /** Every edge before this tick is evaluated or counted. */
+    Tick accounted_ = 0;
 };
 
 } // namespace csb::sim

@@ -22,7 +22,8 @@ constexpr std::size_t compactMinHeapSize = 64;
 void
 detail::FuncEvent::process()
 {
-    state->done = true;
+    if (state)
+        state->done = true;
     fn();
     // Release the closure's captures now rather than at recycling.
     fn = nullptr;
@@ -118,9 +119,9 @@ EventQueue::acquireFunc(int priority)
 EventHandle
 EventQueue::armFunc(detail::FuncEvent *ev, Tick when)
 {
-    // Reuse the attached handle state only when no old handle still
-    // references it; otherwise that handle would observe this event.
-    if (!ev->state || ev->state.use_count() != 1)
+    // recycleFunc() keeps handle state only while no handle refers to
+    // it, so what is attached here is free to reuse.
+    if (!ev->state)
         ev->state = std::make_shared<detail::FuncEventState>();
     ev->state->event = ev;
     ev->state->done = false;
@@ -148,6 +149,9 @@ EventQueue::recycleFunc(Event *event)
     if (fe->state) {
         fe->state->done = true;
         fe->state->event = nullptr;
+        // A handle still holds it: the next use must not share it.
+        if (fe->state.use_count() != 1)
+            fe->state.reset();
     }
     funcPool_.push_back(fe);
 }

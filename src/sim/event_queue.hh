@@ -4,7 +4,8 @@
  *
  * Two usage styles are supported:
  *  - subclassing Event and overriding process(), gem5 style;
- *  - scheduling a closure via EventQueue::scheduleFunc(), which
+ *  - scheduling a closure via EventQueue::scheduleFunc()
+ *    (fire-and-forget) or EventQueue::scheduleCancellable(), which
  *    returns a handle that can cancel the callback.
  *
  * Events at the same tick fire in (priority, insertion-order) order,
@@ -17,12 +18,13 @@
  *  - cancellation is lazy (stale heap entries are detected by sequence
  *    mismatch), but the heap is compacted eagerly once stale entries
  *    outnumber live ones, bounding memory under cancel-heavy churn;
- *  - scheduleFunc() recycles its one-shot events and their handle
- *    state through a free list, and stores each closure inline in its
- *    pooled event (up to funcEventCapacity bytes, enforced by a
- *    static_assert; there is no heap fallback), so once the pool is
- *    warm scheduling a callback allocates nothing.  Only a handle kept
- *    alive past its event's firing forces fresh handle state.
+ *  - scheduleFunc() recycles its one-shot events through a free list
+ *    and stores each closure inline in its pooled event (up to
+ *    funcEventCapacity bytes, enforced by a static_assert; there is no
+ *    heap fallback), so once the pool is warm scheduling a callback
+ *    allocates nothing.  A fire-and-forget event carries no handle
+ *    state at all; scheduleCancellable() attaches it, reusing the
+ *    block unless a handle kept it alive past its event.
  */
 
 #ifndef CSB_SIM_EVENT_QUEUE_HH
@@ -118,14 +120,15 @@ class FuncEvent final : public Event
     std::string name() const override { return "func-event"; }
 
     InlineFunction<void(), funcEventCapacity> fn;
+    /** Handle state; unused (possibly null) when fire-and-forget. */
     std::shared_ptr<FuncEventState> state;
 };
 
 } // namespace detail
 
 /**
- * Handle returned by scheduleFunc(); safe to use after the event fired
- * and after the owning queue was destroyed.
+ * Handle returned by scheduleCancellable(); safe to use after the
+ * event fired and after the owning queue was destroyed.
  */
 class EventHandle
 {
@@ -175,20 +178,27 @@ class EventQueue
     void reschedule(Event *event, Tick when);
 
     /**
-     * Schedule a one-shot callback at absolute tick @p when.
-     * The closure is stored inline in a pooled event; it must fit in
-     * funcEventCapacity bytes.  The returned handle may be used to
-     * cancel it.
+     * Schedule a one-shot callback at absolute tick @p when; it cannot
+     * be cancelled.  The closure is stored inline in a pooled event;
+     * it must fit in funcEventCapacity bytes.
+     */
+    template <typename F>
+    void
+    scheduleFunc(Tick when, F &&fn, int priority = Event::DefaultPri)
+    {
+        schedule(makeFunc(std::forward<F>(fn), priority), when);
+    }
+
+    /**
+     * scheduleFunc() plus a handle that can cancel the callback.  The
+     * handle costs shared state, so only callers that cancel use it.
      */
     template <typename F>
     EventHandle
-    scheduleFunc(Tick when, F &&fn, int priority = Event::DefaultPri)
+    scheduleCancellable(Tick when, F &&fn,
+                        int priority = Event::DefaultPri)
     {
-        static_assert(sizeof(std::decay_t<F>) <= funcEventCapacity,
-                      "scheduleFunc closure exceeds funcEventCapacity");
-        detail::FuncEvent *ev = acquireFunc(priority);
-        ev->fn = std::forward<F>(fn);
-        return armFunc(ev, when);
+        return armFunc(makeFunc(std::forward<F>(fn), priority), when);
     }
 
     /** @return true when no events are pending.  O(1). */
@@ -283,6 +293,18 @@ class EventQueue
 
     /** Take a one-shot event off the free list (or make one). */
     detail::FuncEvent *acquireFunc(int priority);
+
+    /** A pooled one-shot event holding @p fn, not yet scheduled. */
+    template <typename F>
+    detail::FuncEvent *
+    makeFunc(F &&fn, int priority)
+    {
+        static_assert(sizeof(std::decay_t<F>) <= funcEventCapacity,
+                      "scheduleFunc closure exceeds funcEventCapacity");
+        detail::FuncEvent *ev = acquireFunc(priority);
+        ev->fn = std::forward<F>(fn);
+        return ev;
+    }
 
     /** Attach handle state to @p ev and schedule it at @p when. */
     EventHandle armFunc(detail::FuncEvent *ev, Tick when);

@@ -25,34 +25,39 @@ Simulator::~Simulator()
 void
 Clocked::gate()
 {
-    if (gated_ || !sim_)
-        return;
-    gated_ = true;
-    sim_->noteGated();
+    if (sim_)
+        wakeTick_ = maxTick;
 }
 
 void
 Clocked::ungate()
 {
-    if (!gated_)
+    if (!sim_)
         return;
-    gated_ = false;
-    if (sim_)
-        sim_->noteUngated();
+    Tick edge = domain_.nextEdgeAt(sim_->curTick());
+    if (edge < wakeTick_) {
+        wakeTick_ = edge;
+        sim_->noteWake(edge);
+    }
 }
 
 void
-Simulator::noteGated()
+Clocked::sleepUntil(Tick when)
 {
-    ++gatedCount_;
-    csb_assert(gatedCount_ <= clocked_.size(), "gated-count overflow");
+    if (!sim_)
+        return;
+    wakeTick_ = domain_.nextEdgeAt(std::max(when, sim_->curTick()));
+    sim_->noteWake(wakeTick_);
 }
 
-void
-Simulator::noteUngated()
+std::uint64_t
+Clocked::takeSkippedEdges(Tick until)
 {
-    csb_assert(gatedCount_ > 0, "gated-count underflow");
-    --gatedCount_;
+    Tick first = domain_.nextEdgeAt(accounted_);
+    accounted_ = std::max(accounted_, until);
+    if (first >= until)
+        return 0;
+    return (until - 1 - first) / domain_.period() + 1;
 }
 
 void
@@ -63,6 +68,17 @@ Simulator::registerClocked(Clocked *obj)
     obj->sim_ = this;
     clocked_.push_back(obj);
     order_dirty_ = true;
+    obj->wakeTick_ = maxTick;
+    obj->accounted_ = curTick();
+    obj->ungate();
+}
+
+std::size_t
+Simulator::numGated() const
+{
+    return std::size_t(std::count_if(
+        clocked_.begin(), clocked_.end(),
+        [](const Clocked *obj) { return obj->gated(); }));
 }
 
 void
@@ -78,9 +94,23 @@ Simulator::stepOne()
 
     Tick now = events_.curTick();
     events_.serviceUntil(now);
+    nextWake_ = maxTick;
     for (Clocked *obj : clocked_) {
-        if (!obj->gated_ && obj->clockDomain().isEdge(now))
-            obj->tick();
+        if (obj->wakeTick_ <= now) {
+            const ClockDomain &domain = obj->clockDomain();
+            // Wake ticks are edges.  One already passed -- set after
+            // the object's evaluation at that tick, or left behind by
+            // a checkpoint restore's jump of time -- means the next
+            // edge, as with per-tick evaluation.
+            if (obj->wakeTick_ == now || domain.isEdge(now)) {
+                obj->wakeTick_ = now + domain.period();
+                obj->tick();
+                obj->accounted_ = now + 1;
+            } else {
+                obj->wakeTick_ = domain.nextEdgeAt(now);
+            }
+        }
+        nextWake_ = std::min(nextWake_, obj->wakeTick_);
     }
     events_.serviceUntil(now + 1);
 }
@@ -88,14 +118,12 @@ Simulator::stepOne()
 Tick
 Simulator::quiescentJump(Tick budget_left) const
 {
-    // Only safe when nothing can change state between events: every
-    // clocked component has gated itself off (trivially true for a
-    // purely event-driven simulation with no clocked components).
-    if (gatedCount_ != clocked_.size() || budget_left == 0)
-        return 0;
     Tick now = events_.curTick();
+    if (nextWake_ <= now || budget_left == 0)
+        return 0;
     // Land one tick short of the next event so stepOne()'s trailing
-    // serviceUntil fires it exactly as per-tick stepping would.
+    // serviceUntil fires it exactly as per-tick stepping would, or on
+    // the earliest wake tick so that component is evaluated there.
     Tick jump = budget_left - 1;
     if (watchdogWindow_) {
         // Do not jump past the watchdog deadline; run() re-checks it
@@ -111,7 +139,16 @@ Simulator::quiescentJump(Tick budget_left) const
         return 0;
     if (next != maxTick)
         jump = std::min(jump, next - 1 - now);
+    if (nextWake_ != maxTick)
+        jump = std::min(jump, nextWake_ - now);
     return jump;
+}
+
+void
+Simulator::settleAll()
+{
+    for (Clocked *obj : clocked_)
+        obj->settle();
 }
 
 Tick
@@ -120,8 +157,10 @@ Simulator::run(const std::function<bool()> &done, Tick max_ticks)
     Tick start = curTick();
     lastProgressTick_ = std::max(lastProgressTick_, start);
     while (curTick() - start < max_ticks) {
-        if (done())
+        if (done()) {
+            settleAll();
             return curTick();
+        }
         if (watchdogWindow_ &&
             curTick() - lastProgressTick_ >= watchdogWindow_) {
             watchdogFire(start);
@@ -143,6 +182,7 @@ Simulator::run(const std::function<bool()> &done, Tick max_ticks)
                  " with the workload unfinished (deadlock or "
                  "undersized budget)");
     }
+    settleAll();
     return curTick();
 }
 
@@ -181,6 +221,7 @@ Simulator::runFor(Tick n)
         }
         stepOne();
     }
+    settleAll();
     return curTick();
 }
 

@@ -7,6 +7,7 @@
 #ifndef CSB_SIM_SIMULATOR_HH
 #define CSB_SIM_SIMULATOR_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -19,8 +20,8 @@ namespace csb::sim {
 
 /**
  * Owns simulated time.  Each tick: first all events scheduled for the
- * tick fire, then every registered Clocked object whose domain has an
- * edge at the tick is evaluated in evalOrder.
+ * tick fire, then every registered Clocked object whose wake tick has
+ * come is evaluated in evalOrder.
  */
 class Simulator
 {
@@ -47,7 +48,7 @@ class Simulator
      */
     Tick run(const std::function<bool()> &done, Tick max_ticks = 10'000'000);
 
-    /** Run for exactly @p n ticks. */
+    /** Run for exactly @p n ticks (always fast-forwards). */
     Tick runFor(Tick n);
 
     /** Advance a single tick (events then clocked evaluation). */
@@ -57,22 +58,22 @@ class Simulator
     std::size_t numClocked() const { return clocked_.size(); }
 
     /** Number of registered Clocked objects currently clock-gated. */
-    std::size_t numGated() const { return gatedCount_; }
+    std::size_t numGated() const;
 
     /**
-     * Ticks skipped by the quiescent-system fast-forward: when every
-     * registered component is gated, run()/runFor() jump straight to
-     * the next event instead of stepping empty ticks one by one.
+     * Ticks skipped by the idle fast-forward: when no event fires and
+     * no component is due, run()/runFor() jump straight to the next
+     * event or wake tick instead of stepping empty ticks one by one.
      */
     std::uint64_t fastForwardedTicks() const { return fastForwardedTicks_; }
 
     /**
-     * Allow run() to fast-forward over quiescent spans.  Off by
-     * default because run()'s contract is to evaluate the done
-     * predicate at every tick: only enable it when the predicate
-     * depends solely on component/event state, not on curTick().
-     * runFor() always fast-forwards -- with no predicate to consult,
-     * skipping ticks nothing would act on is unobservable.
+     * Allow run() to fast-forward over idle spans.  Off by default
+     * because run()'s contract is to evaluate the done predicate at
+     * every tick: only enable it when the predicate depends solely on
+     * component/event state, not on curTick().  runFor() always
+     * fast-forwards -- with no predicate to consult, skipping ticks
+     * nothing would act on is unobservable.
      */
     void setIdleFastForward(bool enable) { idleFastForward_ = enable; }
 
@@ -114,6 +115,10 @@ class Simulator
                    "restoreTick with events pending");
         events_.advanceTo(when);
         lastProgressTick_ = when;
+        // The jumped-over edges were never simulated, not slept
+        // through.
+        for (Clocked *obj : clocked_)
+            obj->accounted_ = when;
     }
 
   private:
@@ -121,24 +126,29 @@ class Simulator
 
     [[noreturn]] void watchdogFire(Tick start);
 
-    void noteGated();
-    void noteUngated();
+    /** A component became due at @p when. */
+    void noteWake(Tick when) { nextWake_ = std::min(nextWake_, when); }
 
     /**
-     * When the whole system is quiescent, @return how many ticks
-     * beyond curTick() can be skipped without changing behaviour
-     * (clamped to @p budget_left ticks remaining and the watchdog
-     * deadline); 0 when stepping must proceed tick by tick.
+     * @return how many ticks beyond curTick() can be skipped without
+     * changing behaviour: up to the tick before the next event or the
+     * earliest component wake tick, clamped to @p budget_left ticks
+     * remaining and the watchdog deadline; 0 when the current tick
+     * has work.
      */
     Tick quiescentJump(Tick budget_left) const;
+
+    /** Call settle() on every component (end of run()/runFor()). */
+    void settleAll();
 
     EventQueue events_;
     std::vector<Clocked *> clocked_;
     bool order_dirty_ = false;
+    /** No component is due before this tick (a lower bound). */
+    Tick nextWake_ = 0;
     Tick watchdogWindow_ = 0;
     Tick lastProgressTick_ = 0;
     std::uint64_t tickLimitHits_ = 0;
-    std::size_t gatedCount_ = 0;
     std::uint64_t fastForwardedTicks_ = 0;
     bool idleFastForward_ = false;
 };

@@ -29,6 +29,7 @@
 #include "core/experiments.hh"
 #include "core/kernels.hh"
 #include "core/system.hh"
+#include "sim/event_queue.hh"
 
 namespace {
 
@@ -209,6 +210,27 @@ INSTANTIATE_TEST_SUITE_P(
                                                         : "NoCombine") +
                std::to_string(std::get<1>(info.param));
     });
+
+TEST(AllocCounter, FireAndForgetCallbackCarriesNoHandleState)
+{
+    // On a fresh queue a callback costs its pooled event and a heap
+    // slot; only the cancellable form adds shared handle state.
+    auto count = [](bool cancellable) {
+        sim::EventQueue q;
+        allocations = 0;
+        counting = true;
+        if (cancellable)
+            q.scheduleCancellable(5, [] {});
+        else
+            q.scheduleFunc(5, [] {});
+        counting = false;
+        q.serviceUntil(5);
+        return allocations;
+    };
+    const std::uint64_t plain = count(false);
+    EXPECT_EQ(plain, 2u);
+    EXPECT_EQ(count(true), plain + 1);
+}
 
 TEST(AllocCounter, CountsHeapAllocations)
 {

@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for component clock gating and the quiescent-system
- * fast-forward in the Simulator.
+ * Tests for component clock gating, wake ticks (sleepUntil) and the
+ * idle fast-forward in the Simulator.
  */
 
 #include <gtest/gtest.h>
@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "sim/clocked.hh"
+#include "sim/logging.hh"
 #include "sim/simulator.hh"
 
 namespace {
@@ -186,6 +187,141 @@ TEST(ClockGating, WatchdogStillFiresAcrossFastForward)
                  csb::FatalError);
     EXPECT_LE(sim.curTick(), 2'000u)
         << "fast-forward must not overshoot the watchdog deadline";
+}
+
+/**
+ * A device that, on every tick it runs, records the tick and then
+ * sleeps until the next entry of its wake plan (gates when the plan
+ * is used up).
+ */
+class SleepyDevice : public Clocked
+{
+  public:
+    SleepyDevice(Simulator *sim, std::vector<Tick> plan, Tick period = 1)
+        : Clocked("sleepy_dev", ClockDomain(period)), sim_(sim),
+          plan_(std::move(plan))
+    {}
+
+    void
+    tick() override
+    {
+        ranAt_.push_back(sim_->curTick());
+        if (next_ < plan_.size())
+            sleepUntil(plan_[next_++]);
+        else
+            gate();
+    }
+
+    const std::vector<Tick> &ranAt() const { return ranAt_; }
+
+  private:
+    Simulator *sim_;
+    std::vector<Tick> plan_;
+    std::size_t next_ = 0;
+    std::vector<Tick> ranAt_;
+};
+
+TEST(ClockGating, SleeperTicksFirstAtItsWakeTick)
+{
+    Simulator sim;
+    SleepyDevice dev(&sim, {40, 41, 1000});
+    sim.registerClocked(&dev);
+    sim.runFor(2000);
+    EXPECT_EQ(dev.ranAt(), (std::vector<Tick>{0, 40, 41, 1000}));
+    EXPECT_TRUE(dev.gated());
+}
+
+TEST(ClockGating, SleepUntilOffEdgeWakesAtTheNextEdge)
+{
+    // Period-6 domain: edges at 0, 6, 12, ...  A wake tick between
+    // edges means the first edge at or after it; one in the past
+    // means the next edge not yet evaluated.
+    Simulator sim;
+    SleepyDevice dev(&sim, {13, 18, 2, 100}, 6);
+    sim.registerClocked(&dev);
+    sim.runFor(200);
+    EXPECT_EQ(dev.ranAt(), (std::vector<Tick>{0, 18, 24, 30, 102}));
+    EXPECT_TRUE(dev.gated());
+}
+
+TEST(ClockGating, UngateBeforeWakeTickWakesAtTheCurrentTick)
+{
+    Simulator sim;
+    SleepyDevice dev(&sim, {5'000});
+    sim.registerClocked(&dev);
+    // Events fire before the clocked phase of their tick, so the
+    // early wake-up is evaluated at the event's own tick.
+    sim.eventQueue().scheduleFunc(700, [&dev] { dev.ungate(); });
+    sim.runFor(10'000);
+    EXPECT_EQ(dev.ranAt(), (std::vector<Tick>{0, 700}));
+}
+
+TEST(ClockGating, UngateAfterTheClockedPhaseWakesAtTheNextEdge)
+{
+    // A wake-up issued once the device was already evaluated at this
+    // tick (by a later component) lands on its next edge.
+    class Waker : public Clocked
+    {
+      public:
+        Waker(Simulator *sim, Clocked &target)
+            : Clocked("waker", ClockDomain(1), /*eval_order=*/1),
+              sim_(sim), target_(target)
+        {}
+        void
+        tick() override
+        {
+            if (sim_->curTick() == 9)
+                target_.ungate();
+        }
+
+      private:
+        Simulator *sim_;
+        Clocked &target_;
+    };
+    Simulator sim;
+    SleepyDevice dev(&sim, {9, 500}, 3);
+    Waker waker(&sim, dev);
+    sim.registerClocked(&dev);
+    sim.registerClocked(&waker);
+    sim.runFor(100);
+    EXPECT_EQ(dev.ranAt(), (std::vector<Tick>{0, 9, 12}));
+}
+
+TEST(ClockGating, JumpLandsOnWakeTicksAndEvents)
+{
+    Simulator sim;
+    SleepyDevice dev(&sim, {3'000, 9'000});
+    sim.registerClocked(&dev);
+    std::vector<Tick> fired;
+    sim.eventQueue().scheduleFunc(6'000, [&] {
+        fired.push_back(sim.curTick());
+    });
+    sim.setIdleFastForward(true);
+    sim.run([] { return false; }, 10'000);
+    EXPECT_EQ(dev.ranAt(), (std::vector<Tick>{0, 3'000, 9'000}));
+    EXPECT_EQ(fired, (std::vector<Tick>{6'000}));
+    // Only the ticks carrying work (and the tick before the event)
+    // were stepped.
+    EXPECT_GT(sim.fastForwardedTicks(), 9'990u);
+}
+
+TEST(ClockGating, WatchdogFiresAtTheSameTickWithSleepers)
+{
+    // A sleeper that never notes progress: the watchdog must fire at
+    // the identical tick whether or not idle ticks are jumped.
+    auto fire_tick = [](bool fast_forward) {
+        Simulator sim;
+        SleepyDevice dev(&sim, {250, 600, 1'700, 2'900});
+        sim.registerClocked(&dev);
+        sim.setIdleFastForward(fast_forward);
+        sim.setWatchdog(1'000);
+        EXPECT_THROW(sim.run([] { return false; }, 100'000),
+                     csb::FatalError);
+        return sim.curTick();
+    };
+    Tick stepped = fire_tick(false);
+    EXPECT_EQ(fire_tick(true), stepped);
+    EXPECT_EQ(stepped, 1'000u);
 }
 
 } // namespace

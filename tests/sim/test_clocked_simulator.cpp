@@ -32,6 +32,10 @@ TEST(ClockDomain, EdgesAndCycles)
     EXPECT_EQ(slow.cycleAt(6), 1u);
     EXPECT_EQ(slow.cycleAt(35), 5u);
     EXPECT_EQ(slow.tickOfCycle(3), 18u);
+    // Periods need not be powers of two.
+    EXPECT_EQ(slow.nextEdgeAt(7), 12u);
+    EXPECT_EQ(slow.nextEdgeAt(12), 12u);
+    EXPECT_EQ(ClockDomain(10).nextEdgeAt(26), 30u);
 }
 
 TEST(ClockDomain, PhaseShiftsEdges)

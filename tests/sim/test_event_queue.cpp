@@ -78,7 +78,7 @@ TEST(EventQueue, CancelPreventsFiring)
 {
     EventQueue q;
     int fired = 0;
-    EventHandle handle = q.scheduleFunc(5, [&] { ++fired; });
+    EventHandle handle = q.scheduleCancellable(5, [&] { ++fired; });
     EXPECT_TRUE(handle.pending());
     handle.cancel();
     EXPECT_FALSE(handle.pending());
@@ -90,7 +90,7 @@ TEST(EventQueue, CancelAfterFiringIsSafe)
 {
     EventQueue q;
     int fired = 0;
-    EventHandle handle = q.scheduleFunc(5, [&] { ++fired; });
+    EventHandle handle = q.scheduleCancellable(5, [&] { ++fired; });
     q.serviceUntil(10);
     EXPECT_EQ(fired, 1);
     EXPECT_FALSE(handle.pending());
@@ -161,8 +161,8 @@ TEST(EventQueue, NumProcessedCounts)
 TEST(EventQueue, NumPendingCountsLiveOnly)
 {
     EventQueue q;
-    EventHandle a = q.scheduleFunc(10, [] {});
-    EventHandle b = q.scheduleFunc(20, [] {});
+    EventHandle a = q.scheduleCancellable(10, [] {});
+    EventHandle b = q.scheduleCancellable(20, [] {});
     EXPECT_EQ(q.numPending(), 2u);
     a.cancel();
     EXPECT_EQ(q.numPending(), 1u);
@@ -179,7 +179,7 @@ TEST(EventQueue, HandleOutlivesQueue)
     EventHandle handle;
     {
         EventQueue q;
-        handle = q.scheduleFunc(5, [&] { ++fired; });
+        handle = q.scheduleCancellable(5, [&] { ++fired; });
         EXPECT_TRUE(handle.pending());
     }
     // The queue drained its pending events on destruction; the handle
@@ -192,7 +192,7 @@ TEST(EventQueue, HandleOutlivesQueue)
 TEST(EventQueue, CancelRecyclesEventImmediately)
 {
     EventQueue q;
-    EventHandle far = q.scheduleFunc(1'000'000, [] {});
+    EventHandle far = q.scheduleCancellable(1'000'000, [] {});
     EXPECT_EQ(q.funcPoolSize(), 0u);
     far.cancel();
     // The one-shot event is parked on the free list at cancel time,
@@ -210,7 +210,7 @@ TEST(EventQueue, CancelReleasesClosureResources)
     EventQueue q;
     auto token = std::make_shared<int>(42);
     std::weak_ptr<int> weak = token;
-    EventHandle handle = q.scheduleFunc(1'000'000, [token] {});
+    EventHandle handle = q.scheduleCancellable(1'000'000, [token] {});
     token.reset();
     EXPECT_FALSE(weak.expired());
     handle.cancel();

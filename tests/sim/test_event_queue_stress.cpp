@@ -57,7 +57,7 @@ TEST(EventQueueStress, RandomChurnFiresInDeterministicOrder)
             std::uint64_t id = model.size();
             model.push_back({when, pri, id});
             cancelled.push_back(0);
-            handles.push_back(q.scheduleFunc(
+            handles.push_back(q.scheduleCancellable(
                 when, [&fired, id] { fired.push_back(id); }, pri));
             ++live;
         } else if (roll < 85) {
@@ -111,7 +111,7 @@ TEST(EventQueueStress, CompactionBoundsStaleEntries)
     EventQueue q;
     std::vector<EventHandle> handles;
     for (int i = 0; i < 256; ++i)
-        handles.push_back(q.scheduleFunc(1000 + i, [] {}));
+        handles.push_back(q.scheduleCancellable(1000 + i, [] {}));
     // Cancel from the back so the heap top stays live and lazy
     // top-purging cannot hide the stale entries.
     for (int i = 255; i >= 64; --i)
