@@ -11,7 +11,6 @@
 #include <cstdio>
 #include <iostream>
 
-#include "core/config_printer.hh"
 #include "core/kernels.hh"
 #include "core/system.hh"
 

@@ -1,9 +1,12 @@
 #include "system.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cstdlib>
 #include <fstream>
 #include <mutex>
+#include <sstream>
+#include <type_traits>
 #include <utility>
 
 #include "sim/checkpoint.hh"
@@ -30,6 +33,8 @@ SystemConfig::normalize()
     l1.validate();
     l2.validate();
     coherence.validate();
+    if (enableNi)
+        ni.validate();
     if (ubuf.combineBytes > lineBytes) {
         csb_fatal("uncached buffer combine block (", ubuf.combineBytes,
                   ") exceeds the cache line (", lineBytes, ")");
@@ -427,51 +432,55 @@ System::dumpMemStatsJson(std::ostream &os, int indent) const
 
 namespace {
 
-/** Scalar knobs a checkpoint is only valid across when identical. */
-std::vector<std::pair<const char *, std::uint64_t>>
-configFingerprint(const SystemConfig &c)
+/** A knob's value as the checkpoint fingerprint stores it. */
+template <class T>
+std::uint64_t
+knobBits(const T &value)
 {
-    return {
-        {"lineBytes", c.lineBytes},
-        {"numCores", c.numCores},
-        {"enableCsb", c.enableCsb ? 1u : 0u},
-        {"enableNi", c.enableNi ? 1u : 0u},
-        {"routeMissesOverBus", c.routeMissesOverBus ? 1u : 0u},
-        {"busKind", static_cast<std::uint64_t>(c.bus.kind)},
-        {"busWidthBytes", c.bus.widthBytes},
-        {"busRatio", c.bus.ratio},
-        {"busTurnaround", c.bus.turnaround},
-        {"busAckDelay", c.bus.ackDelay},
-        {"busErrorResponses", c.bus.errorResponses ? 1u : 0u},
-        {"ubufEntries", c.ubuf.entries},
-        {"ubufCombineBytes", c.ubuf.combineBytes},
-        {"ubufPolicy", static_cast<std::uint64_t>(c.ubuf.policy)},
-        {"csbLineBuffers", c.enableCsb ? c.csb.numLineBuffers : 0},
-        {"csbCheckAddress", c.enableCsb && c.csb.checkAddress ? 1u : 0u},
-        {"csbPartialFlush", c.enableCsb && c.csb.partialFlush ? 1u : 0u},
-        {"l1SizeBytes", c.l1.sizeBytes},
-        {"l1Assoc", c.l1.assoc},
-        {"l2SizeBytes", c.l2.sizeBytes},
-        {"l2Assoc", c.l2.assoc},
-        {"fixedMissLatency", c.fixedMissLatency},
-        {"memReadLatency", c.memReadLatency},
-        {"tlbEntries", c.tlbEntries},
-        {"tlbMissPenalty", c.tlbMissPenalty},
-        {"deviceMaxAccept", c.deviceMaxAccept},
-        {"faultsEnabled", c.faults.enabled() ? 1u : 0u},
-        {"faultSchedule", c.faults.schedule.empty()
-                              ? 0u
-                              : c.faults.scheduleFingerprint()},
-        {"csbDegradedFallback",
-         c.enableCsb && c.csb.degradedFallback ? 1u : 0u},
-        {"niLinkReset", c.enableNi && c.ni.linkReset ? 1u : 0u},
-        {"coherenceKind", static_cast<std::uint64_t>(c.coherence.kind)},
-        {"cohUpgradeLatency", c.coherence.upgradeLatency},
-        {"cohCacheToCacheLatency", c.coherence.cacheToCacheLatency},
-    };
+    if constexpr (std::is_same_v<T, double>)
+        return std::bit_cast<std::uint64_t>(value);
+    else if constexpr (std::is_same_v<T, std::vector<sim::FaultScheduleEntry>>)
+        return sim::FaultPlan{.schedule = value}.scheduleFingerprint();
+    else
+        return static_cast<std::uint64_t>(value); // bools, enums, ints
+}
+
+/** Fingerprint @p bits shown as a value of knob type T. */
+template <class T>
+std::string
+knobText(std::uint64_t bits)
+{
+    std::ostringstream os;
+    if constexpr (std::is_same_v<T, bool>)
+        os << (bits != 0 ? "true" : "false");
+    else if constexpr (std::is_same_v<T, double>)
+        os << std::bit_cast<double>(bits);
+    else
+        os << bits;
+    return os.str();
+}
+
+std::uint64_t
+knobCount()
+{
+    std::uint64_t n = 0;
+    visitKnobs(SystemConfig{}, [&n](const char *, const auto &) { ++n; });
+    return n;
 }
 
 } // namespace
+
+void
+printConfig(const SystemConfig &config, std::ostream &os)
+{
+    visitKnobs(config, [&os]<class T>(const char *name, const T &value) {
+        os << name << " = ";
+        if constexpr (std::is_same_v<T, std::vector<sim::FaultScheduleEntry>>)
+            os << sim::faultScheduleSpec(value) << "\n";
+        else
+            os << knobText<T>(knobBits(value)) << "\n";
+    });
+}
 
 void
 System::saveCheckpoint(sim::CheckpointWriter &cw) const
@@ -486,12 +495,11 @@ System::saveCheckpoint(sim::CheckpointWriter &cw) const
     }
 
     cw.beginSection("config");
-    auto fingerprint = configFingerprint(config_);
-    cw.putU64(fingerprint.size());
-    for (const auto &[key, value] : fingerprint) {
-        cw.putStr(key);
-        cw.putU64(value);
-    }
+    cw.putU64(knobCount());
+    visitKnobs(config_, [&cw](const char *name, const auto &value) {
+        cw.putStr(name);
+        cw.putU64(knobBits(value));
+    });
 
     cw.beginSection("sim");
     cw.putU64(sim_.curTick());
@@ -554,21 +562,21 @@ System::restoreCheckpoint(sim::CheckpointReader &cr)
                "checkpoint restore needs a freshly built system");
 
     cr.openSection("config");
-    auto fingerprint = configFingerprint(config_);
     const std::uint64_t knobs = cr.getU64();
-    if (knobs != fingerprint.size())
+    if (knobs != knobCount())
         csb_fatal("checkpoint config has ", knobs, " knobs, expected ",
-                  fingerprint.size(), " -- incompatible writer");
-    for (const auto &[key, value] : fingerprint) {
-        std::string saved_key = cr.getStr();
-        std::uint64_t saved_value = cr.getU64();
-        if (saved_key != key)
-            csb_fatal("checkpoint config knob '", saved_key,
-                      "' where '", key, "' was expected");
-        if (saved_value != value)
-            csb_fatal("checkpoint was taken with ", key, "=", saved_value,
-                      ", this system has ", key, "=", value);
-    }
+                  knobCount(), " -- incompatible writer");
+    visitKnobs(config_, [&cr]<class T>(const char *name, const T &value) {
+        std::string saved_name = cr.getStr();
+        std::uint64_t saved = cr.getU64();
+        if (saved_name != name)
+            csb_fatal("checkpoint config knob '", saved_name, "' where '",
+                      name, "' was expected");
+        if (saved != knobBits(value))
+            csb_fatal("checkpoint was taken with ", name, "=",
+                      knobText<T>(saved), ", this system has ", name, "=",
+                      knobText<T>(knobBits(value)));
+    });
     cr.closeSection();
 
     cr.openSection("sim");

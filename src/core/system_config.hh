@@ -6,6 +6,8 @@
 #ifndef CSB_CORE_SYSTEM_CONFIG_HH
 #define CSB_CORE_SYSTEM_CONFIG_HH
 
+#include <ostream>
+
 #include "bus/system_bus.hh"
 #include "cpu/core.hh"
 #include "io/network_interface.hh"
@@ -106,6 +108,102 @@ struct SystemConfig
     /** Propagate lineBytes; validate everything. */
     void normalize();
 };
+
+/**
+ * The knob table: calls @p v(name, member) for every setting of @p c
+ * (which may be const), in a fixed order.  The checkpoint fingerprint
+ * and printConfig() derive from it.  The line sizes normalize() sets
+ * (l1/l2/csb.lineBytes, bus.maxBurstBytes) are not knobs.
+ */
+template <class Config, class Visitor>
+void
+visitKnobs(Config &&c, Visitor &&v)
+{
+    v("lineBytes", c.lineBytes);
+    v("numCores", c.numCores);
+    v("coherence.kind", c.coherence.kind);
+    v("coherence.upgradeLatency", c.coherence.upgradeLatency);
+    v("coherence.cacheToCacheLatency", c.coherence.cacheToCacheLatency);
+    v("bus.kind", c.bus.kind);
+    v("bus.widthBytes", c.bus.widthBytes);
+    v("bus.ratio", c.bus.ratio);
+    v("bus.turnaround", c.bus.turnaround);
+    v("bus.ackDelay", c.bus.ackDelay);
+    v("bus.errorResponses", c.bus.errorResponses);
+    v("core.fetchWidth", c.core.fetchWidth);
+    v("core.retireWidth", c.core.retireWidth);
+    v("core.windowSize", c.core.windowSize);
+    v("core.intUnits", c.core.intUnits);
+    v("core.fpUnits", c.core.fpUnits);
+    v("core.memPorts", c.core.memPorts);
+    v("core.maxUncachedRetirePerCycle", c.core.maxUncachedRetirePerCycle);
+    v("core.intLatency", c.core.intLatency);
+    v("core.mulLatency", c.core.mulLatency);
+    v("core.fpLatency", c.core.fpLatency);
+    v("core.csbFlushLatency", c.core.csbFlushLatency);
+    v("ubuf.entries", c.ubuf.entries);
+    v("ubuf.combineBytes", c.ubuf.combineBytes);
+    v("ubuf.policy", c.ubuf.policy);
+    v("ubuf.retry.initialBackoffTicks", c.ubuf.retry.initialBackoffTicks);
+    v("ubuf.retry.multiplier", c.ubuf.retry.multiplier);
+    v("ubuf.retry.maxBackoffTicks", c.ubuf.retry.maxBackoffTicks);
+    v("ubuf.retry.maxAttempts", c.ubuf.retry.maxAttempts);
+    v("enableCsb", c.enableCsb);
+    v("csb.numLineBuffers", c.csb.numLineBuffers);
+    v("csb.checkAddress", c.csb.checkAddress);
+    v("csb.partialFlush", c.csb.partialFlush);
+    v("csb.retry.initialBackoffTicks", c.csb.retry.initialBackoffTicks);
+    v("csb.retry.multiplier", c.csb.retry.multiplier);
+    v("csb.retry.maxBackoffTicks", c.csb.retry.maxBackoffTicks);
+    v("csb.retry.maxAttempts", c.csb.retry.maxAttempts);
+    v("csb.degradedFallback", c.csb.degradedFallback);
+    v("csb.repromoteAfter", c.csb.repromoteAfter);
+    v("l1.sizeBytes", c.l1.sizeBytes);
+    v("l1.assoc", c.l1.assoc);
+    v("l1.hitLatency", c.l1.hitLatency);
+    v("l2.sizeBytes", c.l2.sizeBytes);
+    v("l2.assoc", c.l2.assoc);
+    v("l2.hitLatency", c.l2.hitLatency);
+    v("fixedMissLatency", c.fixedMissLatency);
+    v("routeMissesOverBus", c.routeMissesOverBus);
+    v("memReadLatency", c.memReadLatency);
+    v("tlbEntries", c.tlbEntries);
+    v("tlbMissPenalty", c.tlbMissPenalty);
+    v("enableNi", c.enableNi);
+    v("ni.wireTicksPerByte", c.ni.wireTicksPerByte);
+    v("ni.wireLatency", c.ni.wireLatency);
+    v("ni.dmaStartupTicks", c.ni.dmaStartupTicks);
+    v("ni.dmaBurstBytes", c.ni.dmaBurstBytes);
+    v("ni.dmaMaxOutstanding", c.ni.dmaMaxOutstanding);
+    v("ni.readLatency", c.ni.readLatency);
+    v("ni.reliableWire", c.ni.reliableWire);
+    v("ni.ackLatency", c.ni.ackLatency);
+    v("ni.retransmitTimeout", c.ni.retransmitTimeout);
+    v("ni.maxSendAttempts", c.ni.maxSendAttempts);
+    v("ni.linkReset", c.ni.linkReset);
+    v("ni.linkResetLatency", c.ni.linkResetLatency);
+    v("ni.retry.initialBackoffTicks", c.ni.retry.initialBackoffTicks);
+    v("ni.retry.multiplier", c.ni.retry.multiplier);
+    v("ni.retry.maxBackoffTicks", c.ni.retry.maxBackoffTicks);
+    v("ni.retry.maxAttempts", c.ni.retry.maxAttempts);
+    v("deviceReadLatency", c.deviceReadLatency);
+    v("deviceMaxAccept", c.deviceMaxAccept);
+    v("faults.seed", c.faults.seed);
+    v("faults.busWriteNackRate", c.faults.busWriteNackRate);
+    v("faults.busReadNackRate", c.faults.busReadNackRate);
+    v("faults.busErrorRate", c.faults.busErrorRate);
+    v("faults.wireDropRate", c.faults.wireDropRate);
+    v("faults.wireCorruptRate", c.faults.wireCorruptRate);
+    v("faults.ackDropRate", c.faults.ackDropRate);
+    v("faults.csbFlushDropRate", c.faults.csbFlushDropRate);
+    v("faults.deviceHangRate", c.faults.deviceHangRate);
+    v("faults.schedule", c.faults.schedule);
+    v("watchdogTicks", c.watchdogTicks);
+    v("replayMode", c.replayMode);
+}
+
+/** Write every knob of @p config to @p os as "name = value" lines. */
+void printConfig(const SystemConfig &config, std::ostream &os);
 
 } // namespace csb::core
 

@@ -1,5 +1,6 @@
 #include "network_interface.hh"
 
+#include <cmath>
 #include <cstring>
 
 #include "sim/checkpoint.hh"
@@ -24,6 +25,21 @@ fnv1a(const std::vector<std::uint8_t> &bytes)
 }
 
 } // namespace
+
+void
+NetworkInterfaceParams::validate() const
+{
+    if (!(wireTicksPerByte >= 0 && std::isfinite(wireTicksPerByte)))
+        csb_fatal("ni.wireTicksPerByte must be finite and >= 0, got ",
+                  wireTicksPerByte);
+    if (!isPowerOf2(dmaBurstBytes) || dmaBurstBytes > 64)
+        csb_fatal("ni.dmaBurstBytes must be a power of two in [1,64], got ",
+                  dmaBurstBytes);
+    if (dmaMaxOutstanding == 0)
+        csb_fatal("ni.dmaMaxOutstanding must be >= 1");
+    if (maxSendAttempts == 0)
+        csb_fatal("ni.maxSendAttempts must be >= 1");
+}
 
 NetworkInterface::NetworkInterface(sim::Simulator &simulator,
                                    bus::SystemBus &bus, Addr base,
@@ -57,7 +73,7 @@ NetworkInterface::NetworkInterface(sim::Simulator &simulator,
       messageBytes(this, "messageBytes",
                    "payload bytes per message entering the wire",
                    0, 4096, 256),
-      sim_(simulator), bus_(bus), base_(base), params_(params),
+      sim_(simulator), bus_(bus), base_(base), params_(validated(params)),
       name_(std::move(name))
 {
     masterId_ = bus_.registerMaster(name_ + ".dma");

@@ -114,6 +114,9 @@ struct NetworkInterfaceParams
     Tick linkResetLatency = 2048;
     /** Backoff schedule for DMA reads NACKed on the bus. */
     bus::RetryPolicy retry;
+
+    /** Throws FatalError naming the first invalid knob. */
+    void validate() const;
 };
 
 /**

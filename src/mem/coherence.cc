@@ -16,16 +16,6 @@ lineStateName(LineState state)
     return "?";
 }
 
-const char *
-coherenceKindName(CoherenceKind kind)
-{
-    switch (kind) {
-      case CoherenceKind::None: return "none";
-      case CoherenceKind::Mesi: return "mesi";
-    }
-    return "?";
-}
-
 void
 CoherenceParams::validate() const
 {

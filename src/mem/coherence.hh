@@ -50,8 +50,6 @@ enum class CoherenceKind : std::uint8_t {
     Mesi = 1,
 };
 
-const char *coherenceKindName(CoherenceKind kind);
-
 /** Coherence knobs of a SystemConfig. */
 struct CoherenceParams
 {

@@ -29,12 +29,11 @@ struct JsonEvent
  * The event buffer is process-wide (one trace file per process), so
  * it is mutex-guarded: concurrent Simulator instances may append
  * spans from sweep worker threads.  The disabled fast path reads a
- * single relaxed atomic.
+ * single relaxed atomic, detail::jsonMaybeEnabled.
  */
 struct TraceJsonState
 {
     std::mutex mutex;
-    std::atomic<bool> enabled{false};       // mirrors out != nullptr
     std::ostream *out = nullptr;            // active sink, if any
     std::unique_ptr<std::ofstream> file;    // owned when env/file-based
     std::vector<JsonEvent> events;
@@ -119,8 +118,6 @@ state()
     return instance;
 }
 
-void enableFileLocked(TraceJsonState &s, const std::string &path);
-
 void
 loadEnvOnce()
 {
@@ -131,33 +128,29 @@ loadEnvOnce()
     std::lock_guard<std::mutex> lock(s.mutex);
     if (s.envLoaded.load(std::memory_order_relaxed))
         return; // another thread (or an explicit jsonEnable*) won
-    if (env && *env)
-        enableFileLocked(s, env);
-    s.envLoaded.store(true, std::memory_order_release);
-}
-
-void
-enableFileLocked(TraceJsonState &s, const std::string &path)
-{
-    auto file = std::make_unique<std::ofstream>(path);
-    if (!file->is_open()) {
-        std::fprintf(stderr,
-                     "csbsim: cannot open CSBSIM_TRACE_JSON file '%s'\n",
-                     path.c_str());
-        return;
+    if (env && *env) {
+        s.file = std::make_unique<std::ofstream>(env);
+        if (s.file->is_open())
+            s.out = s.file.get();
+        else
+            std::fprintf(stderr,
+                         "csbsim: cannot open CSBSIM_TRACE_JSON file '%s'\n",
+                         env);
     }
-    s.file = std::move(file);
-    s.out = s.file.get();
-    s.enabled.store(true, std::memory_order_relaxed);
+    detail::jsonMaybeEnabled.store(s.out != nullptr,
+                                   std::memory_order_relaxed);
+    s.envLoaded.store(true, std::memory_order_release);
 }
 
 } // namespace
 
+std::atomic<bool> detail::jsonMaybeEnabled{true};
+
 bool
-jsonEnabled()
+detail::jsonEnabledSlow()
 {
     loadEnvOnce();
-    return state().enabled.load(std::memory_order_relaxed);
+    return jsonMaybeEnabled.load(std::memory_order_relaxed);
 }
 
 void
@@ -168,20 +161,7 @@ jsonEnable(std::ostream *os)
     s.envLoaded.store(true, std::memory_order_release);
     s.file.reset();
     s.out = os;
-    s.enabled.store(os != nullptr, std::memory_order_relaxed);
-}
-
-void
-jsonEnableFile(const std::string &path)
-{
-    TraceJsonState &s = state();
-    if (path.empty()) {
-        jsonDisable();
-        return;
-    }
-    std::lock_guard<std::mutex> lock(s.mutex);
-    s.envLoaded.store(true, std::memory_order_release);
-    enableFileLocked(s, path);
+    detail::jsonMaybeEnabled.store(os != nullptr, std::memory_order_relaxed);
 }
 
 void
@@ -193,7 +173,7 @@ jsonDisable()
     s.events.clear();
     s.out = nullptr;
     s.file.reset();
-    s.enabled.store(false, std::memory_order_relaxed);
+    detail::jsonMaybeEnabled.store(false, std::memory_order_relaxed);
 }
 
 void

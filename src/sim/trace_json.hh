@@ -20,6 +20,7 @@
 #ifndef CSB_SIM_TRACE_JSON_HH
 #define CSB_SIM_TRACE_JSON_HH
 
+#include <atomic>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -35,17 +36,26 @@ struct SpanArg
     std::string value;
 };
 
+namespace detail {
+/** True until CSBSIM_TRACE_JSON is read, then true iff a sink is set. */
+extern std::atomic<bool> jsonMaybeEnabled;
+/** Read CSBSIM_TRACE_JSON if needed; @return whether a sink is set. */
+bool jsonEnabledSlow();
+} // namespace detail
+
 /**
- * @return true when JSON tracing is active (cheap check; reads
- * CSBSIM_TRACE_JSON once lazily, like the textual channels).
+ * @return true when JSON tracing is active (a disabled call reads one
+ * relaxed atomic; CSBSIM_TRACE_JSON is read once lazily).
  */
-bool jsonEnabled();
+inline bool
+jsonEnabled()
+{
+    return detail::jsonMaybeEnabled.load(std::memory_order_relaxed) &&
+           detail::jsonEnabledSlow();
+}
 
 /** Direct JSON trace output to @p os (not owned); null disables. */
 void jsonEnable(std::ostream *os);
-
-/** Open @p path and buffer events until flush; empty path disables. */
-void jsonEnableFile(const std::string &path);
 
 /** Drop buffered events and disable JSON tracing. */
 void jsonDisable();

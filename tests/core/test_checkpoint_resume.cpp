@@ -10,11 +10,15 @@
 
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
+#include <type_traits>
+#include <vector>
 
 #include "core/kernels.hh"
 #include "core/system.hh"
 #include "sim/checkpoint.hh"
+#include "sim/fault.hh"
 #include "sim/logging.hh"
 
 namespace {
@@ -126,20 +130,200 @@ TEST(CheckpointResume, RestoredMemoryAndTickMatch)
     std::remove(path.c_str());
 }
 
+/** The CSBC bytes of a default system after the warm-up program. */
+std::string
+warmCheckpointBytes()
+{
+    csb::sim::CheckpointWriter cw;
+    core::System before(baseConfig());
+    before.run(warmupProgram());
+    before.saveCheckpoint(cw);
+    std::stringstream bytes;
+    cw.writeTo(bytes);
+    return bytes.str();
+}
+
+/** Restore @p bytes into a system built from @p cfg; "" on success. */
+std::string
+restoreError(const std::string &bytes, const core::SystemConfig &cfg)
+{
+    core::System after(cfg);
+    std::stringstream is(bytes);
+    auto cr = csb::sim::CheckpointReader::readFrom(is);
+    try {
+        after.restoreCheckpoint(cr);
+    } catch (const FatalError &err) {
+        return err.what();
+    }
+    return "";
+}
+
+/** Values other than @p v to try for a knob, most natural first. */
+template <class T>
+std::vector<T>
+alternatives(const T &v)
+{
+    if constexpr (std::is_same_v<T, bool>) {
+        return {!v};
+    } else if constexpr (std::is_same_v<T, double>) {
+        return {v + 0.25};
+    } else if constexpr (std::is_enum_v<T>) {
+        return {static_cast<T>(static_cast<int>(v) + 1)};
+    } else if constexpr (std::is_integral_v<T>) {
+        // v + 8 takes ubuf.combineBytes from 0 to the smallest block.
+        std::vector<T> out;
+        for (T candidate : {T(v / 2), T(v * 2), T(v + 1), T(v + 8)}) {
+            if (candidate != v)
+                out.push_back(candidate);
+        }
+        return out;
+    } else {
+        return {csb::sim::parseFaultSchedule("oneshot:bus-read-nack:50")};
+    }
+}
+
+/**
+ * Set knob @p index of @p cfg to its @p choice-th alternative value.
+ * @return false when the knob has no such alternative.
+ */
+bool
+perturbKnob(core::SystemConfig &cfg, std::size_t index, std::size_t choice)
+{
+    std::size_t at = 0;
+    bool changed = false;
+    core::visitKnobs(cfg, [&](const char *, auto &value) {
+        if (at++ != index)
+            return;
+        auto options = alternatives(value);
+        if (choice < options.size()) {
+            value = options[choice];
+            changed = true;
+        }
+    });
+    return changed;
+}
+
+std::vector<std::string>
+knobNames()
+{
+    const core::SystemConfig cfg = baseConfig();
+    std::vector<std::string> names;
+    core::visitKnobs(cfg, [&names](const char *name, const auto &) {
+        names.push_back(name);
+    });
+    return names;
+}
+
 TEST(CheckpointResume, RejectsConfigMismatch)
 {
-    std::string path = ::testing::TempDir() + "mismatch.csbc";
-    {
-        core::System before(baseConfig());
-        before.run(warmupProgram());
-        before.saveCheckpointFile(path);
+    // Every knob in the table guards a restore: perturb each one alone
+    // to the first alternative its validation accepts and expect the
+    // restore to fail naming it.
+    const std::map<std::string, std::string> skipped = {
+        {"replayMode", "a replay-mode system refuses any restore "
+                       "before it reads the fingerprint"},
+    };
+    const std::string bytes = warmCheckpointBytes();
+    const std::vector<std::string> names = knobNames();
+    for (std::size_t i = 0; i < names.size(); ++i) {
+        if (skipped.count(names[i]))
+            continue;
+        bool tried = false;
+        for (std::size_t choice = 0; !tried; ++choice) {
+            core::SystemConfig cfg = baseConfig();
+            if (!perturbKnob(cfg, i, choice))
+                break;
+            try {
+                cfg.normalize();
+                core::System probe(cfg);
+            } catch (const FatalError &) {
+                continue; // not a valid value; try the next one
+            }
+            tried = true;
+            std::string err = restoreError(bytes, cfg);
+            EXPECT_NE(err.find(" " + names[i] + "="), std::string::npos)
+                << names[i] << ": " << (err.empty() ? "accepted" : err);
+        }
+        EXPECT_TRUE(tried) << names[i] << " has no valid alternative";
     }
-    core::SystemConfig other = baseConfig();
-    other.lineBytes = 32;
-    other.normalize();
-    core::System after(other);
-    EXPECT_THROW(after.restoreCheckpointFile(path), FatalError);
-    std::remove(path.c_str());
+
+    // The error shows both values in readable form.
+    core::SystemConfig window = baseConfig();
+    window.core.windowSize = 32;
+    window.normalize();
+    EXPECT_NE(restoreError(bytes, window)
+                  .find("checkpoint was taken with core.windowSize=64, "
+                        "this system has core.windowSize=32"),
+              std::string::npos);
+    core::SystemConfig wire = baseConfig();
+    wire.ni.wireTicksPerByte = 0.75;
+    wire.normalize();
+    EXPECT_NE(restoreError(bytes, wire)
+                  .find("checkpoint was taken with ni.wireTicksPerByte=0.5, "
+                        "this system has ni.wireTicksPerByte=0.75"),
+              std::string::npos);
+    EXPECT_EQ(restoreError(bytes, baseConfig()), "");
+}
+
+/** Converts to any member type: counts an aggregate's members. */
+struct AnyMember
+{
+    template <class T>
+    operator T() const;
+};
+
+/** The number of members of aggregate T, by brace-init probing. */
+template <class T, class... Members>
+constexpr std::size_t
+memberCount()
+{
+    if constexpr (requires { T{Members{}..., AnyMember{}}; })
+        return memberCount<T, Members..., AnyMember>();
+    else
+        return sizeof...(Members);
+}
+
+TEST(CheckpointResume, KnobTableListsEveryParamsMember)
+{
+    // A member added to any parameter struct without a table entry
+    // changes its member count and fails here.  @p prefix selects the
+    // entries directly under one struct; @p other counts the members
+    // that are not entries (nested structs, normalize() outputs).
+    const std::vector<std::string> names = knobNames();
+    auto entries = [&names](const std::string &prefix) {
+        std::size_t n = 0;
+        for (const std::string &name : names) {
+            if (name.starts_with(prefix) &&
+                name.find('.', prefix.size()) == std::string::npos)
+                ++n;
+        }
+        return n;
+    };
+    // Nested structs: coherence, bus, core, ubuf, csb, l1, l2, ni and
+    // faults.
+    EXPECT_EQ(entries("") + 9, memberCount<core::SystemConfig>());
+    EXPECT_EQ(entries("coherence."), memberCount<csb::mem::CoherenceParams>());
+    // bus.maxBurstBytes is set by normalize().
+    EXPECT_EQ(entries("bus.") + 1, memberCount<csb::bus::BusParams>());
+    EXPECT_EQ(entries("core."), memberCount<csb::cpu::CoreParams>());
+    // ubuf.retry is a nested RetryPolicy.
+    EXPECT_EQ(entries("ubuf.") + 1,
+              memberCount<csb::mem::UncachedBufferParams>());
+    // csb.lineBytes is set by normalize(); csb.retry is nested.
+    EXPECT_EQ(entries("csb.") + 2, memberCount<csb::mem::CsbParams>());
+    for (const char *cache : {"l1.", "l2."}) {
+        // lineBytes is set by normalize().
+        EXPECT_EQ(entries(cache) + 1, memberCount<csb::mem::CacheParams>())
+            << cache;
+    }
+    // ni.retry is a nested RetryPolicy.
+    EXPECT_EQ(entries("ni.") + 1,
+              memberCount<csb::io::NetworkInterfaceParams>());
+    for (const char *retry : {"ubuf.retry.", "csb.retry.", "ni.retry."}) {
+        EXPECT_EQ(entries(retry), memberCount<csb::bus::RetryPolicy>())
+            << retry;
+    }
+    EXPECT_EQ(entries("faults."), memberCount<csb::sim::FaultPlan>());
 }
 
 TEST(CheckpointResume, RejectsExtraKnobBeforeAnyOtherSection)
@@ -149,18 +333,11 @@ TEST(CheckpointResume, RejectsExtraKnobBeforeAnyOtherSection)
     // must fail on the knob count alone.  The hand-written checkpoint
     // holds nothing but its config section, so a restore that got past
     // the count would fail differently (missing "sim" section).
-    csb::sim::CheckpointWriter real;
-    {
-        core::System before(baseConfig());
-        before.run(warmupProgram());
-        before.saveCheckpoint(real);
-    }
-    std::stringstream real_bytes;
-    real.writeTo(real_bytes);
+    std::stringstream real_bytes(warmCheckpointBytes());
     auto cr = csb::sim::CheckpointReader::readFrom(real_bytes);
     cr.openSection("config");
     const std::uint64_t knobs = cr.getU64();
-    EXPECT_EQ(knobs, 33u);
+    EXPECT_EQ(knobs, knobNames().size());
 
     csb::sim::CheckpointWriter cw;
     cw.beginSection("config");

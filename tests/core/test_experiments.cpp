@@ -8,9 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <type_traits>
 
-#include "core/config_printer.hh"
 #include "core/experiments.hh"
+#include "core/system_config.hh"
+#include "sim/fault.hh"
 
 namespace {
 
@@ -109,31 +111,46 @@ TEST(Experiments, MessageLatencyOrdering)
         << "the CSB keeps PIO ahead of DMA (section 5)";
 }
 
-TEST(Experiments, ConfigPrinterMentionsEverything)
+/** @p value as printConfig is expected to show it. */
+template <class T>
+std::string
+knobText(const T &value)
+{
+    std::ostringstream os;
+    if constexpr (std::is_same_v<T, bool>)
+        os << (value ? "true" : "false");
+    else if constexpr (std::is_enum_v<T>)
+        os << static_cast<int>(value);
+    else if constexpr (std::is_arithmetic_v<T>)
+        os << value;
+    else
+        os << sim::faultScheduleSpec(value);
+    return os.str();
+}
+
+TEST(Experiments, ConfigPrinterListsEveryKnob)
 {
     core::SystemConfig cfg;
     cfg.numCores = 2;
     cfg.enableNi = true;
     cfg.csb.numLineBuffers = 2;
+    cfg.ni.wireTicksPerByte = 0.25;
+    cfg.faults.schedule = sim::parseFaultSchedule("oneshot:bus-read-nack:50");
     cfg.normalize();
     std::ostringstream os;
     core::printConfig(cfg, os);
-    std::string text = os.str();
-    EXPECT_NE(text.find("cores                : 2"), std::string::npos);
-    EXPECT_NE(text.find("multiplexed"), std::string::npos);
-    EXPECT_NE(text.find("2 line buffer"), std::string::npos);
-    EXPECT_NE(text.find("network interface"), std::string::npos);
-    EXPECT_NE(text.find("TLB"), std::string::npos);
-}
 
-TEST(Experiments, ConfigPrinterDisabledCsb)
-{
-    core::SystemConfig cfg;
-    cfg.enableCsb = false;
-    cfg.normalize();
-    std::ostringstream os;
-    core::printConfig(cfg, os);
-    EXPECT_NE(os.str().find("conditional store buf: disabled"),
+    // One "name = value" line per table entry, in table order.
+    std::istringstream lines(os.str());
+    std::string line;
+    core::visitKnobs(cfg, [&](const char *name, const auto &value) {
+        ASSERT_TRUE(std::getline(lines, line)) << name;
+        EXPECT_EQ(line, std::string(name) + " = " + knobText(value));
+    });
+    EXPECT_FALSE(std::getline(lines, line)) << "extra line: " << line;
+    EXPECT_NE(os.str().find("\nni.wireTicksPerByte = 0.25\n"),
+              std::string::npos);
+    EXPECT_NE(os.str().find("\nfaults.schedule = oneshot:bus-read-nack:50\n"),
               std::string::npos);
 }
 

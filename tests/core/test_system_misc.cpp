@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/kernels.hh"
 #include "core/system.hh"
@@ -153,6 +156,41 @@ TEST(SystemMisc, InvalidConfigsAreFatal)
         SystemConfig cfg;
         cfg.csb.numLineBuffers = 9;
         EXPECT_THROW(cfg.normalize(), FatalError);
+    }
+}
+
+TEST(SystemMisc, InvalidNiParamsAreFatalWhenTheNiIsEnabled)
+{
+    // Each of these once hung a DMA send or aborted mid-run.
+    const std::vector<std::pair<const char *,
+                                void (*)(io::NetworkInterfaceParams &)>>
+        cases = {
+            {"ni.dmaMaxOutstanding", [](auto &p) { p.dmaMaxOutstanding = 0; }},
+            {"ni.dmaBurstBytes", [](auto &p) { p.dmaBurstBytes = 0; }},
+            {"ni.dmaBurstBytes", [](auto &p) { p.dmaBurstBytes = 48; }},
+            {"ni.dmaBurstBytes", [](auto &p) { p.dmaBurstBytes = 128; }},
+            {"ni.wireTicksPerByte", [](auto &p) { p.wireTicksPerByte = -1; }},
+            {"ni.wireTicksPerByte",
+             [](auto &p) {
+                 p.wireTicksPerByte =
+                     std::numeric_limits<double>::infinity();
+             }},
+            {"ni.maxSendAttempts", [](auto &p) { p.maxSendAttempts = 0; }},
+        };
+    for (const auto &[knob, spoil] : cases) {
+        SystemConfig cfg;
+        cfg.enableNi = true;
+        spoil(cfg.ni);
+        try {
+            cfg.normalize();
+            ADD_FAILURE() << knob << ": normalize() accepted it";
+        } catch (const FatalError &err) {
+            EXPECT_NE(std::string(err.what()).find(knob), std::string::npos)
+                << err.what();
+        }
+        // Without an NI the same values are never used.
+        cfg.enableNi = false;
+        EXPECT_NO_THROW(cfg.normalize()) << knob;
     }
 }
 

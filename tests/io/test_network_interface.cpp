@@ -13,6 +13,7 @@
 #include "io/network_interface.hh"
 #include "mem/main_memory.hh"
 #include "mem/physical_memory.hh"
+#include "sim/logging.hh"
 #include "sim/simulator.hh"
 
 namespace {
@@ -75,6 +76,22 @@ class NiFixture : public ::testing::Test
     std::unique_ptr<mem::MainMemory> memory;
     std::unique_ptr<NetworkInterface> ni;
 };
+
+TEST_F(NiFixture, ConstructorRejectsInvalidParams)
+{
+    NetworkInterfaceParams zero_outstanding;
+    zero_outstanding.dmaMaxOutstanding = 0;
+    EXPECT_THROW(make(zero_outstanding), FatalError);
+    NetworkInterfaceParams zero_burst;
+    zero_burst.dmaBurstBytes = 0;
+    EXPECT_THROW(make(zero_burst), FatalError);
+    NetworkInterfaceParams negative_wire;
+    negative_wire.wireTicksPerByte = -1;
+    EXPECT_THROW(make(negative_wire), FatalError);
+    NetworkInterfaceParams zero_attempts;
+    zero_attempts.maxSendAttempts = 0;
+    EXPECT_THROW(make(zero_attempts), FatalError);
+}
 
 TEST_F(NiFixture, PioMessageDelivered)
 {
