@@ -1,12 +1,12 @@
 /**
  * @file
  * Event-kernel microbenchmark: wall-clock events/sec, sim-ticks/sec,
- * and a cancel-heavy churn workload, run against both the current
- * kernel and an in-process copy of the pre-fix kernel (copy-the-heap
+ * and a timeout-churn workload, run against both the current kernel
+ * and an in-process copy of the pre-fix kernel (copy-the-heap
  * nextTick(), new + shared_ptr per scheduleFunc(), no compaction).
  *
  * The printed tables contain only deterministic quantities (event
- * counts, compactions, pool/heap sizes), so the EXPERIMENTS.md splice
+ * counts, pool/heap sizes), so the EXPERIMENTS.md splice
  * stays byte-identical across machines.  Wall-clock measurements go
  * to the JSON artifact's tables and to stderr.
  *
@@ -21,6 +21,7 @@
 #include <chrono>
 #include <memory>
 #include <queue>
+#include <type_traits>
 
 #include "sim/event_queue.hh"
 #include "sim/random.hh"
@@ -223,34 +224,49 @@ struct ChurnResult
 };
 
 /**
- * Cancel-heavy churn: a window of pending callbacks is continuously
- * cancelled and replaced, with a nextTick() peek per iteration --
- * the access pattern retry backoff and watchdog polling produce.
+ * Supersede-heavy churn: a window of pending timeouts is continuously
+ * replaced, with a nextTick() peek per iteration -- the access
+ * pattern retry backoff and watchdog polling produce.  The legacy
+ * kernel cancels the superseded callback; the current kernel has no
+ * cancellation, so each slot carries a generation that a superseded
+ * callback checks and finds stale when it fires, as the NI's
+ * retransmit timers do.
  */
 template <typename Queue>
 ChurnResult
 runChurn(Queue &q, unsigned window, std::uint64_t iters)
 {
-    using Handle =
-        decltype(q.scheduleCancellable(Tick(0), std::function<void()>()));
-    std::vector<Handle> slots(window);
+    constexpr bool legacy = std::is_same_v<Queue, LegacyEventQueue>;
+    std::vector<LegacyEventQueue::Handle> slots(legacy ? window : 0);
+    std::vector<std::uint64_t> generation(window, 0);
     csb::sim::Random rng(0x0c5b0c5bULL);
     ChurnResult res;
     auto t0 = std::chrono::steady_clock::now();
     for (std::uint64_t i = 0; i < iters; ++i) {
         Tick now = q.curTick();
         auto slot = static_cast<std::size_t>(rng.uniform(0, window - 1));
-        slots[slot].cancel();
-        slots[slot] = q.scheduleCancellable(
-            now + 1 + rng.uniform(0, 100000),
-            [&res] { ++res.fired; });
+        Tick when = now + 1 + rng.uniform(0, 100000);
+        if constexpr (legacy) {
+            slots[slot].cancel();
+            slots[slot] =
+                q.scheduleCancellable(when, [&res] { ++res.fired; });
+        } else {
+            std::uint64_t armed = ++generation[slot];
+            q.scheduleFunc(when, [&res, &generation, slot, armed] {
+                if (generation[slot] == armed)
+                    ++res.fired;
+            });
+        }
         csb::bench::sink(q.nextTick());
         ++res.peeks;
         if ((i & 1023) == 1023)
             q.serviceUntil(now + 16);
     }
     res.seconds = secondsSince(t0);
-    res.finalHeap = q.heapSize();
+    if constexpr (legacy)
+        res.finalHeap = q.heapSize();
+    else
+        res.finalHeap = q.numPending();
     return res;
 }
 
@@ -365,11 +381,9 @@ main(int argc, char **argv)
     }
 
     ChurnResult churn_new, churn_old;
-    std::uint64_t compactions = 0;
     {
         csb::sim::EventQueue q;
         churn_new = runChurn(q, kChurnWindow, kChurnIters);
-        compactions = q.numCompactions();
     }
     {
         LegacyEventQueue q;
@@ -403,14 +417,12 @@ main(int argc, char **argv)
                   "served every allocation after warm-up\n",
                   static_cast<unsigned long long>(fired_new),
                   static_cast<unsigned long long>(tput_pool));
-    report.printf("churn: window %u, %llu schedule+cancel iterations "
-                  "with a nextTick() peek each -> %llu fired, "
-                  "%llu compactions, final heap %llu entries "
-                  "(legacy heap: %llu)\n",
+    report.printf("churn: window %u, %llu schedule+supersede "
+                  "iterations with a nextTick() peek each -> %llu "
+                  "fired, final heap %llu entries (legacy heap: %llu)\n",
                   kChurnWindow,
                   static_cast<unsigned long long>(kChurnIters),
                   static_cast<unsigned long long>(churn_new.fired),
-                  static_cast<unsigned long long>(compactions),
                   static_cast<unsigned long long>(churn_new.finalHeap),
                   static_cast<unsigned long long>(churn_old.finalHeap));
     report.printf("clock gating: %llu sim ticks with work every %llu "

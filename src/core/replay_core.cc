@@ -36,7 +36,7 @@ ReplayCore::scheduleNext()
     // MinimumPri: the pump runs after every regular event of the tick,
     // mirroring where the live core's completion callbacks landed.
     sim_.eventQueue().scheduleFunc(when, [this] { pump(); },
-                                   sim::Event::MinimumPri);
+                                   sim::EventQueue::MinimumPri);
 }
 
 void

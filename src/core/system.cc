@@ -33,8 +33,14 @@ SystemConfig::normalize()
     l1.validate();
     l2.validate();
     coherence.validate();
-    if (enableNi)
+    if (enableNi) {
         ni.validate();
+        if (ni.dmaBurstBytes > bus.maxBurstBytes) {
+            csb_fatal("ni.dmaBurstBytes (", ni.dmaBurstBytes,
+                      ") exceeds bus.maxBurstBytes (", bus.maxBurstBytes,
+                      ", the larger of lineBytes and bus.widthBytes)");
+        }
+    }
     if (ubuf.combineBytes > lineBytes) {
         csb_fatal("uncached buffer combine block (", ubuf.combineBytes,
                   ") exceeds the cache line (", lineBytes, ")");
@@ -311,10 +317,6 @@ System::run(const isa::Program &program, ProcId pid, Tick max_ticks)
                "a replay-mode system executes traces via replay(), "
                "not programs via run()");
     cores_.at(0).core->loadProgram(&program, pid);
-    // The done predicate reads component state only, so the run may
-    // jump over ticks at which nothing is due.
-    const bool fast_forward = sim_.idleFastForward();
-    sim_.setIdleFastForward(true);
     Tick end = sim_.run(
         [this] {
             for (const CoreSlice &slice : cores_) {
@@ -324,7 +326,6 @@ System::run(const isa::Program &program, ProcId pid, Tick max_ticks)
             return quiescent();
         },
         max_ticks);
-    sim_.setIdleFastForward(fast_forward);
     if (!cores_.at(0).core->halted()) {
         csb_fatal("program did not halt within ", max_ticks,
                   " ticks (deadlock or runaway loop?)");
@@ -371,10 +372,8 @@ System::replay(const sim::MemTrace &trace, Tick max_ticks)
     }
 
     // Replay only sees memory records, so there is no per-retire
-    // progress heartbeat to feed a watchdog; disarm it and let the
-    // simulator fast-forward the gated spans between records.
+    // progress heartbeat to feed a watchdog; disarm it.
     sim_.setWatchdog(0);
-    sim_.setIdleFastForward(true);
 
     Tick end = sim_.run(
         [this] {

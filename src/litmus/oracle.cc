@@ -190,8 +190,6 @@ runCase(const TestCase &tc, const RunSpec &spec,
         System system(cfg);
         if (recorder)
             system.attachTraceRecorder(recorder);
-        // Both done predicates below read component state only.
-        system.simulator().setIdleFastForward(true);
 
         std::unique_ptr<cpu::ContextScheduler> sched;
         bool done = false;

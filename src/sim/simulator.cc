@@ -145,6 +145,18 @@ Simulator::quiescentJump(Tick budget_left) const
 }
 
 void
+Simulator::advance(Tick budget_left)
+{
+    Tick jump = quiescentJump(budget_left);
+    if (jump == 0) {
+        stepOne();
+        return;
+    }
+    events_.advanceTo(curTick() + jump);
+    fastForwardedTicks_ += jump;
+}
+
+void
 Simulator::settleAll()
 {
     for (Clocked *obj : clocked_)
@@ -165,15 +177,7 @@ Simulator::run(const std::function<bool()> &done, Tick max_ticks)
             curTick() - lastProgressTick_ >= watchdogWindow_) {
             watchdogFire(start);
         }
-        if (idleFastForward_) {
-            Tick jump = quiescentJump(max_ticks - (curTick() - start));
-            if (jump > 0) {
-                events_.advanceTo(curTick() + jump);
-                fastForwardedTicks_ += jump;
-                continue;
-            }
-        }
-        stepOne();
+        advance(max_ticks - (curTick() - start));
     }
     if (!done()) {
         ++tickLimitHits_;
@@ -212,15 +216,8 @@ Tick
 Simulator::runFor(Tick n)
 {
     Tick start = curTick();
-    while (curTick() - start < n) {
-        Tick jump = quiescentJump(n - (curTick() - start));
-        if (jump > 0) {
-            events_.advanceTo(curTick() + jump);
-            fastForwardedTicks_ += jump;
-            continue;
-        }
-        stepOne();
-    }
+    while (curTick() - start < n)
+        advance(n - (curTick() - start));
     settleAll();
     return curTick();
 }

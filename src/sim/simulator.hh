@@ -14,6 +14,7 @@
 
 #include "clocked.hh"
 #include "event_queue.hh"
+#include "logging.hh"
 #include "types.hh"
 
 namespace csb::sim {
@@ -42,8 +43,11 @@ class Simulator
     void registerClocked(Clocked *obj);
 
     /**
-     * Run until @p done returns true (checked after every tick) or
-     * @p max_ticks elapse.
+     * Run until @p done returns true or @p max_ticks elapse.  Idle
+     * spans -- no event fires and no component is due -- are jumped,
+     * so @p done is consulted only at ticks where something could
+     * have changed: it must read component or event state, never
+     * curTick().  To stop at a tick, use runFor().
      * @return the tick at which the run stopped.
      */
     Tick run(const std::function<bool()> &done, Tick max_ticks = 10'000'000);
@@ -66,18 +70,6 @@ class Simulator
      * event or wake tick instead of stepping empty ticks one by one.
      */
     std::uint64_t fastForwardedTicks() const { return fastForwardedTicks_; }
-
-    /**
-     * Allow run() to fast-forward over idle spans.  Off by default
-     * because run()'s contract is to evaluate the done predicate at
-     * every tick: only enable it when the predicate depends solely on
-     * component/event state, not on curTick().  runFor() always
-     * fast-forwards -- with no predicate to consult, skipping ticks
-     * nothing would act on is unobservable.
-     */
-    void setIdleFastForward(bool enable) { idleFastForward_ = enable; }
-
-    bool idleFastForward() const { return idleFastForward_; }
 
     /**
      * Arm the forward-progress watchdog: when run() observes
@@ -138,6 +130,9 @@ class Simulator
      */
     Tick quiescentJump(Tick budget_left) const;
 
+    /** Jump the idle span ahead, or step one tick if there is none. */
+    void advance(Tick budget_left);
+
     /** Call settle() on every component (end of run()/runFor()). */
     void settleAll();
 
@@ -150,7 +145,6 @@ class Simulator
     Tick lastProgressTick_ = 0;
     std::uint64_t tickLimitHits_ = 0;
     std::uint64_t fastForwardedTicks_ = 0;
-    bool idleFastForward_ = false;
 };
 
 } // namespace csb::sim

@@ -161,26 +161,30 @@ TEST(SystemMisc, InvalidConfigsAreFatal)
 
 TEST(SystemMisc, InvalidNiParamsAreFatalWhenTheNiIsEnabled)
 {
-    // Each of these once hung a DMA send or aborted mid-run.
-    const std::vector<std::pair<const char *,
-                                void (*)(io::NetworkInterfaceParams &)>>
+    // Each of these once hung a DMA send or aborted mid-run.  A
+    // 32 B line caps bus bursts below the default 64 B DMA burst.
+    const std::vector<std::pair<const char *, void (*)(SystemConfig &)>>
         cases = {
-            {"ni.dmaMaxOutstanding", [](auto &p) { p.dmaMaxOutstanding = 0; }},
-            {"ni.dmaBurstBytes", [](auto &p) { p.dmaBurstBytes = 0; }},
-            {"ni.dmaBurstBytes", [](auto &p) { p.dmaBurstBytes = 48; }},
-            {"ni.dmaBurstBytes", [](auto &p) { p.dmaBurstBytes = 128; }},
-            {"ni.wireTicksPerByte", [](auto &p) { p.wireTicksPerByte = -1; }},
+            {"ni.dmaMaxOutstanding",
+             [](auto &c) { c.ni.dmaMaxOutstanding = 0; }},
+            {"ni.dmaBurstBytes", [](auto &c) { c.ni.dmaBurstBytes = 0; }},
+            {"ni.dmaBurstBytes", [](auto &c) { c.ni.dmaBurstBytes = 48; }},
+            {"ni.dmaBurstBytes", [](auto &c) { c.ni.dmaBurstBytes = 128; }},
+            {"ni.dmaBurstBytes", [](auto &c) { c.lineBytes = 32; }},
+            {"bus.maxBurstBytes", [](auto &c) { c.lineBytes = 32; }},
             {"ni.wireTicksPerByte",
-             [](auto &p) {
-                 p.wireTicksPerByte =
+             [](auto &c) { c.ni.wireTicksPerByte = -1; }},
+            {"ni.wireTicksPerByte",
+             [](auto &c) {
+                 c.ni.wireTicksPerByte =
                      std::numeric_limits<double>::infinity();
              }},
-            {"ni.maxSendAttempts", [](auto &p) { p.maxSendAttempts = 0; }},
+            {"ni.maxSendAttempts", [](auto &c) { c.ni.maxSendAttempts = 0; }},
         };
     for (const auto &[knob, spoil] : cases) {
         SystemConfig cfg;
         cfg.enableNi = true;
-        spoil(cfg.ni);
+        spoil(cfg);
         try {
             cfg.normalize();
             ADD_FAILURE() << knob << ": normalize() accepted it";

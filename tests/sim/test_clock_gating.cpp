@@ -138,26 +138,11 @@ TEST(ClockGating, FastForwardPreservesTickExactness)
     EXPECT_FALSE(fast.empty());
 }
 
-TEST(ClockGating, RunChecksPredicateEveryTickByDefault)
+TEST(ClockGating, RunFastForwardsQuiescentSpans)
 {
     Simulator sim;
     GatingDevice dev(&sim);
     sim.registerClocked(&dev);
-
-    // With fast-forward off (the default), run() must stop exactly
-    // where a curTick()-based predicate says, even though the whole
-    // system is gated.
-    Tick end = sim.run([&] { return sim.curTick() >= 123; }, 10'000);
-    EXPECT_EQ(end, 123u);
-    EXPECT_EQ(sim.fastForwardedTicks(), 0u);
-}
-
-TEST(ClockGating, RunFastForwardsWhenOptedIn)
-{
-    Simulator sim;
-    GatingDevice dev(&sim);
-    sim.registerClocked(&dev);
-    sim.setIdleFastForward(true);
 
     bool fired = false;
     sim.eventQueue().scheduleFunc(5'000, [&] {
@@ -178,7 +163,6 @@ TEST(ClockGating, WatchdogStillFiresAcrossFastForward)
     Simulator sim;
     GatingDevice dev(&sim);
     sim.registerClocked(&dev);
-    sim.setIdleFastForward(true);
     sim.setWatchdog(1'000);
 
     // No progress is ever noted, so run() must throw at the watchdog
@@ -296,7 +280,6 @@ TEST(ClockGating, JumpLandsOnWakeTicksAndEvents)
     sim.eventQueue().scheduleFunc(6'000, [&] {
         fired.push_back(sim.curTick());
     });
-    sim.setIdleFastForward(true);
     sim.run([] { return false; }, 10'000);
     EXPECT_EQ(dev.ranAt(), (std::vector<Tick>{0, 3'000, 9'000}));
     EXPECT_EQ(fired, (std::vector<Tick>{6'000}));
@@ -307,21 +290,15 @@ TEST(ClockGating, JumpLandsOnWakeTicksAndEvents)
 
 TEST(ClockGating, WatchdogFiresAtTheSameTickWithSleepers)
 {
-    // A sleeper that never notes progress: the watchdog must fire at
-    // the identical tick whether or not idle ticks are jumped.
-    auto fire_tick = [](bool fast_forward) {
-        Simulator sim;
-        SleepyDevice dev(&sim, {250, 600, 1'700, 2'900});
-        sim.registerClocked(&dev);
-        sim.setIdleFastForward(fast_forward);
-        sim.setWatchdog(1'000);
-        EXPECT_THROW(sim.run([] { return false; }, 100'000),
-                     csb::FatalError);
-        return sim.curTick();
-    };
-    Tick stepped = fire_tick(false);
-    EXPECT_EQ(fire_tick(true), stepped);
-    EXPECT_EQ(stepped, 1'000u);
+    // A sleeper that never notes progress: jumping its idle ticks must
+    // not move the watchdog off the tick its window ends on.
+    Simulator sim;
+    SleepyDevice dev(&sim, {250, 600, 1'700, 2'900});
+    sim.registerClocked(&dev);
+    sim.setWatchdog(1'000);
+    EXPECT_THROW(sim.run([] { return false; }, 100'000),
+                 csb::FatalError);
+    EXPECT_EQ(sim.curTick(), 1'000u);
 }
 
 } // namespace
