@@ -566,7 +566,7 @@ System::restoreCheckpoint(sim::CheckpointReader &cr)
         csb_fatal("checkpoint config has ", knobs, " knobs, expected ",
                   knobCount(), " -- incompatible writer");
     visitKnobs(config_, [&cr]<class T>(const char *name, const T &value) {
-        std::string saved_name = cr.getStr();
+        std::string_view saved_name = cr.getStr();
         std::uint64_t saved = cr.getU64();
         if (saved_name != name)
             csb_fatal("checkpoint config knob '", saved_name, "' where '",

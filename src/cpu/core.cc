@@ -414,7 +414,7 @@ Core::fetchStage()
 
         RegId rd = destOf(inst);
         std::uint64_t seq = di.seq;
-        window_.emplace_back() = di;
+        window_.emplace_back(di);
         instsDispatched += 1;
         worked_ = true;
         ++fetched;

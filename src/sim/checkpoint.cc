@@ -216,8 +216,8 @@ CheckpointReader::get(unsigned bytes)
     return v;
 }
 
-std::vector<std::uint8_t>
-CheckpointReader::getBytes()
+std::span<const std::uint8_t>
+CheckpointReader::getSpan()
 {
     const std::uint64_t size = get(8);
     csb_assert(current_ != SIZE_MAX, "getBytes before openSection");
@@ -226,18 +226,25 @@ CheckpointReader::getBytes()
         csb_fatal("CSBC section '", section.name, "' truncated: byte "
                   "string of ", size, " bytes at offset ", cursor_,
                   " exceeds payload of ", section.payload.size());
-    std::vector<std::uint8_t> out(
-        section.payload.begin() + std::ptrdiff_t(cursor_),
-        section.payload.begin() + std::ptrdiff_t(cursor_ + size));
+    std::span<const std::uint8_t> out(section.payload.data() + cursor_,
+                                      size);
     cursor_ += size;
     return out;
 }
 
-std::string
+std::vector<std::uint8_t>
+CheckpointReader::getBytes()
+{
+    std::span<const std::uint8_t> bytes = getSpan();
+    return std::vector<std::uint8_t>(bytes.begin(), bytes.end());
+}
+
+std::string_view
 CheckpointReader::getStr()
 {
-    std::vector<std::uint8_t> bytes = getBytes();
-    return std::string(bytes.begin(), bytes.end());
+    std::span<const std::uint8_t> bytes = getSpan();
+    return std::string_view(reinterpret_cast<const char *>(bytes.data()),
+                            bytes.size());
 }
 
 } // namespace csb::sim

@@ -27,7 +27,9 @@
 #include <bit>
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "types.hh"
@@ -51,7 +53,7 @@ class CheckpointWriter
 
     /** Length-prefixed UTF-8 string. */
     void
-    putStr(const std::string &s)
+    putStr(std::string_view s)
     {
         putBytes(s.data(), s.size());
     }
@@ -107,8 +109,11 @@ class CheckpointReader
     /** Read a length-prefixed byte string. */
     std::vector<std::uint8_t> getBytes();
 
-    /** Read a length-prefixed UTF-8 string. */
-    std::string getStr();
+    /**
+     * Read a length-prefixed UTF-8 string.  The view points into the
+     * reader's copy of the section and lives as long as the reader.
+     */
+    std::string_view getStr();
 
     std::size_t numSections() const { return sections_.size(); }
 
@@ -120,6 +125,8 @@ class CheckpointReader
     };
 
     std::uint64_t get(unsigned bytes);
+    /** The next length-prefixed byte string, in place. */
+    std::span<const std::uint8_t> getSpan();
 
     std::vector<Section> sections_;
     std::size_t current_ = SIZE_MAX;

@@ -8,35 +8,44 @@
 
 namespace csb::sim {
 
-std::string
-jsonEscape(const std::string &s)
+namespace {
+
+/**
+ * Pass @p s to @p out in pieces, escaped per RFC 8259: runs that need
+ * no escaping go through as views of @p s, so nothing is copied.
+ */
+template <typename Out>
+void
+escapePieces(std::string_view s, Out &&out)
 {
-    std::string out;
-    out.reserve(s.size());
-    for (unsigned char c : s) {
+    std::size_t run = 0; // start of the pending unescaped run
+    for (std::size_t i = 0; i < s.size(); ++i) {
+        const auto c = static_cast<unsigned char>(s[i]);
+        char buf[8];
+        const char *escaped = buf;
         switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\b': out += "\\b"; break;
-          case '\f': out += "\\f"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
+          case '"': escaped = "\\\""; break;
+          case '\\': escaped = "\\\\"; break;
+          case '\b': escaped = "\\b"; break;
+          case '\f': escaped = "\\f"; break;
+          case '\n': escaped = "\\n"; break;
+          case '\r': escaped = "\\r"; break;
+          case '\t': escaped = "\\t"; break;
           default:
-            if (c < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += static_cast<char>(c);
-            }
+            if (c >= 0x20)
+                continue;
+            std::snprintf(buf, sizeof(buf), "\\u%04x", c);
         }
+        out(s.substr(run, i - run));
+        out(std::string_view(escaped));
+        run = i + 1;
     }
-    return out;
+    out(s.substr(run));
 }
 
-std::string
-jsonNumber(double v)
+/** Format @p v into @p buf the way JsonWriter::value(double) does. */
+std::string_view
+formatNumber(double v, char (&buf)[40])
 {
     // std::to_chars, unlike snprintf, is locale-independent: under a
     // comma-decimal LC_NUMERIC (e.g. de_DE) "%.12g" would print
@@ -45,17 +54,34 @@ jsonNumber(double v)
     // locale, so artifacts stay byte-identical on any machine.
     if (!std::isfinite(v))
         return "null"; // JSON has no NaN/Inf
-    char buf[40];
     // 2^53: largest range where every integer is exact in a double.
     if (v == std::floor(v) && std::fabs(v) <= 9007199254740992.0) {
         auto res = std::to_chars(buf, buf + sizeof(buf),
                                  static_cast<long long>(v));
-        return std::string(buf, res.ptr);
+        return std::string_view(buf, res.ptr - buf);
     }
     auto res = std::to_chars(buf, buf + sizeof(buf), v,
                              std::chars_format::general, 12);
     csb_assert(res.ec == std::errc(), "jsonNumber buffer too small");
-    return std::string(buf, res.ptr);
+    return std::string_view(buf, res.ptr - buf);
+}
+
+} // namespace
+
+std::string
+jsonEscape(std::string_view s)
+{
+    std::string out;
+    out.reserve(s.size());
+    escapePieces(s, [&out](std::string_view piece) { out += piece; });
+    return out;
+}
+
+std::string
+jsonNumber(double v)
+{
+    char buf[40];
+    return std::string(formatNumber(v, buf));
 }
 
 void
@@ -83,9 +109,17 @@ JsonWriter::newline()
 }
 
 void
-JsonWriter::raw(const std::string &text)
+JsonWriter::raw(std::string_view text)
 {
     os_ << text;
+}
+
+void
+JsonWriter::quoted(std::string_view s)
+{
+    raw("\"");
+    escapePieces(s, [this](std::string_view piece) { raw(piece); });
+    raw("\"");
 }
 
 JsonWriter &
@@ -137,35 +171,31 @@ JsonWriter::endArray()
 }
 
 JsonWriter &
-JsonWriter::key(const std::string &k)
+JsonWriter::key(std::string_view k)
 {
     csb_assert(!scopes_.empty() && scopes_.back() == Scope::Object,
                "key() outside an object");
     separator();
-    raw("\"" + jsonEscape(k) + "\":" + (indent_ > 0 ? " " : ""));
+    quoted(k);
+    raw(indent_ > 0 ? ": " : ":");
     afterKey_ = true;
     return *this;
 }
 
 JsonWriter &
-JsonWriter::value(const std::string &v)
+JsonWriter::value(std::string_view v)
 {
     separator();
-    raw("\"" + jsonEscape(v) + "\"");
+    quoted(v);
     return *this;
-}
-
-JsonWriter &
-JsonWriter::value(const char *v)
-{
-    return value(std::string(v));
 }
 
 JsonWriter &
 JsonWriter::value(double v)
 {
     separator();
-    raw(jsonNumber(v));
+    char buf[40];
+    raw(formatNumber(v, buf));
     return *this;
 }
 

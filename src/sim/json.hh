@@ -16,12 +16,13 @@
 #include <cstdint>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace csb::sim {
 
 /** Escape @p s for inclusion in a JSON string literal (no quotes). */
-std::string jsonEscape(const std::string &s);
+std::string jsonEscape(std::string_view s);
 
 /** Format @p v the way JsonWriter::value(double) does. */
 std::string jsonNumber(double v);
@@ -47,10 +48,11 @@ class JsonWriter
     JsonWriter &endArray();
 
     /** Emit an object key; must be followed by a value or container. */
-    JsonWriter &key(const std::string &k);
+    JsonWriter &key(std::string_view k);
 
-    JsonWriter &value(const std::string &v);
-    JsonWriter &value(const char *v);
+    JsonWriter &value(std::string_view v);
+    // A string literal would otherwise convert to bool, not string_view.
+    JsonWriter &value(const char *v) { return value(std::string_view(v)); }
     JsonWriter &value(double v);
     JsonWriter &value(std::uint64_t v);
     JsonWriter &value(std::int64_t v);
@@ -61,7 +63,7 @@ class JsonWriter
     /** key(k) followed by value(v), for any supported value type. */
     template <typename T>
     JsonWriter &
-    kv(const std::string &k, T &&v)
+    kv(std::string_view k, T &&v)
     {
         key(k);
         return value(std::forward<T>(v));
@@ -72,7 +74,9 @@ class JsonWriter
 
     void separator();
     void newline();
-    void raw(const std::string &text);
+    void raw(std::string_view text);
+    /** @p s escaped and quoted. */
+    void quoted(std::string_view s);
 
     std::ostream &os_;
     int indent_;

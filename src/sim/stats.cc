@@ -9,21 +9,31 @@
 
 namespace csb::sim::stats {
 
-StatBase::StatBase(StatGroup *parent, std::string name, std::string desc)
-    : name_(std::move(name)), desc_(std::move(desc))
+StatBase::StatBase(StatGroup *parent, Literal name, Literal desc)
+    : name_(name.view()), desc_(desc.view())
 {
     csb_assert(parent != nullptr, "stat '", name_, "' needs a group");
-    parent->stats_.push_back(this);
+    (parent->lastStat_ ? parent->lastStat_->next_ : parent->firstStat_) =
+        this;
+    parent->lastStat_ = this;
 }
 
 namespace {
 
+/**
+ * One "prefix.name[suffix]   value  # desc" line, the qualified name
+ * left-aligned in 44 columns.
+ */
 void
-emit(std::ostream &os, const std::string &prefix, const std::string &name,
-     double value, const std::string &desc)
+emit(std::ostream &os, const std::string &prefix, std::string_view name,
+     std::string_view suffix, double value, std::string_view desc)
 {
-    os << std::left << std::setw(44) << (prefix + name) << " "
-       << std::right << std::setw(14) << value << "  # " << desc << "\n";
+    const std::size_t width = prefix.size() + name.size() + suffix.size();
+    os << prefix << name << suffix;
+    if (width < 44)
+        os << std::setw(int(44 - width)) << "";
+    os << " " << std::right << std::setw(14) << value << "  # " << desc
+       << "\n";
 }
 
 } // namespace
@@ -31,7 +41,7 @@ emit(std::ostream &os, const std::string &prefix, const std::string &name,
 void
 Scalar::dump(std::ostream &os, const std::string &prefix) const
 {
-    emit(os, prefix, name(), value_, desc());
+    emit(os, prefix, name(), "", value_, desc());
 }
 
 void
@@ -47,7 +57,7 @@ Scalar::dumpJson(JsonWriter &jw) const
 void
 Average::dump(std::ostream &os, const std::string &prefix) const
 {
-    emit(os, prefix, name(), value(), desc());
+    emit(os, prefix, name(), "", value(), desc());
 }
 
 void
@@ -62,10 +72,9 @@ Average::dumpJson(JsonWriter &jw) const
     jw.endObject();
 }
 
-Distribution::Distribution(StatGroup *parent, std::string name,
-                           std::string desc, double min, double max,
-                           double bucket_size)
-    : StatBase(parent, std::move(name), std::move(desc)),
+Distribution::Distribution(StatGroup *parent, Literal name, Literal desc,
+                           double min, double max, double bucket_size)
+    : StatBase(parent, name, desc),
       min_(min), max_(max), bucketSize_(bucket_size)
 {
     csb_assert(max > min && bucket_size > 0, "bad distribution shape");
@@ -98,22 +107,22 @@ Distribution::sample(double v, std::uint64_t count)
 void
 Distribution::dump(std::ostream &os, const std::string &prefix) const
 {
-    emit(os, prefix, name() + "::samples",
-         static_cast<double>(samples_), desc());
-    emit(os, prefix, name() + "::mean", mean(), desc());
+    emit(os, prefix, name(), "::samples", static_cast<double>(samples_),
+         desc());
+    emit(os, prefix, name(), "::mean", mean(), desc());
     for (std::size_t i = 0; i < buckets_.size(); ++i) {
         if (buckets_[i] == 0)
             continue;
-        std::ostringstream bucket_name;
-        bucket_name << name() << "::" << (min_ + i * bucketSize_);
-        emit(os, prefix, bucket_name.str(),
+        std::ostringstream bucket;
+        bucket << "::" << (min_ + i * bucketSize_);
+        emit(os, prefix, name(), bucket.str(),
              static_cast<double>(buckets_[i]), desc());
     }
     if (underflow_)
-        emit(os, prefix, name() + "::underflow",
+        emit(os, prefix, name(), "::underflow",
              static_cast<double>(underflow_), desc());
     if (overflow_)
-        emit(os, prefix, name() + "::overflow",
+        emit(os, prefix, name(), "::overflow",
              static_cast<double>(overflow_), desc());
 }
 
@@ -178,7 +187,7 @@ Distribution::reset()
 void
 Formula::dump(std::ostream &os, const std::string &prefix) const
 {
-    emit(os, prefix, name(), value(), desc());
+    emit(os, prefix, name(), "", value(), desc());
 }
 
 void
@@ -194,17 +203,22 @@ Formula::dumpJson(JsonWriter &jw) const
 StatGroup::StatGroup(std::string name, StatGroup *parent)
     : name_(std::move(name)), parent_(parent)
 {
-    if (parent_)
-        parent_->children_.push_back(this);
+    if (!parent_)
+        return;
+    prevSibling_ = parent_->lastChild_;
+    (prevSibling_ ? prevSibling_->nextSibling_ : parent_->firstChild_) =
+        this;
+    parent_->lastChild_ = this;
 }
 
 StatGroup::~StatGroup()
 {
-    if (parent_) {
-        auto &siblings = parent_->children_;
-        siblings.erase(std::remove(siblings.begin(), siblings.end(), this),
-                       siblings.end());
-    }
+    if (!parent_)
+        return;
+    (prevSibling_ ? prevSibling_->nextSibling_ : parent_->firstChild_) =
+        nextSibling_;
+    (nextSibling_ ? nextSibling_->prevSibling_ : parent_->lastChild_) =
+        prevSibling_;
 }
 
 std::string
@@ -222,9 +236,10 @@ StatGroup::dumpStats(std::ostream &os) const
     std::string prefix = fullStatName();
     if (!prefix.empty())
         prefix += ".";
-    for (const StatBase *stat : stats_)
+    for (const StatBase *stat = firstStat_; stat; stat = stat->next_)
         stat->dump(os, prefix);
-    for (const StatGroup *child : children_)
+    for (const StatGroup *child = firstChild_; child;
+         child = child->nextSibling_)
         child->dumpStats(os);
 }
 
@@ -232,11 +247,12 @@ void
 StatGroup::dumpJson(JsonWriter &jw) const
 {
     jw.beginObject();
-    for (const StatBase *stat : stats_) {
+    for (const StatBase *stat = firstStat_; stat; stat = stat->next_) {
         jw.key(stat->name());
         stat->dumpJson(jw);
     }
-    for (const StatGroup *child : children_) {
+    for (const StatGroup *child = firstChild_; child;
+         child = child->nextSibling_) {
         jw.key(child->statName());
         child->dumpJson(jw);
     }
@@ -254,16 +270,16 @@ StatGroup::dumpStatsJson(std::ostream &os, int indent) const
 void
 StatGroup::resetStats()
 {
-    for (StatBase *stat : stats_)
+    for (StatBase *stat = firstStat_; stat; stat = stat->next_)
         stat->reset();
-    for (StatGroup *child : children_)
+    for (StatGroup *child = firstChild_; child; child = child->nextSibling_)
         child->resetStats();
 }
 
 const StatBase *
-StatGroup::findStat(const std::string &name) const
+StatGroup::findStat(std::string_view name) const
 {
-    for (const StatBase *stat : stats_) {
+    for (const StatBase *stat = firstStat_; stat; stat = stat->next_) {
         if (stat->name() == name)
             return stat;
     }
@@ -330,12 +346,13 @@ Distribution::checkpointRestore(CheckpointReader &cr)
 void
 StatGroup::checkpointSaveStats(CheckpointWriter &cw) const
 {
-    for (const StatBase *stat : stats_) {
+    for (const StatBase *stat = firstStat_; stat; stat = stat->next_) {
         cw.putStr(stat->name());
         cw.putU8(stat->checkpointTag());
         stat->checkpointSave(cw);
     }
-    for (const StatGroup *child : children_) {
+    for (const StatGroup *child = firstChild_; child;
+         child = child->nextSibling_) {
         cw.putStr(child->statName());
         child->checkpointSaveStats(cw);
     }
@@ -344,8 +361,8 @@ StatGroup::checkpointSaveStats(CheckpointWriter &cw) const
 void
 StatGroup::checkpointRestoreStats(CheckpointReader &cr)
 {
-    for (StatBase *stat : stats_) {
-        const std::string name = cr.getStr();
+    for (StatBase *stat = firstStat_; stat; stat = stat->next_) {
+        const std::string_view name = cr.getStr();
         if (name != stat->name())
             csb_fatal("checkpoint stat mismatch in group '",
                       fullStatName(), "': expected '", stat->name(),
@@ -357,8 +374,8 @@ StatGroup::checkpointRestoreStats(CheckpointReader &cr)
                       unsigned(stat->checkpointTag()));
         stat->checkpointRestore(cr);
     }
-    for (StatGroup *child : children_) {
-        const std::string name = cr.getStr();
+    for (StatGroup *child = firstChild_; child; child = child->nextSibling_) {
+        const std::string_view name = cr.getStr();
         if (name != child->statName())
             csb_fatal("checkpoint group mismatch in '", fullStatName(),
                       "': expected '", child->statName(), "', found '",

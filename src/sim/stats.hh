@@ -6,16 +6,23 @@
  * rooted at the owning component.  dump() renders "name value # desc"
  * lines, and every stat can be read programmatically by the benchmark
  * harness.
+ *
+ * Building the tree allocates nothing per stat: a stat borrows its
+ * name and description, which are string literals (see Literal), and
+ * a group links its stats and child groups into intrusive lists in
+ * registration order, so registering is O(1) and so is a destroyed
+ * group unlinking itself from its parent.
  */
 
 #ifndef CSB_SIM_STATS_HH
 #define CSB_SIM_STATS_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "logging.hh"
@@ -30,18 +37,38 @@ namespace csb::sim::stats {
 
 class StatGroup;
 
+/**
+ * A stat's name or description: a string literal, borrowed for the
+ * whole run.  The constructor is consteval and takes only a character
+ * array, so an argument that does not outlive the stat -- a
+ * std::string, its c_str(), a local buffer -- fails to compile instead
+ * of dangling.
+ */
+class Literal
+{
+  public:
+    template <std::size_t N>
+    consteval Literal(const char (&text)[N]) : view_(text, N - 1)
+    {}
+
+    constexpr std::string_view view() const { return view_; }
+
+  private:
+    std::string_view view_;
+};
+
 /** Base class for all statistics. */
 class StatBase
 {
   public:
-    StatBase(StatGroup *parent, std::string name, std::string desc);
+    StatBase(StatGroup *parent, Literal name, Literal desc);
     virtual ~StatBase() = default;
 
     StatBase(const StatBase &) = delete;
     StatBase &operator=(const StatBase &) = delete;
 
-    const std::string &name() const { return name_; }
-    const std::string &desc() const { return desc_; }
+    std::string_view name() const { return name_; }
+    std::string_view desc() const { return desc_; }
 
     /** Render the stat as one or more output lines. */
     virtual void dump(std::ostream &os, const std::string &prefix) const = 0;
@@ -71,16 +98,20 @@ class StatBase
     virtual std::uint8_t checkpointTag() const = 0;
 
   private:
-    std::string name_;
-    std::string desc_;
+    friend class StatGroup;
+
+    std::string_view name_;
+    std::string_view desc_;
+    /** The next stat of the owning group, in registration order. */
+    StatBase *next_ = nullptr;
 };
 
 /** Monotonic or signed scalar counter. */
 class Scalar : public StatBase
 {
   public:
-    Scalar(StatGroup *parent, std::string name, std::string desc)
-        : StatBase(parent, std::move(name), std::move(desc))
+    Scalar(StatGroup *parent, Literal name, Literal desc)
+        : StatBase(parent, name, desc)
     {}
 
     Scalar &operator++() { ++value_; return *this; }
@@ -105,8 +136,8 @@ class Scalar : public StatBase
 class Average : public StatBase
 {
   public:
-    Average(StatGroup *parent, std::string name, std::string desc)
-        : StatBase(parent, std::move(name), std::move(desc))
+    Average(StatGroup *parent, Literal name, Literal desc)
+        : StatBase(parent, name, desc)
     {}
 
     void
@@ -143,7 +174,7 @@ class Average : public StatBase
 class Distribution : public StatBase
 {
   public:
-    Distribution(StatGroup *parent, std::string name, std::string desc,
+    Distribution(StatGroup *parent, Literal name, Literal desc,
                  double min, double max, double bucket_size);
 
     void sample(double v, std::uint64_t count = 1);
@@ -190,10 +221,9 @@ class Distribution : public StatBase
 class Formula : public StatBase
 {
   public:
-    Formula(StatGroup *parent, std::string name, std::string desc,
+    Formula(StatGroup *parent, Literal name, Literal desc,
             std::function<double()> fn)
-        : StatBase(parent, std::move(name), std::move(desc)),
-          fn_(std::move(fn))
+        : StatBase(parent, name, desc), fn_(std::move(fn))
     {}
 
     double value() const { return fn_(); }
@@ -251,7 +281,7 @@ class StatGroup
     void resetStats();
 
     /** Look up a stat in this group by local name; null when absent. */
-    const StatBase *findStat(const std::string &name) const;
+    const StatBase *findStat(std::string_view name) const;
 
     /**
      * Serialize every stat of this subtree (depth first, registration
@@ -270,8 +300,14 @@ class StatGroup
 
     std::string name_;
     StatGroup *parent_;
-    std::vector<StatBase *> stats_;
-    std::vector<StatGroup *> children_;
+    // Intrusive lists in registration order: the stats through
+    // StatBase::next_, the child groups through their sibling links.
+    StatBase *firstStat_ = nullptr;
+    StatBase *lastStat_ = nullptr;
+    StatGroup *firstChild_ = nullptr;
+    StatGroup *lastChild_ = nullptr;
+    StatGroup *prevSibling_ = nullptr;
+    StatGroup *nextSibling_ = nullptr;
 };
 
 } // namespace csb::sim::stats

@@ -1,6 +1,7 @@
 /**
  * @file
- * Heap-allocation budget of the uncached store path.
+ * Heap-allocation budgets of the uncached store path and of building
+ * a System.
  *
  * This binary replaces the global operator new/delete with counting
  * versions, then runs fixed store kernels -- NoCombine stores through
@@ -18,6 +19,12 @@
  * of the same kernel are counted.  The first run also pays one-off
  * costs -- the event pool filling, the event heap and the logs growing
  * -- which would swamp a point with only four bus transactions.
+ *
+ * Building and tearing down a System has a budget too: every Figs 3-5
+ * grid point and every litmus spec builds a fresh one, so its
+ * allocations are paid per point.  Registering a stat must allocate
+ * nothing: stats borrow their literal names and groups link them in
+ * place.
  */
 
 #include <gtest/gtest.h>
@@ -30,6 +37,7 @@
 #include "core/kernels.hh"
 #include "core/system.hh"
 #include "sim/event_queue.hh"
+#include "sim/stats.hh"
 
 namespace {
 
@@ -146,15 +154,23 @@ struct RunCount
     std::uint64_t txns = 0;
 };
 
-/** Run one Fig 3(e) store point twice; count the warm second run. */
-RunCount
-countStorePoint(Scheme scheme, unsigned transfer_bytes)
+/** The Fig 3(e) bus: 8 B multiplexed, ratio 6, 64 B lines. */
+core::BandwidthSetup
+fig3eSetup()
 {
     core::BandwidthSetup setup;
     setup.bus.kind = bus::BusKind::Multiplexed;
     setup.bus.widthBytes = 8;
     setup.bus.ratio = 6;
     setup.lineBytes = 64;
+    return setup;
+}
+
+/** Run one Fig 3(e) store point twice; count the warm second run. */
+RunCount
+countStorePoint(Scheme scheme, unsigned transfer_bytes)
+{
+    const core::BandwidthSetup setup = fig3eSetup();
     core::System system(core::bandwidthConfig(setup, scheme));
     isa::Program program =
         scheme == Scheme::Csb
@@ -210,6 +226,43 @@ INSTANTIATE_TEST_SUITE_P(
                                                         : "NoCombine") +
                std::to_string(std::get<1>(info.param));
     });
+
+/**
+ * Allocations of building and tearing down one Fig 3(e) System, after
+ * a first build has paid the process-wide one-off costs.
+ */
+std::uint64_t
+countBuildAndTeardown(Scheme scheme)
+{
+    const core::SystemConfig config =
+        core::bandwidthConfig(fig3eSetup(), scheme);
+    { core::System warm(config); }
+    allocations = 0;
+    counting = true;
+    { core::System system(config); }
+    counting = false;
+    return allocations;
+}
+
+TEST(BuildBudget, Fig3eSystemBuildAndTeardown)
+{
+    // The budgets are the measured counts: hardware state and one
+    // owner per component, nothing per stat or stat group.
+    EXPECT_LE(countBuildAndTeardown(Scheme::Csb), 41u);
+    EXPECT_LE(countBuildAndTeardown(Scheme::NoCombine), 33u);
+}
+
+TEST(BuildBudget, RegisteringAStatAllocatesNothing)
+{
+    sim::stats::StatGroup group("g");
+    sim::stats::Scalar first(&group, "first", "registered before counting");
+    allocations = 0;
+    counting = true;
+    sim::stats::Scalar second(&group, "second", "registered while counting");
+    counting = false;
+    EXPECT_EQ(allocations, 0u);
+    EXPECT_EQ(group.findStat("second"), &second);
+}
 
 TEST(AllocCounter, FirstCallbackCostsAtMostTwoAllocations)
 {
