@@ -115,6 +115,14 @@ SystemBus::~SystemBus() = default;
 MasterId
 SystemBus::registerMaster(const std::string &name)
 {
+    // One allocation per vector covers a System's masters (two ports,
+    // a miss port and the CSB per core, the NI's DMA) up to two cores.
+    if (masterNames_.empty()) {
+        constexpr std::size_t typical = 8;
+        masterNames_.reserve(typical);
+        slots_.reserve(typical);
+        lastOrderedAddrCycle_.reserve(typical);
+    }
     masterNames_.push_back(name);
     slots_.emplace_back();
     lastOrderedAddrCycle_.push_back(
@@ -134,6 +142,8 @@ SystemBus::addTarget(Addr base, Addr size, BusTarget *target)
                       "' overlaps '", range.target->targetName(), "'");
         }
     }
+    if (targets_.empty())
+        targets_.reserve(4); // memory, device and NI in one allocation
     targets_.push_back(TargetRange{base, size, target});
 }
 

@@ -3,7 +3,6 @@
 #include <iomanip>
 #include <ostream>
 #include <set>
-#include <sstream>
 
 #include "health.hh"
 #include "io/network_interface.hh"
@@ -120,16 +119,11 @@ runCampaign(const CampaignScenario &scenario, std::uint64_t seed)
         monitor.reset();
     };
 
-    std::string checkpoint; // latest pre-leg CSBC image
+    sim::CheckpointWriter checkpoint; // latest pre-leg image
     try {
         for (unsigned leg = 0; leg < scenario.legs; ++leg) {
-            {
-                sim::CheckpointWriter cw;
-                system->saveCheckpoint(cw);
-                std::ostringstream os;
-                cw.writeTo(os);
-                checkpoint = os.str();
-            }
+            checkpoint.clear(); // reuses the previous leg's storage
+            system->saveCheckpoint(checkpoint);
             isa::Program p = makeMessageProgram(pspec, legSizes[leg]);
             if (static_cast<int>(leg) == scenario.crashAfterLeg &&
                 !r.crashed) {
@@ -143,9 +137,8 @@ runCampaign(const CampaignScenario &scenario, std::uint64_t seed)
                 system.reset();
 
                 system = std::make_unique<System>(cfg);
-                std::istringstream is(checkpoint);
                 sim::CheckpointReader cr =
-                    sim::CheckpointReader::readFrom(is);
+                    sim::CheckpointReader::fromImage(checkpoint.image());
                 system->restoreCheckpoint(cr);
                 monitor =
                     std::make_unique<HealthMonitor>(*system, hp);

@@ -111,7 +111,8 @@ BurstDevice::checkpointRestore(sim::CheckpointReader &cr)
         rec.addr = cr.getU64();
         const std::uint64_t bytes = cr.getU64();
         if (bytes > 0) {
-            rec.data = cr.getBytes();
+            std::span<const std::uint8_t> data = cr.getBytes();
+            rec.data.assign(data.begin(), data.end());
             csb_assert(rec.data.size() == bytes, "device write payload");
         }
         rec.completionTick = cr.getU64();

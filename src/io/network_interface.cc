@@ -546,7 +546,8 @@ NetworkInterface::checkpointRestore(sim::CheckpointReader &cr)
                "NI checkpoint restore into a used NI");
     const std::uint64_t pio_bytes = cr.getU64();
     if (pio_bytes > 0) {
-        pioBuffer_ = cr.getBytes();
+        std::span<const std::uint8_t> data = cr.getBytes();
+        pioBuffer_.assign(data.begin(), data.end());
         csb_assert(pioBuffer_.size() == pio_bytes, "NI PIO payload size");
     }
     wireFreeAt_ = cr.getU64();
@@ -557,7 +558,8 @@ NetworkInterface::checkpointRestore(sim::CheckpointReader &cr)
         DeliveredMessage msg;
         const std::uint64_t payload_bytes = cr.getU64();
         if (payload_bytes > 0) {
-            msg.payload = cr.getBytes();
+            std::span<const std::uint8_t> data = cr.getBytes();
+            msg.payload.assign(data.begin(), data.end());
             csb_assert(msg.payload.size() == payload_bytes,
                        "NI message payload size");
         }

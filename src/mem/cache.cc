@@ -160,24 +160,37 @@ Cache::setLineState(Addr addr, LineState state)
         line->setState(state);
 }
 
+namespace {
+
+/** One line record: tag, flags byte, lastUse (docs/CHECKPOINT.md). */
+constexpr std::size_t kLineRecordBytes = 8 + 1 + 8;
+
+} // namespace
+
 void
 Cache::checkpointSave(sim::CheckpointWriter &cw) const
 {
     cw.putU64(useClock_);
     cw.putU64(numLines());
-    for (std::size_t i = 0; i < numLines(); ++i) {
+    for (unsigned set = 0; set < numSets_; ++set) {
         // A set that never came to life is written as all-zero
         // (invalid) records, exactly what a value-initialized array
         // held, so the format does not depend on laziness.
-        const Line line = live_[i / params_.assoc] ? lines_[i] : Line{};
-        cw.putU64(line.tag);
-        // One flags byte: bit0 valid, bit1 dirty, bit2 shared
-        // (docs/CHECKPOINT.md).
-        std::uint8_t flags = (line.valid ? 1u : 0u) |
-                             (line.dirty ? 2u : 0u) |
-                             (line.shared ? 4u : 0u);
-        cw.putU8(flags);
-        cw.putU64(line.lastUse);
+        if (!live_[set]) {
+            cw.putZeros(params_.assoc * kLineRecordBytes);
+            continue;
+        }
+        const Line *ways = &lines_[std::size_t(set) * params_.assoc];
+        for (unsigned w = 0; w < params_.assoc; ++w) {
+            const Line &line = ways[w];
+            cw.putU64(line.tag);
+            // One flags byte: bit0 valid, bit1 dirty, bit2 shared.
+            std::uint8_t flags = (line.valid ? 1u : 0u) |
+                                 (line.dirty ? 2u : 0u) |
+                                 (line.shared ? 4u : 0u);
+            cw.putU8(flags);
+            cw.putU64(line.lastUse);
+        }
     }
 }
 
@@ -190,15 +203,23 @@ Cache::checkpointRestore(sim::CheckpointReader &cr)
         csb_fatal("checkpoint cache '", statName(), "' has ", count,
                   " lines, this cache has ", numLines(),
                   " -- geometry mismatch");
-    std::fill_n(live_.get(), numSets_, true);
-    for (std::size_t i = 0; i < numLines(); ++i) {
-        Line &line = lines_[i];
-        line.tag = cr.getU64();
-        std::uint8_t flags = cr.getU8();
-        line.valid = (flags & 1) != 0;
-        line.dirty = (flags & 2) != 0;
-        line.shared = (flags & 4) != 0;
-        line.lastUse = cr.getU64();
+    for (unsigned set = 0; set < numSets_; ++set) {
+        // An all-zero set restores as not live, whatever it held
+        // before: its first fill value-initializes it to exactly the
+        // lines those zeros encode.
+        live_[set] = !cr.skipZeros(params_.assoc * kLineRecordBytes);
+        if (!live_[set])
+            continue;
+        Line *ways = &lines_[std::size_t(set) * params_.assoc];
+        for (unsigned w = 0; w < params_.assoc; ++w) {
+            Line &line = ways[w];
+            line.tag = cr.getU64();
+            std::uint8_t flags = cr.getU8();
+            line.valid = (flags & 1) != 0;
+            line.dirty = (flags & 2) != 0;
+            line.shared = (flags & 4) != 0;
+            line.lastUse = cr.getU64();
+        }
     }
 }
 

@@ -152,7 +152,8 @@ class Cache : public sim::stats::StatGroup
     /** numSets_ x assoc, row-major; a set is garbage until live. */
     std::unique_ptr<Line[]> lines_;
     /** Per set: its lines are initialized.  A set that is not live
-     *  reads as all invalid; a restore makes every set live. */
+     *  reads as all invalid; a restore leaves a set with all-zero
+     *  records not live. */
     std::unique_ptr<bool[]> live_;
     std::uint64_t useClock_ = 0;
 

@@ -445,7 +445,7 @@ ConditionalStoreBuffer::checkpointRestore(sim::CheckpointReader &cr)
     if (line_bytes != params_.lineBytes)
         csb_fatal("checkpoint CSB line is ", line_bytes,
                   " bytes, this CSB uses ", params_.lineBytes);
-    std::vector<std::uint8_t> bytes = cr.getBytes();
+    std::span<const std::uint8_t> bytes = cr.getBytes();
     csb_assert(bytes.size() == line_bytes, "CSB line payload size");
     data_.fill(0);
     std::memcpy(data_.data(), bytes.data(), bytes.size());

@@ -33,6 +33,8 @@ PageTable::setAttr(Addr base, Addr size, PageAttr attr)
                   " wraps past the end of the address space");
     const Addr first = roundDown(base, pageSize);
     const Addr last = roundDown(last_byte, pageSize);
+    if (ranges_.capacity() == 0)
+        ranges_.reserve(8); // a System's six I/O ranges, one allocation
 
     // [lo, hi) are the ranges sharing at least one page with the new
     // one.  Parts of the outer two that stick out survive with their

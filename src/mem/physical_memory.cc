@@ -84,7 +84,7 @@ PhysicalMemory::checkpointRestore(sim::CheckpointReader &cr)
     const std::uint64_t count = cr.getU64();
     for (std::uint64_t i = 0; i < count; ++i) {
         Addr base = cr.getU64();
-        std::vector<std::uint8_t> bytes = cr.getBytes();
+        std::span<const std::uint8_t> bytes = cr.getBytes();
         if (bytes.size() != frameSize)
             csb_fatal("checkpoint memory frame at 0x", std::hex, base,
                       std::dec, " has ", bytes.size(), " bytes, want ",

@@ -1,13 +1,15 @@
 /**
  * @file
  * CSBC v1 container serialization (see docs/CHECKPOINT.md for the
- * normative layout).  All integers are little-endian, encoded
- * byte-by-byte so the format is host-endian independent.
+ * normative layout).  All integers are little-endian whatever the
+ * host byte order.
  */
 
 #include "checkpoint.hh"
 
+#include <algorithm>
 #include <fstream>
+#include <istream>
 #include <ostream>
 
 #include "logging.hh"
@@ -19,86 +21,59 @@ namespace {
 constexpr char kMagic[4] = {'C', 'S', 'B', 'C'};
 constexpr std::uint32_t kVersion = 1;
 constexpr std::size_t kHeaderSize = 24;
-
-void
-putLe(std::vector<std::uint8_t> &out, std::uint64_t v, unsigned bytes)
-{
-    for (unsigned i = 0; i < bytes; ++i)
-        out.push_back(std::uint8_t(v >> (8 * i)));
-}
-
-std::uint64_t
-getLeBuf(const std::uint8_t *in, unsigned bytes)
-{
-    std::uint64_t v = 0;
-    for (unsigned i = 0; i < bytes; ++i)
-        v |= std::uint64_t(in[i]) << (8 * i);
-    return v;
-}
-
-/** Read exactly @p n bytes or die describing what was expected. */
-void
-readExact(std::istream &is, std::uint8_t *buf, std::size_t n,
-          const char *what)
-{
-    is.read(reinterpret_cast<char *>(buf), std::streamsize(n));
-    if (std::size_t(is.gcount()) != n)
-        csb_fatal("CSBC stream truncated while reading ", what,
-                  " (wanted ", n, " bytes, got ", is.gcount(), ")");
-}
+/** Header offset of the section count. */
+constexpr std::size_t kCountAt = 8;
+/**
+ * Room for a one-core System's image, 160-220 KB of which the L1 and
+ * L2 line records are 148 KB.  A save then regrows its storage at
+ * most once (a two-core image is 315 KB), not about 14 times from
+ * empty, each a copy of the image and a hole left in the heap.
+ */
+constexpr std::size_t kInitialCapacity = std::size_t(256) << 10;
 
 } // namespace
 
 void
-CheckpointWriter::beginSection(const std::string &name)
+CheckpointWriter::clear()
 {
-    sections_.push_back(Section{name, {}});
+    image_.reserve(kInitialCapacity);
+    image_.assign(kHeaderSize, 0); // count and reserved stay zero for now
+    std::memcpy(image_.data(), kMagic, sizeof(kMagic));
+    detail::storeLe(image_.data() + 4, kVersion);
+    lengthAt_ = 0;
+    sections_ = 0;
 }
 
 void
-CheckpointWriter::put(std::uint64_t v, unsigned bytes)
+CheckpointWriter::putBeforeSection()
 {
-    csb_assert(!sections_.empty(),
-               "CheckpointWriter::put before beginSection");
-    putLe(sections_.back().payload, v, bytes);
+    csb_panic("CheckpointWriter put before beginSection");
+}
+
+void
+CheckpointWriter::beginSection(std::string_view name)
+{
+    detail::storeLe(image_.data() + kCountAt, std::uint64_t(++sections_));
+    const std::size_t at = image_.size();
+    image_.resize(at + 4 + name.size() + 8); // the length starts at 0
+    detail::storeLe(image_.data() + at, std::uint32_t(name.size()));
+    std::copy(name.begin(), name.end(), image_.data() + at + 4);
+    lengthAt_ = at + 4 + name.size();
 }
 
 void
 CheckpointWriter::putBytes(const void *data, std::uint64_t size)
 {
-    put(size, 8);
-    const auto *bytes = static_cast<const std::uint8_t *>(data);
-    auto &payload = sections_.back().payload;
-    payload.insert(payload.end(), bytes, bytes + size);
+    putU64(size);
+    if (size > 0)
+        std::memcpy(grow(size), data, size);
 }
 
 void
 CheckpointWriter::writeTo(std::ostream &os) const
 {
-    std::vector<std::uint8_t> header;
-    header.reserve(kHeaderSize);
-    for (char c : kMagic)
-        header.push_back(std::uint8_t(c));
-    putLe(header, kVersion, 4);
-    putLe(header, sections_.size(), 8);
-    putLe(header, 0, 8); // reserved
-    os.write(reinterpret_cast<const char *>(header.data()),
-             std::streamsize(header.size()));
-
-    for (const Section &section : sections_) {
-        std::vector<std::uint8_t> head;
-        putLe(head, section.name.size(), 4);
-        os.write(reinterpret_cast<const char *>(head.data()),
-                 std::streamsize(head.size()));
-        os.write(section.name.data(),
-                 std::streamsize(section.name.size()));
-        std::vector<std::uint8_t> len;
-        putLe(len, section.payload.size(), 8);
-        os.write(reinterpret_cast<const char *>(len.data()),
-                 std::streamsize(len.size()));
-        os.write(reinterpret_cast<const char *>(section.payload.data()),
-                 std::streamsize(section.payload.size()));
-    }
+    os.write(reinterpret_cast<const char *>(image_.data()),
+             std::streamsize(image_.size()));
     if (!os)
         csb_fatal("error writing CSBC stream");
 }
@@ -116,44 +91,26 @@ CheckpointWriter::writeFile(const std::string &path) const
 CheckpointReader
 CheckpointReader::readFrom(std::istream &is)
 {
-    std::uint8_t header[kHeaderSize];
-    readExact(is, header, kHeaderSize, "header");
-    if (header[0] != std::uint8_t(kMagic[0]) ||
-        header[1] != std::uint8_t(kMagic[1]) ||
-        header[2] != std::uint8_t(kMagic[2]) ||
-        header[3] != std::uint8_t(kMagic[3])) {
-        csb_fatal("not a CSBC checkpoint (bad magic)");
-    }
-    const auto version = std::uint32_t(getLeBuf(header + 4, 4));
-    if (version != kVersion)
-        csb_fatal("unsupported CSBC version ", version, " (reader "
-                  "implements version ", kVersion, ")");
-    const std::uint64_t count = getLeBuf(header + 8, 8);
-
+    // Read to the end in large chunks: the first asks for everything
+    // the stream buffer already holds (a string stream's whole
+    // contents), later ones double.
     CheckpointReader reader;
-    for (std::uint64_t i = 0; i < count; ++i) {
-        std::uint8_t len4[4];
-        readExact(is, len4, 4, "section name length");
-        const auto name_len = std::uint32_t(getLeBuf(len4, 4));
-        std::string name(name_len, '\0');
-        if (name_len > 0) {
-            readExact(is, reinterpret_cast<std::uint8_t *>(name.data()),
-                      name_len, "section name");
-        }
-        std::uint8_t len8[8];
-        readExact(is, len8, 8, "section payload length");
-        const std::uint64_t payload_len = getLeBuf(len8, 8);
-        Section section{std::move(name), {}};
-        section.payload.resize(payload_len);
-        if (payload_len > 0) {
-            readExact(is, section.payload.data(), payload_len,
-                      section.name.c_str());
-        }
-        reader.sections_.push_back(std::move(section));
+    std::vector<std::uint8_t> &image = reader.image_;
+    std::size_t chunk = std::max<std::streamsize>(
+        is.rdbuf()->in_avail() + 1, std::streamsize(1) << 16);
+    for (;;) {
+        const std::size_t at = image.size();
+        image.resize(at + chunk);
+        is.read(reinterpret_cast<char *>(image.data() + at),
+                std::streamsize(chunk));
+        image.resize(at + std::size_t(is.gcount()));
+        if (std::size_t(is.gcount()) < chunk)
+            break;
+        chunk *= 2;
     }
-    if (is.peek() != std::istream::traits_type::eof())
-        csb_fatal("CSBC stream has trailing bytes after the ", count,
-                  " declared sections");
+    if (is.bad())
+        csb_fatal("error reading CSBC stream");
+    reader.parse();
     return reader;
 }
 
@@ -166,22 +123,72 @@ CheckpointReader::loadFile(const std::string &path)
     return readFrom(is);
 }
 
-bool
-CheckpointReader::hasSection(const std::string &name) const
+CheckpointReader
+CheckpointReader::fromImage(std::span<const std::uint8_t> image)
 {
-    for (const Section &section : sections_) {
-        if (section.name == name)
-            return true;
-    }
-    return false;
+    CheckpointReader reader;
+    reader.image_.assign(image.begin(), image.end());
+    reader.parse();
+    return reader;
 }
 
 void
-CheckpointReader::openSection(const std::string &name)
+CheckpointReader::parse()
 {
-    for (std::size_t i = 0; i < sections_.size(); ++i) {
-        if (sections_[i].name == name) {
-            current_ = i;
+    const std::uint8_t *next = image_.data();
+    std::uint64_t left = image_.size();
+    // Every length is checked against the bytes actually left before
+    // it is used, so a corrupt one fails here, naming what it sized.
+    auto take = [&](std::uint64_t n, auto &&...what) {
+        if (n > left)
+            csb_fatal("CSBC stream truncated while reading ", what...,
+                      " (wanted ", n, " bytes, ", left, " left)");
+        const std::uint8_t *at = next;
+        next += n;
+        left -= n;
+        return at;
+    };
+
+    const std::uint8_t *header = take(kHeaderSize, "header");
+    if (!std::equal(kMagic, kMagic + 4, header))
+        csb_fatal("not a CSBC checkpoint (bad magic)");
+    const auto version = detail::loadLe<std::uint32_t>(header + 4);
+    if (version != kVersion)
+        csb_fatal("unsupported CSBC version ", version, " (reader "
+                  "implements version ", kVersion, ")");
+    const auto count = detail::loadLe<std::uint64_t>(header + kCountAt);
+
+    for (std::uint64_t i = 0; i < count; ++i) {
+        const auto name_len = detail::loadLe<std::uint32_t>(
+            take(4, "the name length of section ", i));
+        const std::string_view name(
+            reinterpret_cast<const char *>(take(name_len, "section name")),
+            name_len);
+        const auto payload_len = detail::loadLe<std::uint64_t>(
+            take(8, "the payload length of section '", name, "'"));
+        const std::uint8_t *payload =
+            take(payload_len, "section '", name, "'");
+        sections_.push_back(Section{name, {payload, payload_len}});
+    }
+    if (left > 0)
+        csb_fatal("CSBC stream has trailing bytes after the ", count,
+                  " declared sections");
+}
+
+bool
+CheckpointReader::hasSection(std::string_view name) const
+{
+    return std::any_of(sections_.begin(), sections_.end(),
+                       [name](const Section &s) { return s.name == name; });
+}
+
+void
+CheckpointReader::openSection(std::string_view name)
+{
+    for (const Section &section : sections_) {
+        if (section.name == name) {
+            open_ = &section;
+            payload_ = section.payload;
             cursor_ = 0;
             return;
         }
@@ -192,59 +199,49 @@ CheckpointReader::openSection(const std::string &name)
 void
 CheckpointReader::closeSection()
 {
-    csb_assert(current_ != SIZE_MAX, "closeSection with none open");
-    const Section &section = sections_[current_];
-    if (cursor_ != section.payload.size())
-        csb_fatal("CSBC section '", section.name, "' only consumed ",
-                  cursor_, " of ", section.payload.size(), " bytes");
-    current_ = SIZE_MAX;
+    csb_assert(open_, "closeSection with none open");
+    if (cursor_ != payload_.size())
+        csb_fatal("CSBC section '", open_->name, "' only consumed ",
+                  cursor_, " of ", payload_.size(), " bytes");
+    open_ = nullptr;
+    payload_ = {};
     cursor_ = 0;
 }
 
-std::uint64_t
-CheckpointReader::get(unsigned bytes)
+void
+CheckpointReader::overrun(std::uint64_t n, const char *what) const
 {
-    csb_assert(current_ != SIZE_MAX, "get before openSection");
-    const Section &section = sections_[current_];
-    if (cursor_ + bytes > section.payload.size())
-        csb_fatal("CSBC section '", section.name, "' truncated: read "
-                  "of ", bytes, " bytes at offset ", cursor_,
-                  " exceeds payload of ", section.payload.size());
-    const std::uint64_t v =
-        getLeBuf(section.payload.data() + cursor_, bytes);
-    cursor_ += bytes;
-    return v;
+    csb_assert(open_, "CheckpointReader ", what, " before openSection");
+    csb_fatal("CSBC section '", open_->name, "' truncated: ", what,
+              " of ", n, " bytes at offset ", cursor_,
+              " exceeds payload of ", payload_.size());
 }
 
 std::span<const std::uint8_t>
-CheckpointReader::getSpan()
-{
-    const std::uint64_t size = get(8);
-    csb_assert(current_ != SIZE_MAX, "getBytes before openSection");
-    const Section &section = sections_[current_];
-    if (cursor_ + size > section.payload.size())
-        csb_fatal("CSBC section '", section.name, "' truncated: byte "
-                  "string of ", size, " bytes at offset ", cursor_,
-                  " exceeds payload of ", section.payload.size());
-    std::span<const std::uint8_t> out(section.payload.data() + cursor_,
-                                      size);
-    cursor_ += size;
-    return out;
-}
-
-std::vector<std::uint8_t>
 CheckpointReader::getBytes()
 {
-    std::span<const std::uint8_t> bytes = getSpan();
-    return std::vector<std::uint8_t>(bytes.begin(), bytes.end());
+    const std::uint64_t size = getU64();
+    return {take(size, "byte string"), size};
 }
 
-std::string_view
-CheckpointReader::getStr()
+bool
+CheckpointReader::skipZeros(std::size_t n)
 {
-    std::span<const std::uint8_t> bytes = getSpan();
-    return std::string_view(reinterpret_cast<const char *>(bytes.data()),
-                            bytes.size());
+    if (n > payload_.size() - cursor_)
+        return false;
+    // OR whole words without an early exit: the common case is all
+    // zero, and a branch per byte would cost more than the bytes.
+    const std::uint8_t *at = payload_.data() + cursor_;
+    std::uint64_t any = 0;
+    std::size_t i = 0;
+    for (; i + 8 <= n; i += 8)
+        any |= detail::loadLe<std::uint64_t>(at + i);
+    for (; i < n; ++i)
+        any |= at[i];
+    if (any != 0)
+        return false;
+    cursor_ += n;
+    return true;
 }
 
 } // namespace csb::sim

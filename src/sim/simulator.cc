@@ -66,6 +66,8 @@ Simulator::registerClocked(Clocked *obj)
     csb_assert(obj->sim_ == nullptr || obj->sim_ == this,
                obj->name(), " registered with two simulators");
     obj->sim_ = this;
+    if (clocked_.empty())
+        clocked_.reserve(8); // a System's components, one allocation
     clocked_.push_back(obj);
     order_dirty_ = true;
     obj->wakeTick_ = maxTick;

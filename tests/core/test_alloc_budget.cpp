@@ -248,8 +248,8 @@ TEST(BuildBudget, Fig3eSystemBuildAndTeardown)
 {
     // The budgets are the measured counts: hardware state and one
     // owner per component, nothing per stat or stat group.
-    EXPECT_LE(countBuildAndTeardown(Scheme::Csb), 41u);
-    EXPECT_LE(countBuildAndTeardown(Scheme::NoCombine), 33u);
+    EXPECT_LE(countBuildAndTeardown(Scheme::Csb), 33u);
+    EXPECT_LE(countBuildAndTeardown(Scheme::NoCombine), 28u);
 }
 
 TEST(BuildBudget, RegisteringAStatAllocatesNothing)

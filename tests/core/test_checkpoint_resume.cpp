@@ -15,8 +15,10 @@
 #include <type_traits>
 #include <vector>
 
+#include "core/experiments.hh"
 #include "core/kernels.hh"
 #include "core/system.hh"
+#include "core/workloads.hh"
 #include "sim/checkpoint.hh"
 #include "sim/fault.hh"
 #include "sim/logging.hh"
@@ -392,6 +394,162 @@ TEST(CheckpointResume, RejectsCorruptedCheckpoint)
     core::System after(baseConfig());
     EXPECT_THROW(after.restoreCheckpointFile(path), FatalError);
     std::remove(path.c_str());
+}
+
+// --- Pinned CSBC bytes ------------------------------------------------
+
+/** 64-bit FNV-1a of @p bytes. */
+std::uint64_t
+fnv1a(const std::string &bytes)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (unsigned char c : bytes) {
+        h ^= c;
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+/** Fig 3(e): an 8 B multiplexed bus at ratio 6, 64 B lines, CSB. */
+core::SystemConfig
+fig3eCsbConfig()
+{
+    core::BandwidthSetup setup;
+    setup.bus.kind = csb::bus::BusKind::Multiplexed;
+    setup.bus.widthBytes = 8;
+    setup.bus.ratio = 6;
+    setup.lineBytes = 64;
+    return core::bandwidthConfig(setup, core::Scheme::Csb);
+}
+
+/** runMessageWorkload's NI CSB system on the Fig 3(e) bus. */
+core::SystemConfig
+niCsbConfig()
+{
+    core::SystemConfig cfg;
+    cfg.lineBytes = 64;
+    cfg.bus = fig3eCsbConfig().bus;
+    cfg.enableCsb = true;
+    cfg.ubuf.combineBytes = 0;
+    cfg.enableNi = true;
+    cfg.normalize();
+    return cfg;
+}
+
+/** Two MESI-coherent cores whose misses travel over the bus. */
+core::SystemConfig
+coherentSmpConfig()
+{
+    core::SystemConfig cfg;
+    cfg.numCores = 2;
+    cfg.routeMissesOverBus = true;
+    cfg.coherence.kind = csb::mem::CoherenceKind::Mesi;
+    cfg.normalize();
+    return cfg;
+}
+
+/** Core @p c increments a shared word and stores it to its I/O page. */
+csb::isa::Program
+sharedCounterProgram(unsigned c)
+{
+    using csb::isa::ir;
+    csb::isa::Program p;
+    p.li(ir(1), 0x9000);
+    p.li(ir(2), static_cast<std::int64_t>(core::System::ioUncachedBase +
+                                          c * 0x1000));
+    p.li(ir(6), 0);
+    p.li(ir(7), 8);
+    csb::isa::Label loop = p.newLabel();
+    p.bind(loop);
+    p.ldd(ir(4), ir(1), 0);
+    p.addi(ir(4), ir(4), 1);
+    p.std_(ir(4), ir(1), 0);
+    p.std_(ir(4), ir(2), 0);
+    p.addi(ir(6), ir(6), 1);
+    p.blt(ir(6), ir(7), loop);
+    p.membar();
+    p.halt();
+    p.finalize();
+    return p;
+}
+
+/** Fig 3(e) CSB after a 4 KB store kernel. */
+void
+runStoreKernel(core::System &system)
+{
+    system.run(core::makeCsbStoreKernel(core::System::ioCsbBase, 4096, 64));
+}
+
+/** A seeded batch of 12 messages, as runMessageWorkload sends them. */
+void
+runMessageBatch(core::System &system)
+{
+    core::MessageProgramSpec spec;
+    spec.lineBytes = 64;
+    system.caches().touch(spec.lockAddr);
+    system.run(core::makeMessageProgram(
+        spec,
+        core::drawSizes(core::MessageSizeDistribution::scientific(301), 12)));
+}
+
+/** Both cores of a coherent SMP bump one shared word. */
+void
+runSharedCounters(core::System &system)
+{
+    const csb::isa::Program a = sharedCounterProgram(0);
+    const csb::isa::Program b = sharedCounterProgram(1);
+    system.core(0).loadProgram(&a, 1);
+    system.core(1).loadProgram(&b, 2);
+    system.simulator().run(
+        [&] {
+            return system.core(0).halted() && system.core(1).halted() &&
+                   system.quiescent();
+        },
+        5'000'000);
+}
+
+/** A workload run to a quiescent boundary, and the length and FNV-1a
+ *  hash its checkpoint image is pinned to. */
+struct PinnedImage
+{
+    const char *what;
+    core::SystemConfig cfg;
+    void (*run)(core::System &);
+    std::size_t length;
+    std::uint64_t hash;
+};
+
+TEST(CheckpointResume, ImagesReproducePinnedBytes)
+{
+    // Pinned with the byte-at-a-time encoder that the one-image
+    // writer replaced: the encoding may change, the bytes may not.
+    const PinnedImage pins[] = {
+        {"fig3e-csb", fig3eCsbConfig(), runStoreKernel, 166736,
+         0x10e09c7306be1221ULL},
+        {"ni-csb", niCsbConfig(), runMessageBatch, 161553,
+         0xa6dfb96241f7c95fULL},
+        {"smp-mesi", coherentSmpConfig(), runSharedCounters, 314907,
+         0xfc66bf08884b0cccULL},
+    };
+    for (const PinnedImage &pin : pins) {
+        core::System saved(pin.cfg);
+        pin.run(saved);
+        csb::sim::CheckpointWriter cw;
+        saved.saveCheckpoint(cw);
+        const std::string bytes(cw.image().begin(), cw.image().end());
+        EXPECT_EQ(bytes.size(), pin.length) << pin.what;
+        EXPECT_EQ(fnv1a(bytes), pin.hash)
+            << pin.what << std::hex << " hash 0x" << fnv1a(bytes);
+        std::ostringstream os;
+        cw.writeTo(os);
+        EXPECT_EQ(os.str(), bytes) << pin.what << ": the stream is the image";
+
+        core::System restored(pin.cfg);
+        csb::sim::CheckpointReader cr =
+            csb::sim::CheckpointReader::fromImage(cw.image());
+        restored.restoreCheckpoint(cr);
+        EXPECT_EQ(statsJson(restored), statsJson(saved)) << pin.what;
+    }
 }
 
 } // namespace

@@ -209,6 +209,44 @@ TEST(CacheCheckpoint, RoundTripOfPartlyTouchedCacheIsExact)
     EXPECT_EQ(savedBytes(restored), savedBytes(original));
 }
 
+TEST(CacheCheckpoint, RestoreIntoUsedCacheIsExact)
+{
+    // 2-way, 8 sets, 64 B lines.  The saved cache touches sets 0 and
+    // 3 only; the cache restored into has live lines in sets 0, 1, 2
+    // and 5, which the image holds as all-zero sets.
+    const CacheParams params = tiny(1024, 2, 64, 1);
+    Cache original(params, "c");
+    original.access(0x000, true);
+    original.access(0x200, false);
+    original.access(0x0c0, true);
+    const std::string saved = savedBytes(original);
+
+    Cache restored(params, "c");
+    for (Addr addr : {0x400, 0x040, 0x240, 0x080, 0x140, 0x540})
+        restored.access(addr, true);
+    std::istringstream is(saved);
+    sim::CheckpointReader cr = sim::CheckpointReader::readFrom(is);
+    cr.openSection("c");
+    restored.checkpointRestore(cr);
+    cr.closeSection();
+    EXPECT_EQ(savedBytes(restored), saved);
+
+    // The lines filled before the restore are gone: every set behaves
+    // as in the saved cache, whether it was live there or not.
+    const Addr addrs[] = {0x400, 0x040, 0x240, 0x080, 0x140, 0x540,
+                          0x000, 0x440, 0x600, 0x200, 0x0c0, 0x2c0,
+                          0x640, 0x040, 0x140, 0x4c0, 0x280};
+    for (Addr addr : addrs) {
+        bool is_write = (addr & 0x200) != 0;
+        Cache::AccessResult want = original.access(addr, is_write);
+        Cache::AccessResult got = restored.access(addr, is_write);
+        EXPECT_EQ(got.hit, want.hit) << std::hex << addr;
+        EXPECT_EQ(got.writeback, want.writeback) << std::hex << addr;
+        EXPECT_EQ(got.writebackAddr, want.writebackAddr) << std::hex << addr;
+    }
+    EXPECT_EQ(savedBytes(restored), savedBytes(original));
+}
+
 TEST(Hierarchy, LatenciesStack)
 {
     CacheHierarchy hierarchy(tiny(1024, 2, 64, 2), tiny(8192, 4, 64, 8),

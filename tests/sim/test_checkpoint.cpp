@@ -68,6 +68,42 @@ TEST(Checkpoint, TypedRoundTrip)
     cr.closeSection();
 }
 
+TEST(Checkpoint, ImageIsTheStreamAndClearStartsOver)
+{
+    CheckpointWriter cw = sampleWriter();
+    const std::string bytes = serialized(cw);
+    EXPECT_EQ(std::string(cw.image().begin(), cw.image().end()), bytes);
+    EXPECT_EQ(serialized(cw), bytes) << "writeTo may be called again";
+
+    cw.clear();
+    EXPECT_EQ(cw.numSections(), 0u);
+    EXPECT_EQ(serialized(cw), serialized(CheckpointWriter()));
+    cw.beginSection("alpha");
+    cw.putU8(0xab);
+    CheckpointReader cr = CheckpointReader::fromImage(cw.image());
+    EXPECT_EQ(cr.numSections(), 1u);
+    cr.openSection("alpha");
+    EXPECT_EQ(cr.getU8(), 0xab);
+    cr.closeSection();
+}
+
+TEST(Checkpoint, SkipZerosConsumesOnlyAZeroRun)
+{
+    CheckpointWriter cw;
+    cw.beginSection("z");
+    cw.putZeros(11);
+    cw.putU8(0);
+    cw.putU32(0x100);
+    CheckpointReader cr = CheckpointReader::fromImage(cw.image());
+    cr.openSection("z");
+    EXPECT_FALSE(cr.skipZeros(16)) << "a non-zero byte in the run";
+    EXPECT_FALSE(cr.skipZeros(64)) << "fewer bytes left than the run";
+    EXPECT_TRUE(cr.skipZeros(12));
+    EXPECT_FALSE(cr.skipZeros(4));
+    EXPECT_EQ(cr.getU32(), 0x100u);
+    cr.closeSection();
+}
+
 TEST(Checkpoint, SectionsOpenInAnyOrder)
 {
     std::istringstream in(serialized(sampleWriter()));
@@ -153,6 +189,29 @@ TEST(Checkpoint, RejectsTrailingBytes)
 {
     std::istringstream in(serialized(sampleWriter()) + "junk");
     EXPECT_THROW(CheckpointReader::readFrom(in), FatalError);
+}
+
+TEST(Checkpoint, RejectsHugeSectionLength)
+{
+    // A corrupt length must fail as the section's FatalError, not as
+    // an allocation of the declared size.  The first section's length
+    // follows the 24-byte header, its 4-byte name length and "alpha".
+    const std::string good = serialized(sampleWriter());
+    const std::size_t at = 24 + 4 + 5;
+    for (std::uint64_t len : {std::uint64_t(1) << 40, ~std::uint64_t(0)}) {
+        std::string bytes = good;
+        for (unsigned i = 0; i < 8; ++i)
+            bytes[at + i] = char(len >> (8 * i));
+        std::istringstream in(bytes);
+        try {
+            CheckpointReader::readFrom(in);
+            ADD_FAILURE() << "length " << len << " accepted";
+        } catch (const FatalError &err) {
+            EXPECT_NE(std::string(err.what()).find("'alpha'"),
+                      std::string::npos)
+                << err.what();
+        }
+    }
 }
 
 TEST(Checkpoint, LoadFileRejectsMissingFile)
