@@ -76,6 +76,7 @@ Core::clearPipeline()
     window_.clear();
     numDispatched_ = 0;
     lastWriter_.fill(0);
+    completions_.clear();
 }
 
 void
@@ -256,7 +257,9 @@ Core::settle()
 void
 Core::tick()
 {
-    accrueSkipped(sim_.curTick());
+    Tick now = sim_.curTick();
+    accrueSkipped(now);
+    drainCompletions(now);
     stalls_ = 0;
     worked_ = false;
 
@@ -274,8 +277,12 @@ Core::tick()
         issueStage();
         fetchStage();
     }
-    if (!worked_)
+    if (worked_)
+        return;
+    if (completions_.empty())
         gate();
+    else
+        sleepUntil(completions_.front().when);
 }
 
 // ---------------------------------------------------------------------
@@ -458,8 +465,6 @@ Core::finishInst(DynInst &inst, std::uint64_t result)
                inst.seq);
     inst.result = result;
     inst.state = State::Done;
-    worked_ = true;
-    ungate();
 
     RegId rd = destOf(inst.inst);
     if (rd.valid() && !rd.isZero() && lastWriter_[regSlot(rd)] == inst.seq)
@@ -495,6 +500,42 @@ Core::finishInst(DynInst &inst, std::uint64_t result)
                            : inst.pc + 1;
         }
     }
+}
+
+void
+Core::finishFromCallback(DynInst &inst, std::uint64_t result)
+{
+    finishInst(inst, result);
+    ungate();
+}
+
+void
+Core::finishAt(Tick when, std::uint64_t seq, std::uint64_t result)
+{
+    // The window bounds what can be pending: reserve it once, so a
+    // warm core never allocates here.
+    if (completions_.capacity() == 0)
+        completions_.reserve(params_.windowSize);
+    auto later = std::upper_bound(
+        completions_.begin(), completions_.end(), when,
+        [](Tick t, const Completion &c) { return t < c.when; });
+    completions_.insert(later, Completion{when, seq, result});
+}
+
+void
+Core::drainCompletions(Tick now)
+{
+    std::size_t due = 0;
+    for (; due < completions_.size() && completions_[due].when <= now;
+         ++due) {
+        const Completion &c = completions_[due];
+        DynInst *inst = findBySeq(c.seq);
+        csb_assert(inst, "completion for seq ", c.seq,
+                   " outside the window");
+        finishInst(*inst, c.result);
+    }
+    completions_.erase(completions_.begin(),
+                       completions_.begin() + std::ptrdiff_t(due));
 }
 
 bool
@@ -572,16 +613,6 @@ Core::issueStage()
         InstClass cls = di.inst.instClass();
         std::uint64_t seq = di.seq;
         std::uint64_t epoch = epoch_;
-        auto finish_later = [this, seq, epoch](Tick when,
-                                               std::uint64_t result) {
-            sim_.eventQueue().scheduleFunc(when,
-                [this, seq, epoch, result] {
-                    if (epoch != epoch_)
-                        return;
-                    if (DynInst *p = findBySeq(seq))
-                        finishInst(*p, result);
-                });
-        };
 
         if (cls == InstClass::IntAlu || cls == InstClass::FpAlu) {
             unsigned &pool = cls == InstClass::IntAlu ? int_free : fp_free;
@@ -599,13 +630,13 @@ Core::issueStage()
             else if (cls == InstClass::FpAlu)
                 lat = params_.fpLatency;
             markIssued(di);
-            finish_later(now + lat, result);
+            finishAt(now + lat, seq, result);
         } else if (cls == InstClass::Branch) {
             if (int_free == 0)
                 continue;
             --int_free;
             markIssued(di);
-            finish_later(now + params_.intLatency, 0);
+            finishAt(now + params_.intLatency, seq, 0);
         } else if (cls == InstClass::Load || cls == InstClass::Store ||
                    cls == InstClass::Swap) {
             if (mem_free == 0)
@@ -633,7 +664,7 @@ Core::issueStage()
                 markIssued(di);
                 // Address and data are staged; the store takes effect
                 // at commit.
-                finish_later(now + params_.intLatency + tlb_penalty, 0);
+                finishAt(now + params_.intLatency + tlb_penalty, seq, 0);
             } else if (cls == InstClass::Swap) {
                 --mem_free;
                 // Executes non-speculatively at the window head.
@@ -646,8 +677,8 @@ Core::issueStage()
                         continue; // retry next cycle
                     --mem_free;
                     markIssued(di);
-                    finish_later(now + params_.intLatency + tlb_penalty,
-                                 fwd);
+                    finishAt(now + params_.intLatency + tlb_penalty, seq,
+                             fwd);
                 } else {
                     --mem_free;
                     markIssued(di);
@@ -664,7 +695,7 @@ Core::issueStage()
                             std::uint64_t bits = 0;
                             ports_.memory->read(p->effAddr, &bits,
                                                 p->size);
-                            finishInst(*p, bits);
+                            finishFromCallback(*p, bits);
                         });
                 }
             } else {
@@ -724,7 +755,7 @@ Core::startHeadSwap(DynInst &head)
                           p->size, p->src2Val, p->attr,
                           sim::TraceFlagSwap | sim::TraceFlagEventPhase);
                 ports_.memory->write(p->effAddr, &p->src2Val, p->size);
-                finishInst(*p, old);
+                finishFromCallback(*p, old);
             });
         return;
     }
@@ -739,15 +770,8 @@ Core::startHeadSwap(DynInst &head)
                   head.src2Val, head.attr, sim::TraceFlagSwap);
         bool ok = ports_.csb->conditionalFlush(arch_.pid, head.effAddr,
                                                head.src2Val);
-        std::uint64_t result = ok ? head.src2Val : 0;
-        sim_.eventQueue().scheduleFunc(
-            now + params_.csbFlushLatency,
-            [this, seq, epoch, result] {
-                if (epoch != epoch_)
-                    return;
-                if (DynInst *p = findBySeq(seq))
-                    finishInst(*p, result);
-            });
+        finishAt(now + params_.csbFlushLatency, seq,
+                 ok ? head.src2Val : 0);
         return;
     }
 
@@ -776,7 +800,7 @@ Core::startHeadSwap(DynInst &head)
                       p->src2Val, p->attr,
                       sim::TraceFlagSwap | sim::TraceFlagEventPhase);
             ports_.ubuf->pushStore(p->effAddr, p->size, &p->src2Val);
-            finishInst(*p, old);
+            finishFromCallback(*p, old);
         });
 }
 
@@ -802,7 +826,7 @@ Core::startHeadUncachedLoad(DynInst &head)
             std::uint64_t bits = 0;
             std::memcpy(&bits, data.data(),
                         std::min<std::size_t>(data.size(), 8));
-            finishInst(*p, bits);
+            finishFromCallback(*p, bits);
         });
 }
 

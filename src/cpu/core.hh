@@ -241,6 +241,18 @@ class Core : public sim::Clocked, public sim::stats::StatGroup
     /** Mark @p inst executed: write back, wake consumers, unstall. */
     void finishInst(DynInst &inst, std::uint64_t result);
 
+    /**
+     * finishInst() from a memory-system callback, which also wakes
+     * the core: the callback fires between its ticks.
+     */
+    void finishFromCallback(DynInst &inst, std::uint64_t result);
+
+    /** Finish instruction @p seq with @p result at tick @p when. */
+    void finishAt(Tick when, std::uint64_t seq, std::uint64_t result);
+
+    /** Finish every pending completion due at or before @p now. */
+    void drainCompletions(Tick now);
+
     /** Look up an in-flight instruction by sequence number: O(1). */
     DynInst *findBySeq(std::uint64_t seq);
 
@@ -339,14 +351,32 @@ class Core : public sim::Clocked, public sim::stats::StatGroup
     const isa::Program *nextProgram_ = nullptr;
     ArchState nextState_;
     std::function<void(const ArchState &)> onSwitched_;
-    /** Bumped on every squash; stale callbacks check it. */
+    /** Bumped on every squash; stale memory callbacks check it. */
     std::uint64_t epoch_ = 0;
+
+    /** A fixed-latency result the core finishes itself. */
+    struct Completion
+    {
+        Tick when;
+        std::uint64_t seq;
+        std::uint64_t result;
+    };
+
+    /**
+     * Pending fixed-latency results (ALU ops, branches, store address
+     * generation, forwarded loads, the conditional flush), in (when,
+     * issue) order.  tick() finishes those due before anything else,
+     * and a core with nothing else to do sleeps until the front's
+     * tick.  A squash empties it.
+     */
+    std::vector<Completion> completions_;
 
     // Sleep bookkeeping.  A tick that changed nothing but per-cycle
     // stall counters puts the core to sleep: every following cycle
-    // would repeat it exactly until a completion (finishInst), a
-    // buffer slot or drain (the ubuf and CSB wake the core), a new
-    // program or a context-switch request changes its inputs.
+    // would repeat it exactly until a completion (a pending one's
+    // tick, or a memory callback), a buffer slot or drain (the ubuf
+    // and CSB wake the core), a new program or a context-switch
+    // request changes its inputs.
 
     /** Set by every tick action other than a stall count. */
     bool worked_ = false;

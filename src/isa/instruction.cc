@@ -20,69 +20,9 @@ RegId::toString() const
     return "%?";
 }
 
-InstClass
-classOf(Opcode op)
+void
+badOpcode(Opcode op)
 {
-    switch (op) {
-      case Opcode::Nop:
-        return InstClass::Nop;
-      case Opcode::Halt:
-        return InstClass::Halt;
-      case Opcode::Mark:
-        return InstClass::Mark;
-      case Opcode::Add:
-      case Opcode::Sub:
-      case Opcode::And:
-      case Opcode::Or:
-      case Opcode::Xor:
-      case Opcode::Sll:
-      case Opcode::Srl:
-      case Opcode::Sra:
-      case Opcode::Mul:
-      case Opcode::Slt:
-      case Opcode::Sltu:
-      case Opcode::Addi:
-      case Opcode::Andi:
-      case Opcode::Ori:
-      case Opcode::Xori:
-      case Opcode::Slli:
-      case Opcode::Srli:
-      case Opcode::Slti:
-      case Opcode::Li:
-      case Opcode::Mvf2i:
-        return InstClass::IntAlu;
-      case Opcode::Fadd:
-      case Opcode::Fsub:
-      case Opcode::Fmul:
-      case Opcode::Fmov:
-      case Opcode::Fitod:
-      case Opcode::Mvi2f:
-        return InstClass::FpAlu;
-      case Opcode::Ldb:
-      case Opcode::Ldw:
-      case Opcode::Ldd:
-      case Opcode::Ldf:
-        return InstClass::Load;
-      case Opcode::Stb:
-      case Opcode::Stw:
-      case Opcode::Std:
-      case Opcode::Stf:
-        return InstClass::Store;
-      case Opcode::Swap:
-        return InstClass::Swap;
-      case Opcode::Membar:
-        return InstClass::Membar;
-      case Opcode::Beq:
-      case Opcode::Bne:
-      case Opcode::Ble:
-      case Opcode::Bgt:
-      case Opcode::Blt:
-      case Opcode::Bge:
-      case Opcode::Jmp:
-        return InstClass::Branch;
-      case Opcode::NumOpcodes:
-        break;
-    }
     csb_panic("classOf: bad opcode ", static_cast<int>(op));
 }
 
@@ -105,20 +45,6 @@ accessSize(Opcode op)
       default:
         return 0;
     }
-}
-
-bool
-isLoad(Opcode op)
-{
-    InstClass cls = classOf(op);
-    return cls == InstClass::Load || cls == InstClass::Swap;
-}
-
-bool
-isStore(Opcode op)
-{
-    InstClass cls = classOf(op);
-    return cls == InstClass::Store || cls == InstClass::Swap;
 }
 
 const char *

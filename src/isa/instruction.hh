@@ -119,17 +119,97 @@ enum class InstClass : std::uint8_t {
     Halt,
 };
 
-/** @return the pipeline class of @p op. */
-InstClass classOf(Opcode op);
+/** Abort on an opcode outside the enumeration. */
+[[noreturn]] void badOpcode(Opcode op);
+
+/**
+ * @return the pipeline class of @p op.  Inline: fetch, issue and
+ * retire ask it for every instruction.
+ */
+inline InstClass
+classOf(Opcode op)
+{
+    switch (op) {
+      case Opcode::Nop:
+        return InstClass::Nop;
+      case Opcode::Halt:
+        return InstClass::Halt;
+      case Opcode::Mark:
+        return InstClass::Mark;
+      case Opcode::Add:
+      case Opcode::Sub:
+      case Opcode::And:
+      case Opcode::Or:
+      case Opcode::Xor:
+      case Opcode::Sll:
+      case Opcode::Srl:
+      case Opcode::Sra:
+      case Opcode::Mul:
+      case Opcode::Slt:
+      case Opcode::Sltu:
+      case Opcode::Addi:
+      case Opcode::Andi:
+      case Opcode::Ori:
+      case Opcode::Xori:
+      case Opcode::Slli:
+      case Opcode::Srli:
+      case Opcode::Slti:
+      case Opcode::Li:
+      case Opcode::Mvf2i:
+        return InstClass::IntAlu;
+      case Opcode::Fadd:
+      case Opcode::Fsub:
+      case Opcode::Fmul:
+      case Opcode::Fmov:
+      case Opcode::Fitod:
+      case Opcode::Mvi2f:
+        return InstClass::FpAlu;
+      case Opcode::Ldb:
+      case Opcode::Ldw:
+      case Opcode::Ldd:
+      case Opcode::Ldf:
+        return InstClass::Load;
+      case Opcode::Stb:
+      case Opcode::Stw:
+      case Opcode::Std:
+      case Opcode::Stf:
+        return InstClass::Store;
+      case Opcode::Swap:
+        return InstClass::Swap;
+      case Opcode::Membar:
+        return InstClass::Membar;
+      case Opcode::Beq:
+      case Opcode::Bne:
+      case Opcode::Ble:
+      case Opcode::Bgt:
+      case Opcode::Blt:
+      case Opcode::Bge:
+      case Opcode::Jmp:
+        return InstClass::Branch;
+      case Opcode::NumOpcodes:
+        break;
+    }
+    badOpcode(op);
+}
 
 /** @return memory access size in bytes (0 for non-memory ops). */
 unsigned accessSize(Opcode op);
 
 /** @return true when @p op reads memory (loads and swap). */
-bool isLoad(Opcode op);
+inline bool
+isLoad(Opcode op)
+{
+    InstClass cls = classOf(op);
+    return cls == InstClass::Load || cls == InstClass::Swap;
+}
 
 /** @return true when @p op writes memory (stores and swap). */
-bool isStore(Opcode op);
+inline bool
+isStore(Opcode op)
+{
+    InstClass cls = classOf(op);
+    return cls == InstClass::Store || cls == InstClass::Swap;
+}
 
 /** @return mnemonic string of @p op. */
 const char *mnemonic(Opcode op);

@@ -58,12 +58,17 @@ class ClockDomain
         return phase_ + cycle * period_;
     }
 
-    /** First edge at or after @p tick. */
+    /**
+     * First edge at or after @p tick.  Every tick is an edge of a
+     * period-1 domain (the core's), which skips the division.
+     */
     Tick
     nextEdgeAt(Tick tick) const
     {
         if (tick <= phase_)
             return phase_;
+        if (period_ == 1)
+            return tick;
         return phase_ + divCeil(tick - phase_, period_) * period_;
     }
 
@@ -84,9 +89,12 @@ class ClockDomain
  * simulator evaluates it.  After every tick() it defaults to the
  * following edge.  A component that can prove it has nothing to do
  * before some later tick sleeps: gate() ("never, until woken") or
- * sleepUntil(t) ("the first edge at or after t").  Anything that
- * hands it work calls ungate(), which makes it due at the next edge
- * it has not been evaluated on.  The simulator jumps over ticks at
+ * sleepUntil(t) ("the first edge at or after t"); one whose own
+ * pending work falls due at a known tick, like the core's
+ * fixed-latency results, sleeps until that tick instead of
+ * scheduling an event for it.  Anything that hands it work calls
+ * ungate(), which makes it due at the next edge it has not been
+ * evaluated on.  The simulator jumps over ticks at
  * which no event fires and no component is due.  Sleeping is purely
  * an optimisation and must never change simulated behaviour: a
  * component wakes at every point where work can arrive, and one that

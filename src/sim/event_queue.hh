@@ -3,10 +3,16 @@
  * Discrete event queue.
  *
  * An event is a fire-and-forget closure scheduled with
- * EventQueue::scheduleFunc() for an absolute tick.  Once scheduled it
- * always fires; a component that no longer wants a callback's effect
- * disarms it itself, e.g. with a generation or staleness check inside
- * the closure (the NI's retransmit timer does this).
+ * EventQueue::scheduleFunc() for an absolute tick.  Events carry work
+ * between components: cache, bus and uncached-buffer responses,
+ * device and NI timers.  Work a component finishes by itself at a
+ * known tick is not an event; the core keeps its fixed-latency
+ * results in its own queue and sleeps until the earliest.
+ *
+ * Once scheduled an event always fires; a component that no longer
+ * wants a callback's effect disarms it itself, e.g. with a generation
+ * or staleness check inside the closure (the NI's retransmit timer
+ * does this).
  *
  * Events at the same tick fire in (priority, insertion-order) order,
  * which keeps the simulation fully deterministic.

@@ -57,6 +57,8 @@ Clocked::takeSkippedEdges(Tick until)
     accounted_ = std::max(accounted_, until);
     if (first >= until)
         return 0;
+    if (domain_.period() == 1)
+        return until - first;
     return (until - 1 - first) / domain_.period() + 1;
 }
 
@@ -96,7 +98,6 @@ Simulator::stepOne()
 
     Tick now = events_.curTick();
     events_.serviceUntil(now);
-    nextWake_ = maxTick;
     for (Clocked *obj : clocked_) {
         if (obj->wakeTick_ <= now) {
             const ClockDomain &domain = obj->clockDomain();
@@ -112,8 +113,14 @@ Simulator::stepOne()
                 obj->wakeTick_ = domain.nextEdgeAt(now);
             }
         }
-        nextWake_ = std::min(nextWake_, obj->wakeTick_);
     }
+    // Taken after every evaluation, not as the loop goes: a component
+    // woken by an earlier one in this tick and then evaluated may have
+    // gone back to sleep, and the tick its wake noted would be stepped
+    // for nothing.
+    nextWake_ = maxTick;
+    for (const Clocked *obj : clocked_)
+        nextWake_ = std::min(nextWake_, obj->wakeTick_);
     events_.serviceUntil(now + 1);
 }
 
@@ -123,9 +130,10 @@ Simulator::quiescentJump(Tick budget_left) const
     Tick now = events_.curTick();
     if (nextWake_ <= now || budget_left == 0)
         return 0;
-    // Land one tick short of the next event so stepOne()'s trailing
-    // serviceUntil fires it exactly as per-tick stepping would, or on
-    // the earliest wake tick so that component is evaluated there.
+    // Land one tick short of the next event, where the landing step's
+    // trailing serviceUntil (or advance() in its place) fires it
+    // exactly as per-tick stepping would, or on the earliest wake
+    // tick so that component is evaluated there.
     Tick jump = budget_left - 1;
     if (watchdogWindow_) {
         // Do not jump past the watchdog deadline; run() re-checks it
@@ -150,12 +158,22 @@ void
 Simulator::advance(Tick budget_left)
 {
     Tick jump = quiescentJump(budget_left);
-    if (jump == 0) {
-        stepOne();
-        return;
+    Tick land = curTick() + jump;
+    if (jump > 0) {
+        events_.advanceTo(land);
+        fastForwardedTicks_ += jump;
     }
-    events_.advanceTo(curTick() + jump);
-    fastForwardedTicks_ += jump;
+    // One tick short of an event (after a jump or not), the step at
+    // the landing tick would evaluate nothing and fire the event in
+    // its trailing serviceUntil; fire it now instead.  Not when a
+    // component is due there, nor on the watchdog deadline, which
+    // run() checks at the landing tick.
+    bool deadline = watchdogWindow_ &&
+                    land - lastProgressTick_ >= watchdogWindow_;
+    if (events_.nextTick() == land + 1 && nextWake_ > land && !deadline)
+        events_.serviceUntil(land + 1);
+    else if (jump == 0)
+        stepOne();
 }
 
 void
@@ -165,31 +183,14 @@ Simulator::settleAll()
         obj->settle();
 }
 
-Tick
-Simulator::run(const std::function<bool()> &done, Tick max_ticks)
+void
+Simulator::noteTickLimit(Tick max_ticks)
 {
-    Tick start = curTick();
-    lastProgressTick_ = std::max(lastProgressTick_, start);
-    while (curTick() - start < max_ticks) {
-        if (done()) {
-            settleAll();
-            return curTick();
-        }
-        if (watchdogWindow_ &&
-            curTick() - lastProgressTick_ >= watchdogWindow_) {
-            watchdogFire(start);
-        }
-        advance(max_ticks - (curTick() - start));
-    }
-    if (!done()) {
-        ++tickLimitHits_;
-        csb_warn("Simulator::run: tick limit of ", max_ticks,
-                 " ticks exhausted at tick ", curTick(),
-                 " with the workload unfinished (deadlock or "
-                 "undersized budget)");
-    }
-    settleAll();
-    return curTick();
+    ++tickLimitHits_;
+    csb_warn("Simulator::run: tick limit of ", max_ticks,
+             " ticks exhausted at tick ", curTick(),
+             " with the workload unfinished (deadlock or "
+             "undersized budget)");
 }
 
 void

@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "clocked.hh"
@@ -36,7 +35,11 @@ class Simulator
     /** Current time in CPU cycles. */
     Tick curTick() const { return events_.curTick(); }
 
-    /** The shared event queue (for latency callbacks). */
+    /**
+     * The shared event queue, for callbacks between components (cache
+     * and bus responses, device and NI timers).  A component's own
+     * fixed-latency work is not an event: it sleeps until then.
+     */
     EventQueue &eventQueue() { return events_; }
 
     /** Register a cycle-driven object.  Not owned. */
@@ -47,10 +50,13 @@ class Simulator
      * spans -- no event fires and no component is due -- are jumped,
      * so @p done is consulted only at ticks where something could
      * have changed: it must read component or event state, never
-     * curTick().  To stop at a tick, use runFor().
+     * curTick().  To stop at a tick, use runFor().  @p done is a
+     * template parameter, so testing it on every visited tick is a
+     * direct (usually inlined) call.
      * @return the tick at which the run stopped.
      */
-    Tick run(const std::function<bool()> &done, Tick max_ticks = 10'000'000);
+    template <typename Done>
+    Tick run(Done &&done, Tick max_ticks = 10'000'000);
 
     /** Run for exactly @p n ticks (always fast-forwards). */
     Tick runFor(Tick n);
@@ -130,11 +136,18 @@ class Simulator
      */
     Tick quiescentJump(Tick budget_left) const;
 
-    /** Jump the idle span ahead, or step one tick if there is none. */
+    /**
+     * Jump the idle span ahead, or step one tick if there is none;
+     * an event one tick past the landing tick fires at once when the
+     * step there would evaluate nothing.
+     */
     void advance(Tick budget_left);
 
     /** Call settle() on every component (end of run()/runFor()). */
     void settleAll();
+
+    /** The tick budget ran out with the workload unfinished. */
+    void noteTickLimit(Tick max_ticks);
 
     EventQueue events_;
     std::vector<Clocked *> clocked_;
@@ -146,6 +159,29 @@ class Simulator
     std::uint64_t tickLimitHits_ = 0;
     std::uint64_t fastForwardedTicks_ = 0;
 };
+
+template <typename Done>
+Tick
+Simulator::run(Done &&done, Tick max_ticks)
+{
+    Tick start = curTick();
+    lastProgressTick_ = std::max(lastProgressTick_, start);
+    while (curTick() - start < max_ticks) {
+        if (done()) {
+            settleAll();
+            return curTick();
+        }
+        if (watchdogWindow_ &&
+            curTick() - lastProgressTick_ >= watchdogWindow_) {
+            watchdogFire(start);
+        }
+        advance(max_ticks - (curTick() - start));
+    }
+    if (!done())
+        noteTickLimit(max_ticks);
+    settleAll();
+    return curTick();
+}
 
 } // namespace csb::sim
 

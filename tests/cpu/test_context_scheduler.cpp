@@ -6,9 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <iterator>
+
 #include "core/kernels.hh"
 #include "core/system.hh"
 #include "cpu/context_scheduler.hh"
+#include "cpu/reference_executor.hh"
 #include "isa/program.hh"
 
 namespace {
@@ -17,6 +21,7 @@ using namespace csb;
 using core::System;
 using core::SystemConfig;
 using cpu::ContextScheduler;
+using isa::fr;
 using isa::ir;
 
 SystemConfig
@@ -45,6 +50,101 @@ makeSummer(Addr result_addr, unsigned n)
     p.halt();
     p.finalize();
     return p;
+}
+
+/**
+ * Straight-line ALU work around latency-3 mul and fadd results: the
+ * first @p n instructions of it, then HALT.
+ */
+isa::Program
+makeLongLatency(std::int64_t base, unsigned n = ~0u)
+{
+    isa::Program p;
+    const std::function<void()> body[] = {
+        [&] { p.li(ir(1), base); },
+        [&] { p.li(ir(2), base + 1); },
+        [&] { p.mul(ir(3), ir(1), ir(2)); },
+        [&] { p.fitod(fr(1), ir(1)); },
+        [&] { p.fitod(fr(2), ir(3)); },
+        [&] { p.fadd(fr(3), fr(1), fr(2)); },
+        [&] { p.mul(ir(4), ir(3), ir(3)); },
+        [&] { p.fadd(fr(4), fr(3), fr(3)); },
+        [&] { p.add_(ir(5), ir(4), ir(1)); },
+        [&] { p.mvf2i(ir(6), fr(4)); },
+    };
+    for (unsigned i = 0; i < std::size(body) && i < n; ++i)
+        body[i]();
+    p.halt();
+    p.finalize();
+    return p;
+}
+
+cpu::ArchState
+referenceState(const isa::Program &program, ProcId pid)
+{
+    cpu::ReferenceExecutor reference;
+    reference.addContext(&program, pid);
+    reference.run();
+    return reference.state(0);
+}
+
+void
+expectSameRegisters(const cpu::ArchState &got, const cpu::ArchState &want,
+                    const char *what, Tick at)
+{
+    EXPECT_EQ(got.intRegs, want.intRegs) << what << ", switch at " << at;
+    EXPECT_EQ(got.fpRegs, want.fpRegs) << what << ", switch at " << at;
+}
+
+TEST(ContextSwitch, SquashDropsPendingLongLatencyResults)
+{
+    // Request a switch at every tick of the first context's run, so
+    // some squash lands while a mul or fadd result is still pending.
+    // The saved state holds exactly the committed prefix, the next
+    // context computes its own results (no leftover completion
+    // finishes one of its instructions), and the first context, once
+    // resumed, ends as the reference executor does.
+    const isa::Program a = makeLongLatency(6);
+    const isa::Program b = makeLongLatency(1000);
+    const cpu::ArchState want_a = referenceState(a, 1);
+    const cpu::ArchState want_b = referenceState(b, 2);
+    for (Tick at = 1; at <= 16; ++at) {
+        System system(defaultConfig());
+        cpu::Core &core = system.core();
+        core.loadProgram(&a, 1);
+        system.simulator().runFor(at);
+        if (core.halted())
+            break;
+
+        cpu::ArchState saved;
+        bool switched = false;
+        cpu::ArchState next;
+        next.pid = 2;
+        core.requestContextSwitch(&b, next, [&](const cpu::ArchState &s) {
+            saved = s;
+            switched = true;
+        });
+        system.simulator().run(
+            [&] { return switched && core.halted() && system.quiescent(); },
+            10'000);
+        ASSERT_TRUE(switched && core.halted()) << "switch at " << at;
+        expectSameRegisters(core.archState(), want_b, "next context", at);
+
+        const isa::Program prefix = makeLongLatency(6, unsigned(saved.pc));
+        expectSameRegisters(saved, referenceState(prefix, 1),
+                            "saved state", at);
+
+        switched = false;
+        core.requestContextSwitch(&a, saved, [&](const cpu::ArchState &) {
+            switched = true;
+        });
+        system.simulator().run(
+            [&] { return switched && core.halted() && system.quiescent(); },
+            10'000);
+        ASSERT_TRUE(switched && core.halted()) << "switch at " << at;
+        expectSameRegisters(core.archState(), want_a, "resumed context",
+                            at);
+    }
 }
 
 TEST(ContextScheduler, BothProcessesRunToCompletion)

@@ -36,6 +36,10 @@ TEST(ClockDomain, EdgesAndCycles)
     EXPECT_EQ(slow.nextEdgeAt(7), 12u);
     EXPECT_EQ(slow.nextEdgeAt(12), 12u);
     EXPECT_EQ(ClockDomain(10).nextEdgeAt(26), 30u);
+    // Every tick is an edge of a period-1 domain, after its phase.
+    EXPECT_EQ(fast.nextEdgeAt(7), 7u);
+    EXPECT_EQ(ClockDomain(1, 3).nextEdgeAt(1), 3u);
+    EXPECT_EQ(ClockDomain(1, 3).nextEdgeAt(5), 5u);
 }
 
 TEST(ClockDomain, PhaseShiftsEdges)
@@ -149,6 +153,89 @@ TEST(Simulator, RunStopsOnPredicate)
     simulator.eventQueue().scheduleFunc(10, [&] { done = true; });
     Tick end = simulator.run([&] { return done; }, 1000);
     EXPECT_EQ(end, 10u);
+}
+
+// An idle jump lands one tick short of the next event, and the
+// simulator fires that event at once instead of stepping the empty
+// landing tick.  The cases below pin what per-tick stepping gives.
+
+/** Evaluated once, at registration's edge, then asleep for good. */
+class OneShot : public Clocked
+{
+  public:
+    OneShot() : Clocked("oneshot", ClockDomain(1)) {}
+    void
+    tick() override
+    {
+        ++ticks;
+        gate();
+    }
+    unsigned ticks = 0;
+};
+
+TEST(Simulator, LoneEventStopsRunAtItsTick)
+{
+    Simulator simulator;
+    OneShot idle;
+    simulator.registerClocked(&idle);
+    bool done = false;
+    simulator.eventQueue().scheduleFunc(700, [&] { done = true; });
+    Tick end = simulator.run([&] { return done; }, 100'000);
+    EXPECT_EQ(end, 700u);
+    EXPECT_EQ(idle.ticks, 1u);
+}
+
+TEST(Simulator, LoneEventFastForwardsAllButTheLandingTick)
+{
+    Simulator simulator;
+    simulator.runFor(1);
+    const Tick n = 1000;
+    bool done = false;
+    simulator.eventQueue().scheduleFunc(simulator.curTick() + n,
+                                        [&] { done = true; });
+    Tick end = simulator.run([&] { return done; }, 100'000);
+    EXPECT_EQ(end, 1u + n);
+    EXPECT_EQ(simulator.fastForwardedTicks(), n - 1);
+}
+
+TEST(Simulator, ComponentDueAtLandingTickRunsBeforeTheEvent)
+{
+    // The jump lands on the sleeper's wake tick, one short of the
+    // event: the sleeper must be evaluated there before the event
+    // fires.
+    std::vector<std::pair<std::string, Tick>> log;
+    Simulator simulator;
+    class Sleeper : public Clocked
+    {
+      public:
+        Sleeper(std::vector<std::pair<std::string, Tick>> *log,
+                Simulator *simulator)
+            : Clocked("sleeper", ClockDomain(1)), log_(log),
+              sim_(simulator)
+        {}
+        void
+        tick() override
+        {
+            log_->emplace_back(name(), sim_->curTick());
+            if (log_->size() == 1)
+                sleepUntil(50);
+            else
+                gate();
+        }
+
+      private:
+        std::vector<std::pair<std::string, Tick>> *log_;
+        Simulator *sim_;
+    };
+    Sleeper sleeper(&log, &simulator);
+    simulator.registerClocked(&sleeper);
+    simulator.eventQueue().scheduleFunc(51, [&] {
+        log.emplace_back("event", simulator.curTick());
+    });
+    simulator.runFor(60);
+    using Entry = std::pair<std::string, Tick>;
+    EXPECT_EQ(log, (std::vector<Entry>{
+                       {"sleeper", 0}, {"sleeper", 50}, {"event", 51}}));
 }
 
 TEST(Simulator, RunHonoursMaxTicks)

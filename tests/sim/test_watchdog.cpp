@@ -91,6 +91,26 @@ TEST(Watchdog, NoteProgressDefersFiring)
     EXPECT_EQ(sim.curTick(), 2000u);
 }
 
+TEST(Watchdog, FiresOnALandingTickBeforeTheNextEvent)
+{
+    // The idle jump from tick 1 lands on tick 100, one short of an
+    // event that would report progress.  Tick 100 is also the
+    // watchdog deadline, so the watchdog fires there, before the
+    // event, exactly as per-tick stepping has it.
+    sim::Simulator sim;
+    sim.setWatchdog(100);
+    sim.eventQueue().scheduleFunc(101, [&] { sim.noteProgress(); });
+    Tick fired_at = 0;
+    try {
+        sim.run([] { return false; }, 1000);
+        FAIL() << "watchdog never fired";
+    } catch (const FatalError &) {
+        fired_at = sim.curTick();
+    }
+    EXPECT_EQ(fired_at, 100u);
+    EXPECT_EQ(sim.eventQueue().numProcessed(), 0u);
+}
+
 TEST(Watchdog, DisabledByDefault)
 {
     sim::Simulator sim;
