@@ -13,7 +13,6 @@
 #ifndef CSB_BENCH_COMMON_HH
 #define CSB_BENCH_COMMON_HH
 
-#include <charconv>
 #include <cmath>
 #include <cstdarg>
 #include <cstdint>
@@ -29,6 +28,7 @@
 #include "core/experiments.hh"
 #include "core/sweep.hh"
 #include "sim/json.hh"
+#include "sim/parse_number.hh"
 
 namespace csb::bench {
 
@@ -64,20 +64,6 @@ struct BenchFlags
     /** Whether it takes `--trace-record` / `--trace-replay`. */
     bool traceFiles = false;
 };
-
-namespace detail {
-
-/** Parse all of @p text as a T; false on garbage, sign or overflow. */
-template <typename T>
-bool
-parseNumber(const std::string &text, T &out)
-{
-    const char *end = text.data() + text.size();
-    auto [ptr, ec] = std::from_chars(text.data(), end, out);
-    return ec == std::errc() && ptr == end;
-}
-
-} // namespace detail
 
 /**
  * Parse a bench binary's command line: `--jobs`, `--json` and the
@@ -136,10 +122,10 @@ parseArgs(int argc, char **argv, const BenchFlags &flags = {})
             fail(name + " needs a value");
 
         if (name == "--jobs") {
-            if (!detail::parseNumber(value, args.jobs))
+            if (!sim::parseNumber(value, args.jobs))
                 fail("--jobs needs a worker count, got '" + value + "'");
         } else if (gate) {
-            if (!detail::parseNumber(value, args.minSpeedup) ||
+            if (!sim::parseNumber(value, args.minSpeedup) ||
                 !std::isfinite(args.minSpeedup) || args.minSpeedup < 0) {
                 fail(name + " needs a non-negative number, got '" +
                      value + "'");

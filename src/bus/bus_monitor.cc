@@ -30,61 +30,18 @@ BusMonitor::count(const std::function<bool(const TxnRecord &)> &pred) const
 }
 
 std::uint64_t
-BusMonitor::bytes(const std::function<bool(const TxnRecord &)> &pred) const
-{
-    std::uint64_t total = 0;
-    for (const TxnRecord &rec : records_) {
-        if (matches(pred, rec))
-            total += rec.size;
-    }
-    return total;
-}
-
-std::uint64_t
-BusMonitor::firstAddrCycle(
+BusMonitor::windowCycles(
     const std::function<bool(const TxnRecord &)> &pred) const
 {
     std::uint64_t first = UINT64_MAX;
-    for (const TxnRecord &rec : records_) {
-        if (matches(pred, rec))
-            first = std::min(first, rec.addrCycle);
-    }
-    return first == UINT64_MAX ? 0 : first;
-}
-
-std::uint64_t
-BusMonitor::lastDataCycle(
-    const std::function<bool(const TxnRecord &)> &pred) const
-{
     std::uint64_t last = 0;
-    bool any = false;
     for (const TxnRecord &rec : records_) {
         if (matches(pred, rec)) {
+            first = std::min(first, rec.addrCycle);
             last = std::max(last, rec.lastDataCycle);
-            any = true;
         }
     }
-    return any ? last : 0;
-}
-
-double
-BusMonitor::bandwidthBytesPerBusCycle(
-    const std::function<bool(const TxnRecord &)> &pred) const
-{
-    std::uint64_t total_bytes = 0;
-    std::uint64_t first = UINT64_MAX;
-    std::uint64_t last = 0;
-    for (const TxnRecord &rec : records_) {
-        if (!matches(pred, rec))
-            continue;
-        total_bytes += rec.size;
-        first = std::min(first, rec.addrCycle);
-        last = std::max(last, rec.lastDataCycle);
-    }
-    if (total_bytes == 0 || first == UINT64_MAX)
-        return 0.0;
-    return static_cast<double>(total_bytes) /
-           static_cast<double>(last - first + 1);
+    return first == UINT64_MAX ? 0 : last - first + 1;
 }
 
 void

@@ -39,24 +39,14 @@ class BusMonitor
     std::size_t count(
         const std::function<bool(const TxnRecord &)> &pred = {}) const;
 
-    /** Total bytes moved by matching transactions. */
-    std::uint64_t bytes(
-        const std::function<bool(const TxnRecord &)> &pred = {}) const;
-
     /**
-     * Effective bandwidth over the matching records:
-     * bytes / (max(lastDataCycle) - min(addrCycle) + 1).
+     * The section 4.3.1 measurement window of the matching records, in
+     * bus cycles: from the first address cycle to the last data cycle,
+     * both included, so a trailing turnaround cycle is not charged.
+     * Effective bandwidth is the bytes moved divided by this.
      * @return 0 when no record matches.
      */
-    double bandwidthBytesPerBusCycle(
-        const std::function<bool(const TxnRecord &)> &pred = {}) const;
-
-    /** Bus cycle of the first matching address cycle (or 0). */
-    std::uint64_t firstAddrCycle(
-        const std::function<bool(const TxnRecord &)> &pred = {}) const;
-
-    /** Bus cycle of the last matching data cycle (or 0). */
-    std::uint64_t lastDataCycle(
+    std::uint64_t windowCycles(
         const std::function<bool(const TxnRecord &)> &pred = {}) const;
 
     /**

@@ -818,33 +818,4 @@ SystemBus::debugDump(std::ostream &os) const
     }
 }
 
-std::unique_ptr<SystemBus>
-makeMultiplexedBus(sim::Simulator &simulator, unsigned width_bytes,
-                   unsigned ratio, unsigned turnaround, unsigned ack_delay,
-                   unsigned max_burst)
-{
-    BusParams params;
-    params.kind = BusKind::Multiplexed;
-    params.widthBytes = width_bytes;
-    params.ratio = ratio;
-    params.turnaround = turnaround;
-    params.ackDelay = ack_delay;
-    params.maxBurstBytes = max_burst;
-    return std::make_unique<SystemBus>(simulator, params);
-}
-
-std::unique_ptr<SystemBus>
-makeSplitBus(sim::Simulator &simulator, unsigned width_bytes, unsigned ratio,
-             unsigned turnaround, unsigned ack_delay, unsigned max_burst)
-{
-    BusParams params;
-    params.kind = BusKind::Split;
-    params.widthBytes = width_bytes;
-    params.ratio = ratio;
-    params.turnaround = turnaround;
-    params.ackDelay = ack_delay;
-    params.maxBurstBytes = max_burst;
-    return std::make_unique<SystemBus>(simulator, params);
-}
-
 } // namespace csb::bus

@@ -29,7 +29,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -365,18 +364,6 @@ class SystemBus : public sim::Clocked, public sim::stats::StatGroup
 
     BusMonitor monitor_;
 };
-
-/** Convenience factory for the multiplexed organization. */
-std::unique_ptr<SystemBus> makeMultiplexedBus(
-    sim::Simulator &simulator, unsigned width_bytes, unsigned ratio,
-    unsigned turnaround = 0, unsigned ack_delay = 0,
-    unsigned max_burst = 64);
-
-/** Convenience factory for the split address/data organization. */
-std::unique_ptr<SystemBus> makeSplitBus(
-    sim::Simulator &simulator, unsigned width_bytes, unsigned ratio,
-    unsigned turnaround = 0, unsigned ack_delay = 0,
-    unsigned max_burst = 64);
 
 } // namespace csb::bus
 

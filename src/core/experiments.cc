@@ -129,15 +129,6 @@ runBandwidthSweep(SweepRunner &runner, const std::string &title,
     return sweep;
 }
 
-BandwidthSweep
-runBandwidthSweep(const std::string &title, const BandwidthSetup &setup,
-                  const std::vector<Scheme> &schemes,
-                  const std::vector<unsigned> &sizes)
-{
-    SweepRunner serial(1);
-    return runBandwidthSweep(serial, title, setup, schemes, sizes);
-}
-
 void
 printSweep(const BandwidthSweep &sweep, std::ostream &os)
 {
@@ -293,14 +284,6 @@ runLatencySweep(SweepRunner &runner, const std::string &title,
             flat.begin() + (i + 1) * sweep.dwords.size());
     }
     return sweep;
-}
-
-LatencySweep
-runLatencySweep(const std::string &title, const BandwidthSetup &setup,
-                bool lock_miss)
-{
-    SweepRunner serial(1);
-    return runLatencySweep(serial, title, setup, lock_miss);
 }
 
 void

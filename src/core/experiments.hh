@@ -84,12 +84,6 @@ BandwidthSweep runBandwidthSweep(SweepRunner &runner,
                                  const std::vector<Scheme> &schemes,
                                  const std::vector<unsigned> &sizes);
 
-/** Serial convenience overload (a jobs=1 runner). */
-BandwidthSweep runBandwidthSweep(const std::string &title,
-                                 const BandwidthSetup &setup,
-                                 const std::vector<Scheme> &schemes,
-                                 const std::vector<unsigned> &sizes);
-
 /** Print a sweep as the paper-style series table. */
 void printSweep(const BandwidthSweep &sweep, std::ostream &os);
 
@@ -166,11 +160,8 @@ struct LatencySweep
     std::vector<std::vector<double>> cycles;
 };
 
-/** Parallel variant: grid points dispatched through @p runner. */
+/** Run one figure 5 panel, grid points dispatched through @p runner. */
 LatencySweep runLatencySweep(SweepRunner &runner, const std::string &title,
-                             const BandwidthSetup &setup, bool lock_miss);
-
-LatencySweep runLatencySweep(const std::string &title,
                              const BandwidthSetup &setup, bool lock_miss);
 
 void printLatencySweep(const LatencySweep &sweep, std::ostream &os);

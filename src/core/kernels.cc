@@ -341,17 +341,4 @@ makeCsbStoreKernelWithFallback(Addr csb_base, Addr fallback_base,
     return p;
 }
 
-Program
-makeUnflushedStoresKernel(Addr csb_base, unsigned n_dwords)
-{
-    Program p;
-    presetData(p);
-    p.li(ir(1), static_cast<std::int64_t>(csb_base));
-    for (unsigned i = 0; i < n_dwords; ++i)
-        p.std_(dataReg(i), ir(1), i * 8);
-    p.halt();
-    p.finalize();
-    return p;
-}
-
 } // namespace csb::core

@@ -78,12 +78,6 @@ isa::Program makeLockedStoreKernel(Addr lock_addr, Addr io_base,
 isa::Program makeCsbSequenceKernel(Addr csb_base, unsigned n_dwords);
 
 /**
- * Combining stores WITHOUT a flush, then halt -- used by conflict
- * tests/examples to model a process preempted before its flush.
- */
-isa::Program makeUnflushedStoresKernel(Addr csb_base, unsigned n_dwords);
-
-/**
  * Like makeCsbStoreKernel, but with exponential backoff after failed
  * conditional flushes: the retry spins an empty delay loop whose
  * iteration count doubles on every consecutive failure, up to

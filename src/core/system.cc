@@ -645,11 +645,7 @@ System::ioWriteBusCycles() const
     auto is_io_write = [](const bus::TxnRecord &rec) {
         return rec.kind == bus::TxnKind::Write && rec.addr >= ioUncachedBase;
     };
-    const bus::BusMonitor &mon = bus_->monitor();
-    if (mon.count(is_io_write) == 0)
-        return 0;
-    return mon.lastDataCycle(is_io_write) - mon.firstAddrCycle(is_io_write) +
-           1;
+    return bus_->monitor().windowCycles(is_io_write);
 }
 
 std::size_t

@@ -121,11 +121,10 @@ class System : public sim::stats::StatGroup
 
     /** restoreCheckpoint() from the file at @p path. */
     void restoreCheckpointFile(const std::string &path);
-    // Statistics of every component dump via the inherited
-    // StatGroup::dumpStats(std::ostream&) (text) and
-    // StatGroup::dumpStatsJson(std::ostream&) (JSON); setting
-    // CSBSIM_STATS_JSON=<path> writes the JSON tree at destruction
-    // (see docs/OBSERVABILITY.md).
+    // Statistics of every component dump as JSON via the inherited
+    // StatGroup::dumpStatsJson(std::ostream&); setting
+    // CSBSIM_STATS_JSON=<path> writes the tree at destruction (see
+    // docs/OBSERVABILITY.md).
 
     // Component access.  The index selects the processor of an SMP
     // configuration; the index-free forms are the core-0 shorthands
@@ -156,7 +155,7 @@ class System : public sim::stats::StatGroup
 
     const SystemConfig &config() const { return config_; }
 
-    /** Bus cycles from the first to the last I/O write transaction. */
+    /** The I/O write transactions' BusMonitor::windowCycles(). */
     std::uint64_t ioWriteBusCycles() const;
 
     /** Count of I/O write transactions recorded by the bus monitor. */

@@ -122,30 +122,6 @@ Cache::access(Addr addr, bool is_write)
     return result;
 }
 
-bool
-Cache::contains(Addr addr) const
-{
-    return findLine(addr) != nullptr;
-}
-
-void
-Cache::invalidate(Addr addr)
-{
-    if (Line *line = findLine(addr))
-        line->setState(LineState::Invalid);
-}
-
-void
-Cache::flushAll()
-{
-    for (unsigned set = 0; set < numSets_; ++set) {
-        if (Line *ways = liveSet(set)) {
-            for (unsigned w = 0; w < params_.assoc; ++w)
-                ways[w].setState(LineState::Invalid);
-        }
-    }
-}
-
 LineState
 Cache::lineState(Addr addr) const
 {
@@ -442,13 +418,6 @@ CacheHierarchy::touch(Addr addr)
 {
     l2_.access(addr, /*is_write=*/false);
     l1_.access(addr, /*is_write=*/false);
-}
-
-void
-CacheHierarchy::evict(Addr addr)
-{
-    l1_.invalidate(addr);
-    l2_.invalidate(addr);
 }
 
 } // namespace csb::mem

@@ -78,15 +78,6 @@ class Cache : public sim::stats::StatGroup
      */
     AccessResult access(Addr addr, bool is_write);
 
-    /** Probe without side effects. */
-    bool contains(Addr addr) const;
-
-    /** Invalidate the line containing @p addr (if present). */
-    void invalidate(Addr addr);
-
-    /** Invalidate everything. */
-    void flushAll();
-
     /** Coherence state of the line holding @p addr (no LRU update). */
     LineState lineState(Addr addr) const;
 
@@ -248,9 +239,6 @@ class CacheHierarchy : public sim::stats::StatGroup, public bus::Snooper
     /** Warm both levels so a subsequent access to @p addr hits in L1.
      *  Test/bench helper; bypasses the snoop path. */
     void touch(Addr addr);
-
-    /** Evict @p addr from both levels (forces a miss). */
-    void evict(Addr addr);
 
     Cache &l1() { return l1_; }
     Cache &l2() { return l2_; }

@@ -4,18 +4,6 @@
 
 namespace csb::mem {
 
-const char *
-lineStateName(LineState state)
-{
-    switch (state) {
-      case LineState::Invalid: return "I";
-      case LineState::Shared: return "S";
-      case LineState::Exclusive: return "E";
-      case LineState::Modified: return "M";
-    }
-    return "?";
-}
-
 void
 CoherenceParams::validate() const
 {

@@ -42,8 +42,6 @@ enum class LineState : std::uint8_t {
     Modified = 3,
 };
 
-const char *lineStateName(LineState state);
-
 /** Which protocol a system runs. */
 enum class CoherenceKind : std::uint8_t {
     None = 0, ///< private caches, no snooping (single-core semantics)

@@ -10,18 +10,6 @@
 
 namespace csb::mem {
 
-const char *
-pageAttrName(PageAttr attr)
-{
-    switch (attr) {
-      case PageAttr::Cached: return "cached";
-      case PageAttr::Uncached: return "uncached";
-      case PageAttr::UncachedAccelerated: return "uncached-accelerated";
-      case PageAttr::UncachedCombining: return "uncached-combining";
-    }
-    return "?";
-}
-
 void
 PageTable::setAttr(Addr base, Addr size, PageAttr attr)
 {
@@ -114,13 +102,6 @@ Tlb::translate(Addr addr, ProcId asid, Tick &penalty)
     victim->valid = true;
     penalty = missPenalty_;
     return victim->attr;
-}
-
-void
-Tlb::flush()
-{
-    for (Entry &entry : entries_)
-        entry.valid = false;
 }
 
 void

@@ -45,8 +45,6 @@ enum class PageAttr : std::uint8_t {
     UncachedCombining,
 };
 
-const char *pageAttrName(PageAttr attr);
-
 /** @return true when accesses bypass the cache hierarchy. */
 inline bool
 isUncachedAttr(PageAttr attr)
@@ -111,9 +109,6 @@ class Tlb : public sim::stats::StatGroup
      * @return page attribute
      */
     PageAttr translate(Addr addr, ProcId asid, Tick &penalty);
-
-    /** Drop all entries (e.g. after a page-table change). */
-    void flush();
 
     /**
      * Serialize entry array + LRU clock (not stats; not the page

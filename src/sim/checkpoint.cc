@@ -175,13 +175,6 @@ CheckpointReader::parse()
                   " declared sections");
 }
 
-bool
-CheckpointReader::hasSection(std::string_view name) const
-{
-    return std::any_of(sections_.begin(), sections_.end(),
-                       [name](const Section &s) { return s.name == name; });
-}
-
 void
 CheckpointReader::openSection(std::string_view name)
 {

@@ -178,8 +178,6 @@ class CheckpointReader
     CheckpointReader(CheckpointReader &&) = default;
     CheckpointReader &operator=(CheckpointReader &&) = default;
 
-    bool hasSection(std::string_view name) const;
-
     /** Position the cursor at section @p name; fatal when absent. */
     void openSection(std::string_view name);
 

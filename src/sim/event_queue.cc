@@ -61,15 +61,6 @@ EventQueue::popAndFire()
     funcPool_.push_back(entry.fn);
 }
 
-bool
-EventQueue::serviceOne()
-{
-    if (heap_.empty())
-        return false;
-    popAndFire();
-    return true;
-}
-
 void
 EventQueue::serviceUntil(Tick now)
 {

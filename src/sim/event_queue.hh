@@ -99,12 +99,6 @@ class EventQueue
      */
     void advanceTo(Tick when);
 
-    /**
-     * Advance time to the next event and fire it.
-     * @return false when the queue was empty.
-     */
-    bool serviceOne();
-
     /** Fire all events scheduled at or before @p now; curTick = now. */
     void serviceUntil(Tick now);
 

@@ -221,18 +221,4 @@ JsonWriter::value(int v)
     return value(static_cast<std::int64_t>(v));
 }
 
-JsonWriter &
-JsonWriter::value(unsigned v)
-{
-    return value(static_cast<std::uint64_t>(v));
-}
-
-JsonWriter &
-JsonWriter::value(bool v)
-{
-    separator();
-    raw(v ? "true" : "false");
-    return *this;
-}
-
 } // namespace csb::sim

@@ -57,8 +57,8 @@ class JsonWriter
     JsonWriter &value(std::uint64_t v);
     JsonWriter &value(std::int64_t v);
     JsonWriter &value(int v);
-    JsonWriter &value(unsigned v);
-    JsonWriter &value(bool v);
+    // A bool would otherwise promote to int and print as a number.
+    JsonWriter &value(bool v) = delete;
 
     /** key(k) followed by value(v), for any supported value type. */
     template <typename T>

@@ -8,7 +8,6 @@
  *             (bad configuration, invalid parameters); throws
  *             FatalError so that tests can assert on misconfiguration.
  * warn()   -- something may be modelled imprecisely; keep running.
- * inform() -- plain status output.
  */
 
 #ifndef CSB_SIM_LOGGING_HH
@@ -36,7 +35,6 @@ namespace detail {
 [[noreturn]] void fatalImpl(const char *file, int line,
                             const std::string &msg);
 void warnImpl(const std::string &msg);
-void informImpl(const std::string &msg);
 
 /** Concatenate any streamable arguments into one string. */
 template <typename... Args>
@@ -63,7 +61,7 @@ validated(const Params &params)
     return params;
 }
 
-/** Control whether warn()/inform() print to stderr (tests silence them). */
+/** Control whether warn() prints to stderr (tests silence it). */
 void setLogQuiet(bool quiet);
 bool logQuiet();
 
@@ -79,9 +77,6 @@ bool logQuiet();
 
 #define csb_warn(...) \
     ::csb::detail::warnImpl(::csb::detail::concat(__VA_ARGS__))
-
-#define csb_inform(...) \
-    ::csb::detail::informImpl(::csb::detail::concat(__VA_ARGS__))
 
 /** Panic unless a simulator invariant holds. */
 #define csb_assert(cond, ...) \

@@ -77,14 +77,6 @@ Simulator::registerClocked(Clocked *obj)
     obj->ungate();
 }
 
-std::size_t
-Simulator::numGated() const
-{
-    return std::size_t(std::count_if(
-        clocked_.begin(), clocked_.end(),
-        [](const Clocked *obj) { return obj->gated(); }));
-}
-
 void
 Simulator::stepOne()
 {

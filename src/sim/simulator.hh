@@ -67,9 +67,6 @@ class Simulator
     /** Number of Clocked objects registered. */
     std::size_t numClocked() const { return clocked_.size(); }
 
-    /** Number of registered Clocked objects currently clock-gated. */
-    std::size_t numGated() const;
-
     /**
      * Ticks skipped by the idle fast-forward: when no event fires and
      * no component is due, run()/runFor() jump straight to the next

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iomanip>
 
 #include "checkpoint.hh"
 #include "json.hh"
@@ -18,32 +17,6 @@ StatBase::StatBase(StatGroup *parent, Literal name, Literal desc)
     parent->lastStat_ = this;
 }
 
-namespace {
-
-/**
- * One "prefix.name[suffix]   value  # desc" line, the qualified name
- * left-aligned in 44 columns.
- */
-void
-emit(std::ostream &os, const std::string &prefix, std::string_view name,
-     std::string_view suffix, double value, std::string_view desc)
-{
-    const std::size_t width = prefix.size() + name.size() + suffix.size();
-    os << prefix << name << suffix;
-    if (width < 44)
-        os << std::setw(int(44 - width)) << "";
-    os << " " << std::right << std::setw(14) << value << "  # " << desc
-       << "\n";
-}
-
-} // namespace
-
-void
-Scalar::dump(std::ostream &os, const std::string &prefix) const
-{
-    emit(os, prefix, name(), "", value_, desc());
-}
-
 void
 Scalar::dumpJson(JsonWriter &jw) const
 {
@@ -51,24 +24,6 @@ Scalar::dumpJson(JsonWriter &jw) const
     jw.kv("type", "scalar");
     jw.kv("desc", desc());
     jw.kv("value", value_);
-    jw.endObject();
-}
-
-void
-Average::dump(std::ostream &os, const std::string &prefix) const
-{
-    emit(os, prefix, name(), "", value(), desc());
-}
-
-void
-Average::dumpJson(JsonWriter &jw) const
-{
-    jw.beginObject();
-    jw.kv("type", "average");
-    jw.kv("desc", desc());
-    jw.kv("value", value());
-    jw.kv("sum", sum_);
-    jw.kv("count", count_);
     jw.endObject();
 }
 
@@ -102,28 +57,6 @@ Distribution::sample(double v, std::uint64_t count)
         idx = std::min(idx, buckets_.size() - 1);
         buckets_[idx] += count;
     }
-}
-
-void
-Distribution::dump(std::ostream &os, const std::string &prefix) const
-{
-    emit(os, prefix, name(), "::samples", static_cast<double>(samples_),
-         desc());
-    emit(os, prefix, name(), "::mean", mean(), desc());
-    for (std::size_t i = 0; i < buckets_.size(); ++i) {
-        if (buckets_[i] == 0)
-            continue;
-        std::ostringstream bucket;
-        bucket << "::" << (min_ + i * bucketSize_);
-        emit(os, prefix, name(), bucket.str(),
-             static_cast<double>(buckets_[i]), desc());
-    }
-    if (underflow_)
-        emit(os, prefix, name(), "::underflow",
-             static_cast<double>(underflow_), desc());
-    if (overflow_)
-        emit(os, prefix, name(), "::overflow",
-             static_cast<double>(overflow_), desc());
 }
 
 double
@@ -173,24 +106,6 @@ Distribution::dumpJson(JsonWriter &jw) const
 }
 
 void
-Distribution::reset()
-{
-    std::fill(buckets_.begin(), buckets_.end(), 0);
-    underflow_ = 0;
-    overflow_ = 0;
-    samples_ = 0;
-    sum_ = 0;
-    minSampled_ = 0;
-    maxSampled_ = 0;
-}
-
-void
-Formula::dump(std::ostream &os, const std::string &prefix) const
-{
-    emit(os, prefix, name(), "", value(), desc());
-}
-
-void
 Formula::dumpJson(JsonWriter &jw) const
 {
     jw.beginObject();
@@ -231,19 +146,6 @@ StatGroup::fullStatName() const
 }
 
 void
-StatGroup::dumpStats(std::ostream &os) const
-{
-    std::string prefix = fullStatName();
-    if (!prefix.empty())
-        prefix += ".";
-    for (const StatBase *stat = firstStat_; stat; stat = stat->next_)
-        stat->dump(os, prefix);
-    for (const StatGroup *child = firstChild_; child;
-         child = child->nextSibling_)
-        child->dumpStats(os);
-}
-
-void
 StatGroup::dumpJson(JsonWriter &jw) const
 {
     jw.beginObject();
@@ -268,25 +170,6 @@ StatGroup::dumpStatsJson(std::ostream &os, int indent) const
 }
 
 void
-StatGroup::resetStats()
-{
-    for (StatBase *stat = firstStat_; stat; stat = stat->next_)
-        stat->reset();
-    for (StatGroup *child = firstChild_; child; child = child->nextSibling_)
-        child->resetStats();
-}
-
-const StatBase *
-StatGroup::findStat(std::string_view name) const
-{
-    for (const StatBase *stat = firstStat_; stat; stat = stat->next_) {
-        if (stat->name() == name)
-            return stat;
-    }
-    return nullptr;
-}
-
-void
 Scalar::checkpointSave(CheckpointWriter &cw) const
 {
     cw.putF64(value_);
@@ -296,20 +179,6 @@ void
 Scalar::checkpointRestore(CheckpointReader &cr)
 {
     value_ = cr.getF64();
-}
-
-void
-Average::checkpointSave(CheckpointWriter &cw) const
-{
-    cw.putF64(sum_);
-    cw.putU64(count_);
-}
-
-void
-Average::checkpointRestore(CheckpointReader &cr)
-{
-    sum_ = cr.getF64();
-    count_ = cr.getU64();
 }
 
 void

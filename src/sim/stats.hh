@@ -3,8 +3,8 @@
  * A small gem5-flavoured statistics package.
  *
  * Statistics register themselves with a StatGroup; groups form a tree
- * rooted at the owning component.  dump() renders "name value # desc"
- * lines, and every stat can be read programmatically by the benchmark
+ * rooted at the owning component.  dumpStatsJson() renders the tree as
+ * JSON, and every stat can be read programmatically by the benchmark
  * harness.
  *
  * Building the tree allocates nothing per stat: a stat borrows its
@@ -70,17 +70,11 @@ class StatBase
     std::string_view name() const { return name_; }
     std::string_view desc() const { return desc_; }
 
-    /** Render the stat as one or more output lines. */
-    virtual void dump(std::ostream &os, const std::string &prefix) const = 0;
-
     /**
      * Render the stat as a JSON object ("type"/"desc"/values).  The
      * caller has already emitted the enclosing key.
      */
     virtual void dumpJson(JsonWriter &jw) const = 0;
-
-    /** Reset to the initial state. */
-    virtual void reset() = 0;
 
     /**
      * Append this stat's mutable state to the open checkpoint section
@@ -120,9 +114,7 @@ class Scalar : public StatBase
 
     double value() const { return value_; }
 
-    void dump(std::ostream &os, const std::string &prefix) const override;
     void dumpJson(JsonWriter &jw) const override;
-    void reset() override { value_ = 0; }
 
     void checkpointSave(CheckpointWriter &cw) const override;
     void checkpointRestore(CheckpointReader &cr) override;
@@ -130,44 +122,6 @@ class Scalar : public StatBase
 
   private:
     double value_ = 0;
-};
-
-/** Running average (sum / count). */
-class Average : public StatBase
-{
-  public:
-    Average(StatGroup *parent, Literal name, Literal desc)
-        : StatBase(parent, name, desc)
-    {}
-
-    void
-    sample(double v)
-    {
-        sum_ += v;
-        ++count_;
-    }
-
-    double value() const { return count_ ? sum_ / count_ : 0.0; }
-    std::uint64_t count() const { return count_; }
-    double sum() const { return sum_; }
-
-    void dump(std::ostream &os, const std::string &prefix) const override;
-    void dumpJson(JsonWriter &jw) const override;
-
-    void
-    reset() override
-    {
-        sum_ = 0;
-        count_ = 0;
-    }
-
-    void checkpointSave(CheckpointWriter &cw) const override;
-    void checkpointRestore(CheckpointReader &cr) override;
-    std::uint8_t checkpointTag() const override { return 2; }
-
-  private:
-    double sum_ = 0;
-    std::uint64_t count_ = 0;
 };
 
 /** Fixed-bucket histogram with underflow/overflow. */
@@ -196,9 +150,7 @@ class Distribution : public StatBase
      */
     double percentile(double p) const;
 
-    void dump(std::ostream &os, const std::string &prefix) const override;
     void dumpJson(JsonWriter &jw) const override;
-    void reset() override;
 
     void checkpointSave(CheckpointWriter &cw) const override;
     void checkpointRestore(CheckpointReader &cr) override;
@@ -228,9 +180,7 @@ class Formula : public StatBase
 
     double value() const { return fn_(); }
 
-    void dump(std::ostream &os, const std::string &prefix) const override;
     void dumpJson(JsonWriter &jw) const override;
-    void reset() override {}
 
     void checkpointSave(CheckpointWriter &) const override {}
     void checkpointRestore(CheckpointReader &) override {}
@@ -257,9 +207,6 @@ class StatGroup
     /** Fully qualified dotted name. */
     std::string fullStatName() const;
 
-    /** Dump this group's stats and all children, depth first. */
-    void dumpStats(std::ostream &os) const;
-
     /**
      * Serialize this group as a JSON object: one member per stat
      * (rendered by StatBase::dumpJson) and one per child group,
@@ -276,12 +223,6 @@ class StatGroup
      * @param indent spaces per nesting level; 0 emits compact JSON.
      */
     void dumpStatsJson(std::ostream &os, int indent = 2) const;
-
-    /** Reset all stats in this group and its children. */
-    void resetStats();
-
-    /** Look up a stat in this group by local name; null when absent. */
-    const StatBase *findStat(std::string_view name) const;
 
     /**
      * Serialize every stat of this subtree (depth first, registration

@@ -64,13 +64,6 @@ ThreadPool::wait()
         std::rethrow_exception(error);
 }
 
-std::uint64_t
-ThreadPool::tasksRun() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return tasksRun_;
-}
-
 void
 ThreadPool::workerLoop()
 {
@@ -99,7 +92,6 @@ ThreadPool::workerLoop()
             std::lock_guard<std::mutex> lock(mutex_);
             if (error && !firstError_)
                 firstError_ = error;
-            ++tasksRun_;
             idle = --inFlight_ == 0;
         }
         if (idle)

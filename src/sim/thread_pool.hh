@@ -63,9 +63,6 @@ class ThreadPool
     /** Worker count (always >= 1). */
     unsigned numThreads() const { return unsigned(workers_.size()); }
 
-    /** Tasks executed to completion so far (including ones that threw). */
-    std::uint64_t tasksRun() const;
-
     /** max(1, std::thread::hardware_concurrency()). */
     static unsigned defaultThreads();
 
@@ -79,7 +76,6 @@ class ThreadPool
     std::deque<std::function<void()>> queue_;
     std::size_t capacity_ = 0;
     std::size_t inFlight_ = 0; ///< queued + currently executing
-    std::uint64_t tasksRun_ = 0;
     std::exception_ptr firstError_;
     bool stopping_ = false;
     std::vector<std::thread> workers_;

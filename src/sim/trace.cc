@@ -143,12 +143,6 @@ setTickSource(std::function<Tick()> source)
     tickSource = std::move(source);
 }
 
-void
-initFromEnvironment()
-{
-    loadEnvOnce();
-}
-
 namespace detail {
 
 void

@@ -75,9 +75,6 @@ void setOutput(std::ostream *os);
  */
 void setTickSource(std::function<Tick()> source);
 
-/** Re-read CSBSIM_TRACE from the environment (called once lazily). */
-void initFromEnvironment();
-
 /**
  * Log to a channel.  Arguments are streamed; their operator<< runs
  * only when the channel is enabled.

@@ -70,23 +70,6 @@ decodeRecord(const std::uint8_t in[kRecordSize])
 
 } // namespace
 
-const char *
-traceOpName(TraceOp op)
-{
-    switch (op) {
-      case TraceOp::CachedLoad: return "cached-load";
-      case TraceOp::CachedStore: return "cached-store";
-      case TraceOp::CachedSwapStart: return "cached-swap";
-      case TraceOp::SwapMemWrite: return "swap-mem-write";
-      case TraceOp::UncachedLoad: return "uncached-load";
-      case TraceOp::UncachedStore: return "uncached-store";
-      case TraceOp::CsbStore: return "csb-store";
-      case TraceOp::CsbFlush: return "csb-flush";
-      case TraceOp::Membar: return "membar";
-    }
-    return "unknown";
-}
-
 void
 TraceRecorder::writeTo(std::ostream &os) const
 {
@@ -199,27 +182,6 @@ MemTrace::recordsForCpu(std::uint8_t cpu) const
             out.push_back(rec);
     }
     return out;
-}
-
-void
-MemTrace::dumpText(std::ostream &os) const
-{
-    os << "# CSBT v" << kVersion << " cpus=" << numCpus_
-       << " line_bytes=" << lineBytes_
-       << " records=" << records_.size() << "\n";
-    os << "# tick op cpu pid addr size value flags\n";
-    for (const TraceRecord &rec : records_) {
-        os << rec.tick << ' ' << traceOpName(rec.op) << ' '
-           << unsigned(rec.cpu) << ' ' << rec.pid << " 0x" << std::hex
-           << rec.addr << std::dec << ' ' << unsigned(rec.size)
-           << " 0x" << std::hex << rec.value << std::dec;
-        os << (rec.eventPhase() ? " ev" : " clk");
-        if (rec.swapPart())
-            os << " swap";
-        if (rec.flags & TraceFlagInterpreter)
-            os << " interp";
-        os << "\n";
-    }
 }
 
 } // namespace csb::sim

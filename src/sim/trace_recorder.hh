@@ -17,8 +17,7 @@
  * sorts.
  *
  * MemTrace is the reader half: it parses a CSBT stream back into
- * records, rejecting corrupt or truncated input with FatalError, and
- * provides the human-readable text dump mode.
+ * records, rejecting corrupt or truncated input with FatalError.
  */
 
 #ifndef CSB_SIM_TRACE_RECORDER_HH
@@ -45,9 +44,6 @@ enum class TraceOp : std::uint8_t {
     CsbFlush = 7,        ///< conditional flush (value = expected hit count)
     Membar = 8,          ///< MEMBAR retired with buffers drained
 };
-
-/** @return the mnemonic used by the text dump ("cached-load", ...). */
-const char *traceOpName(TraceOp op);
 
 /** Flag bits of TraceRecord::flags. */
 enum TraceFlags : std::uint8_t {
@@ -131,7 +127,7 @@ class TraceRecorder
 };
 
 /**
- * A parsed CSBT trace, ready for replay or text dumping.
+ * A parsed CSBT trace, ready for replay.
  *
  * Loading validates magic, version, record size and stream length and
  * throws FatalError on any mismatch (corrupt or truncated files are
@@ -157,13 +153,6 @@ class MemTrace
 
     /** Records of core @p cpu, preserving stream order. */
     std::vector<TraceRecord> recordsForCpu(std::uint8_t cpu) const;
-
-    /**
-     * Text dump mode: one line per record
-     * (`tick op cpu pid addr size value flags`), preceded by a header
-     * comment -- the human-readable view docs/TRACE_FORMAT.md shows.
-     */
-    void dumpText(std::ostream &os) const;
 
   private:
     std::uint32_t numCpus_ = 1;

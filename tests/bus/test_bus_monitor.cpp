@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for the bus monitor's filtering and the effective-
- * bandwidth metric definition.
+ * Unit tests for the bus monitor's filtering and the section 4.3.1
+ * measurement window that System::ioWriteBusCycles() reports.
  */
 
 #include <gtest/gtest.h>
@@ -33,23 +33,17 @@ TEST(BusMonitor, EmptyMonitor)
 {
     BusMonitor monitor;
     EXPECT_EQ(monitor.count(), 0u);
-    EXPECT_EQ(monitor.bytes(), 0u);
-    EXPECT_EQ(monitor.bandwidthBytesPerBusCycle(), 0.0);
-    EXPECT_EQ(monitor.firstAddrCycle(), 0u);
-    EXPECT_EQ(monitor.lastDataCycle(), 0u);
+    EXPECT_EQ(monitor.windowCycles(), 0u);
 }
 
-TEST(BusMonitor, BandwidthDefinition)
+TEST(BusMonitor, WindowDefinition)
 {
-    // 8 bytes in cycles [0..1], 8 bytes in [2..3]: 16 bytes over 4
-    // cycles = 4 B/cycle (the paper's half-of-peak reference).
+    // 8 bytes in cycles [0..1], 8 bytes in [2..3]: 16 bytes over a
+    // 4-cycle window = 4 B/cycle (the paper's half-of-peak reference).
     BusMonitor monitor;
     monitor.record(rec(0x0, 8, 0, 1));
     monitor.record(rec(0x8, 8, 2, 3));
-    EXPECT_DOUBLE_EQ(monitor.bandwidthBytesPerBusCycle(), 4.0);
-    EXPECT_EQ(monitor.bytes(), 16u);
-    EXPECT_EQ(monitor.firstAddrCycle(), 0u);
-    EXPECT_EQ(monitor.lastDataCycle(), 3u);
+    EXPECT_EQ(monitor.windowCycles(), 4u);
 }
 
 TEST(BusMonitor, TrailingGapNotCharged)
@@ -58,7 +52,7 @@ TEST(BusMonitor, TrailingGapNotCharged)
     // regardless of what idle time follows.
     BusMonitor monitor;
     monitor.record(rec(0x0, 8, 10, 11));
-    EXPECT_DOUBLE_EQ(monitor.bandwidthBytesPerBusCycle(), 4.0);
+    EXPECT_EQ(monitor.windowCycles(), 2u);
 }
 
 TEST(BusMonitor, PredicatesFilter)
@@ -73,11 +67,9 @@ TEST(BusMonitor, PredicatesFilter)
                record.addr >= 0x2000'0000;
     };
     EXPECT_EQ(monitor.count(io_writes), 1u);
-    EXPECT_EQ(monitor.bytes(io_writes), 64u);
-    EXPECT_EQ(monitor.firstAddrCycle(io_writes), 2u);
-    EXPECT_EQ(monitor.lastDataCycle(io_writes), 10u);
-    EXPECT_NEAR(monitor.bandwidthBytesPerBusCycle(io_writes),
-                64.0 / 9.0, 1e-12);
+    // Cycles 2..10: the 64-byte burst's address and data cycles only.
+    EXPECT_EQ(monitor.windowCycles(io_writes), 9u);
+    EXPECT_EQ(monitor.windowCycles(), 12u);
 }
 
 TEST(BusMonitor, ClearStartsFreshWindow)
@@ -87,7 +79,7 @@ TEST(BusMonitor, ClearStartsFreshWindow)
     monitor.clear();
     EXPECT_EQ(monitor.count(), 0u);
     monitor.record(rec(0x0, 8, 100, 101));
-    EXPECT_EQ(monitor.firstAddrCycle(), 100u);
+    EXPECT_EQ(monitor.windowCycles(), 2u);
 }
 
 } // namespace

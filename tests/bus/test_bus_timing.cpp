@@ -136,9 +136,9 @@ TEST_F(BusFixture, MultiplexedBackToBackDwords)
         EXPECT_EQ(records()[i].addrCycle - records()[i - 1].addrCycle, 2u)
             << "txn " << i;
     }
-    // Effective bandwidth: 4 bytes per bus cycle (the paper's
-    // half-of-peak reference point).
-    EXPECT_DOUBLE_EQ(bus->monitor().bandwidthBytesPerBusCycle(), 4.0);
+    // Effective bandwidth: 32 bytes over 8 cycles, 4 bytes per bus
+    // cycle (the paper's half-of-peak reference point).
+    EXPECT_EQ(bus->monitor().windowCycles(), 8u);
 }
 
 TEST_F(BusFixture, MultiplexedLineBurst)
@@ -148,8 +148,7 @@ TEST_F(BusFixture, MultiplexedLineBurst)
     const TxnRecord &rec = records()[0];
     // 1 address + 8 data cycles.
     EXPECT_EQ(rec.lastDataCycle - rec.addrCycle + 1, 9u);
-    EXPECT_NEAR(bus->monitor().bandwidthBytesPerBusCycle(), 64.0 / 9.0,
-                1e-9);
+    EXPECT_EQ(bus->monitor().windowCycles(), 9u);
 }
 
 TEST_F(BusFixture, TurnaroundSpacesTransactions)
@@ -158,8 +157,9 @@ TEST_F(BusFixture, TurnaroundSpacesTransactions)
     streamWrites(3, 8);
     for (std::size_t i = 1; i < 3; ++i)
         EXPECT_EQ(records()[i].addrCycle - records()[i - 1].addrCycle, 3u);
-    // Trailing turnaround not charged: 24 bytes over cycles 0..7.
-    EXPECT_DOUBLE_EQ(bus->monitor().bandwidthBytesPerBusCycle(), 3.0);
+    // Trailing turnaround not charged: 24 bytes over cycles 0..7,
+    // 3 bytes per bus cycle.
+    EXPECT_EQ(bus->monitor().windowCycles(), 8u);
 }
 
 TEST_F(BusFixture, AckDelaySpacesOrderedWrites)
@@ -196,8 +196,9 @@ TEST_F(BusFixture, SplitDwordWriteSingleDataCycle)
         EXPECT_EQ(rec.lastDataCycle, rec.firstDataCycle);
     for (std::size_t i = 1; i < 4; ++i)
         EXPECT_EQ(records()[i].addrCycle - records()[i - 1].addrCycle, 1u);
-    // A dword uses half of a 128-bit bus: 8 bytes per cycle.
-    EXPECT_DOUBLE_EQ(bus->monitor().bandwidthBytesPerBusCycle(), 8.0);
+    // A dword uses half of a 128-bit bus: 32 bytes over 4 cycles, 8
+    // bytes per cycle.
+    EXPECT_EQ(bus->monitor().windowCycles(), 4u);
 }
 
 TEST_F(BusFixture, SplitWideBurstTwoCycles)

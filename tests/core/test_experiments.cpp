@@ -55,8 +55,9 @@ TEST(Experiments, SweepHasFullMatrix)
     setup.lineBytes = 64;
     std::vector<unsigned> sizes = {16, 64};
     std::vector<Scheme> schemes = {Scheme::NoCombine, Scheme::Csb};
+    core::SweepRunner serial(1);
     core::BandwidthSweep sweep =
-        core::runBandwidthSweep("test", setup, schemes, sizes);
+        core::runBandwidthSweep(serial, "test", setup, schemes, sizes);
     ASSERT_EQ(sweep.bandwidth.size(), 2u);
     ASSERT_EQ(sweep.bandwidth[0].size(), 2u);
     for (const auto &row : sweep.bandwidth) {
@@ -68,8 +69,9 @@ TEST(Experiments, SweepHasFullMatrix)
 TEST(Experiments, PrintSweepIsATable)
 {
     BandwidthSetup setup;
+    core::SweepRunner serial(1);
     core::BandwidthSweep sweep = core::runBandwidthSweep(
-        "unit-test panel", setup, {Scheme::NoCombine}, {16, 32});
+        serial, "unit-test panel", setup, {Scheme::NoCombine}, {16, 32});
     std::ostringstream os;
     core::printSweep(sweep, os);
     std::string text = os.str();
@@ -82,8 +84,9 @@ TEST(Experiments, PrintSweepIsATable)
 TEST(Experiments, LatencySweepShapes)
 {
     BandwidthSetup setup;
-    core::LatencySweep sweep =
-        core::runLatencySweep("fig5 unit", setup, /*lock_miss=*/false);
+    core::SweepRunner serial(1);
+    core::LatencySweep sweep = core::runLatencySweep(
+        serial, "fig5 unit", setup, /*lock_miss=*/false);
     ASSERT_EQ(sweep.dwords.size(), 7u);
     ASSERT_EQ(sweep.cycles.size(), sweep.schemes.size());
     // Last scheme is the CSB and must be cheapest everywhere.

@@ -16,6 +16,8 @@
 #include "core/system.hh"
 #include "sim/logging.hh"
 
+#include "../sim/mini_json.hh"
+
 namespace {
 
 using namespace csb;
@@ -123,14 +125,20 @@ TEST(SystemMisc, StatsDumpCoversComponents)
     isa::Program p = core::makeCsbStoreKernel(System::ioCsbBase, 64, 64);
     system.run(p);
     std::ostringstream os;
-    system.dumpStats(os);
-    std::string text = os.str();
-    for (const char *needle :
-         {"system.cpu.instsRetired", "system.bus.numWrites",
-          "system.csb.flushesSucceeded", "system.ubuf.storesPushed",
-          "system.tlb.hits", "system.caches.l1.hits",
-          "system.dev.bytesReceived", "system.ni.pioMessages"}) {
-        EXPECT_NE(text.find(needle), std::string::npos) << needle;
+    system.dumpStatsJson(os);
+    const mini_json::Value doc = mini_json::parse(os.str());
+    const std::vector<std::vector<std::string>> paths = {
+        {"cpu", "instsRetired"}, {"bus", "numWrites"},
+        {"csb", "flushesSucceeded"}, {"ubuf", "storesPushed"},
+        {"tlb", "hits"}, {"caches", "l1", "hits"},
+        {"dev", "bytesReceived"}, {"ni", "pioMessages"}};
+    for (const std::vector<std::string> &path : paths) {
+        const mini_json::Value *node = &doc;
+        for (const std::string &key : path) {
+            ASSERT_TRUE(node->has(key)) << key << " of " << path.back();
+            node = &node->at(key);
+        }
+        EXPECT_TRUE(node->has("value")) << path.back();
     }
 }
 

@@ -251,7 +251,13 @@ TEST(ContextScheduler, PidFollowsProcess)
 {
     // The CSB tags sequences with the scheduler-assigned PID.
     System system(defaultConfig());
-    isa::Program a = core::makeUnflushedStoresKernel(System::ioCsbBase, 2);
+    // Two combining stores and no flush, as if preempted before it.
+    isa::Program a;
+    a.li(ir(1), static_cast<std::int64_t>(System::ioCsbBase));
+    a.std_(ir(2), ir(1), 0);
+    a.std_(ir(2), ir(1), 8);
+    a.halt();
+    a.finalize();
     ContextScheduler scheduler(system.simulator(), system.core(), 1000);
     scheduler.addProcess(&a, 7);
     scheduler.start();

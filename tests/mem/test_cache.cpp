@@ -20,6 +20,7 @@ using namespace csb;
 using mem::Cache;
 using mem::CacheHierarchy;
 using mem::CacheParams;
+using mem::LineState;
 
 CacheParams
 tiny(unsigned size, unsigned assoc, unsigned line, Tick lat)
@@ -52,9 +53,9 @@ TEST(Cache, LruReplacementWithinSet)
     cache.access(0x080, false);
     cache.access(0x000, false);           // touch; 0x080 becomes LRU
     cache.access(0x100, false);           // evicts 0x080
-    EXPECT_TRUE(cache.contains(0x000));
-    EXPECT_FALSE(cache.contains(0x080));
-    EXPECT_TRUE(cache.contains(0x100));
+    EXPECT_NE(cache.lineState(0x000), LineState::Invalid);
+    EXPECT_EQ(cache.lineState(0x080), LineState::Invalid);
+    EXPECT_NE(cache.lineState(0x100), LineState::Invalid);
 }
 
 TEST(Cache, DirtyEvictionReportsWriteback)
@@ -75,17 +76,13 @@ TEST(Cache, CleanEvictionSilent)
     EXPECT_FALSE(result.writeback);
 }
 
-TEST(Cache, InvalidateAndFlush)
+TEST(Cache, InvalidatedLineMisses)
 {
     Cache cache(tiny(1024, 2, 64, 1), "c");
     cache.access(0x100, false);
-    cache.invalidate(0x100);
-    EXPECT_FALSE(cache.contains(0x100));
-    cache.access(0x100, false);
-    cache.access(0x200, false);
-    cache.flushAll();
-    EXPECT_FALSE(cache.contains(0x100));
-    EXPECT_FALSE(cache.contains(0x200));
+    cache.setLineState(0x100, LineState::Invalid);
+    EXPECT_EQ(cache.lineState(0x100), LineState::Invalid);
+    EXPECT_FALSE(cache.access(0x100, false).hit);
 }
 
 /** Building a cache with @p params must be fatal, naming @p field. */
@@ -167,7 +164,7 @@ TEST(CacheCheckpoint, InvalidatedLineKeepsTagAndLastUse)
     // 2-way, 2 sets: 0x080 is tag 2 in set 0 and fills way 0.
     Cache cache(tiny(256, 2, 64, 1), "c");
     cache.access(0x080, true);
-    cache.invalidate(0x080);
+    cache.setLineState(0x080, LineState::Invalid);
     std::vector<LineRecord> lines(4);
     lines[0] = {2, 0, 1};
     EXPECT_EQ(savedBytes(cache), expectedBytes(1, lines));
@@ -182,7 +179,7 @@ TEST(CacheCheckpoint, RoundTripOfPartlyTouchedCacheIsExact)
     original.access(0x200, false);
     original.access(0x0c0, true);
     original.access(0x140, false);
-    original.invalidate(0x140);
+    original.setLineState(0x140, LineState::Invalid);
     const std::string saved = savedBytes(original);
 
     Cache restored(params, "c");
@@ -276,12 +273,13 @@ TEST(Hierarchy, TouchWarmsBothLevels)
     EXPECT_EQ(hierarchy.accessLatency(0x2000, false), 2u);
 }
 
-TEST(Hierarchy, EvictForcesFullMiss)
+TEST(Hierarchy, InvalidInBothLevelsForcesFullMiss)
 {
     CacheHierarchy hierarchy(tiny(1024, 2, 64, 2), tiny(8192, 4, 64, 8),
                              90, "h");
     hierarchy.touch(0x2000);
-    hierarchy.evict(0x2000);
+    hierarchy.l1().setLineState(0x2000, LineState::Invalid);
+    hierarchy.l2().setLineState(0x2000, LineState::Invalid);
     EXPECT_EQ(hierarchy.accessLatency(0x2000, false), 100u);
 }
 

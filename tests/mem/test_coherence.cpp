@@ -25,6 +25,13 @@ using mem::LineState;
 using mem::MesiPolicy;
 using bus::SnoopKind;
 
+/** I, S, E or M, for failure messages. */
+char
+letter(LineState state)
+{
+    return "ISEM"[static_cast<unsigned>(state)];
+}
+
 CacheParams
 geom(unsigned size, unsigned assoc, unsigned line, Tick lat)
 {
@@ -113,7 +120,7 @@ TEST(MesiPolicy, SnoopTable)
     MesiPolicy mesi;
     for (const Cell &cell : cells) {
         mem::SnoopAction act = mesi.snoop(cell.cur, cell.kind);
-        SCOPED_TRACE(std::string(mem::lineStateName(cell.cur)) + " x " +
+        SCOPED_TRACE(std::string(1, letter(cell.cur)) + " x " +
                      bus::snoopKindName(cell.kind));
         EXPECT_EQ(act.next, cell.next);
         EXPECT_EQ(act.supply, cell.supply);
@@ -302,12 +309,10 @@ TEST(CoherentHierarchy, RandomWalkKeepsMesiInvariant)
                           sb == LineState::Exclusive;
             ASSERT_FALSE(a_owns && sb != LineState::Invalid)
                 << "A owns 0x" << std::hex << l << " as "
-                << mem::lineStateName(sa) << " but B holds "
-                << mem::lineStateName(sb);
+                << letter(sa) << " but B holds " << letter(sb);
             ASSERT_FALSE(b_owns && sa != LineState::Invalid)
                 << "B owns 0x" << std::hex << l << " as "
-                << mem::lineStateName(sb) << " but A holds "
-                << mem::lineStateName(sa);
+                << letter(sb) << " but A holds " << letter(sa);
         }
     }
 }

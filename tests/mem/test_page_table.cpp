@@ -179,11 +179,8 @@ TEST(PageTable, MatchesPerPageMapOnRandomSequences)
     }
 }
 
-TEST(PageTable, AttrNames)
+TEST(PageTable, UncachedAttrs)
 {
-    EXPECT_STREQ(pageAttrName(PageAttr::Cached), "cached");
-    EXPECT_STREQ(pageAttrName(PageAttr::UncachedAccelerated),
-                 "uncached-accelerated");
     EXPECT_TRUE(isUncachedAttr(PageAttr::Uncached));
     EXPECT_TRUE(isUncachedAttr(PageAttr::UncachedCombining));
     EXPECT_FALSE(isUncachedAttr(PageAttr::Cached));
@@ -234,27 +231,16 @@ TEST(Tlb, LruEviction)
     EXPECT_EQ(penalty, 20u) << "B must have been evicted";
 }
 
-TEST(Tlb, FlushDropsEverything)
+TEST(Tlb, PicksUpPageTableChangesAfterEviction)
 {
     PageTable pt;
-    Tlb tlb(pt, 4, 20);
-    Tick penalty = 0;
-    tlb.translate(0x1000, 1, penalty);
-    tlb.flush();
-    tlb.translate(0x1000, 1, penalty);
-    EXPECT_EQ(penalty, 20u);
-}
-
-TEST(Tlb, PicksUpPageTableChangesAfterFlush)
-{
-    PageTable pt;
-    Tlb tlb(pt, 4, 20);
+    Tlb tlb(pt, 1, 20);
     Tick penalty = 0;
     EXPECT_EQ(tlb.translate(0x7000, 1, penalty), PageAttr::Cached);
     pt.setAttr(0x7000, 1, PageAttr::UncachedCombining);
-    // Stale until flushed -- exactly how real TLBs behave.
+    // Stale while cached -- exactly how real TLBs behave.
     EXPECT_EQ(tlb.translate(0x7000, 1, penalty), PageAttr::Cached);
-    tlb.flush();
+    tlb.translate(0x8000, 1, penalty); // evicts the stale entry
     EXPECT_EQ(tlb.translate(0x7000, 1, penalty),
               PageAttr::UncachedCombining);
 }

@@ -48,9 +48,6 @@ TEST(Checkpoint, TypedRoundTrip)
     std::istringstream in(serialized(sampleWriter()));
     CheckpointReader cr = CheckpointReader::readFrom(in);
     EXPECT_EQ(cr.numSections(), 2u);
-    EXPECT_TRUE(cr.hasSection("alpha"));
-    EXPECT_TRUE(cr.hasSection("beta"));
-    EXPECT_FALSE(cr.hasSection("gamma"));
 
     cr.openSection("alpha");
     EXPECT_EQ(cr.getU8(), 0xab);

@@ -62,11 +62,10 @@ TEST(ClockGating, GatedDeviceIsSkipped)
     Simulator sim;
     GatingDevice dev(&sim);
     sim.registerClocked(&dev);
-    EXPECT_EQ(sim.numGated(), 0u);
+    EXPECT_FALSE(dev.gated());
 
     sim.runFor(5);  // first tick gates the idle device
     EXPECT_TRUE(dev.gated());
-    EXPECT_EQ(sim.numGated(), 1u);
     EXPECT_TRUE(dev.ranAt().empty());
 }
 
@@ -81,7 +80,6 @@ TEST(ClockGating, UngateResumesTicking)
 
     dev.addWork(3);
     EXPECT_FALSE(dev.gated());
-    EXPECT_EQ(sim.numGated(), 0u);
 
     sim.runFor(10);
     // Work drained over three consecutive edges, then re-gated.

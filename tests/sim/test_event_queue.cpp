@@ -22,7 +22,8 @@ TEST(EventQueue, StartsEmpty)
     EXPECT_TRUE(q.empty());
     EXPECT_EQ(q.curTick(), 0u);
     EXPECT_EQ(q.nextTick(), maxTick);
-    EXPECT_FALSE(q.serviceOne());
+    q.serviceUntil(10);
+    EXPECT_EQ(q.numProcessed(), 0u);
 }
 
 TEST(EventQueue, FiresInTimeOrder)
@@ -32,8 +33,8 @@ TEST(EventQueue, FiresInTimeOrder)
     q.scheduleFunc(30, [&] { order.push_back(3); });
     q.scheduleFunc(10, [&] { order.push_back(1); });
     q.scheduleFunc(20, [&] { order.push_back(2); });
-    while (q.serviceOne()) {
-    }
+    while (!q.empty())
+        q.serviceUntil(q.nextTick());
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
     EXPECT_EQ(q.curTick(), 30u);
 }

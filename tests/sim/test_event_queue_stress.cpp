@@ -59,8 +59,8 @@ TEST(EventQueueStress, RandomChurnFiresInDeterministicOrder)
             << "after op " << i;
     }
 
-    while (q.serviceOne()) {
-    }
+    while (!q.empty())
+        q.serviceUntil(q.nextTick());
     EXPECT_TRUE(q.empty());
     EXPECT_EQ(q.numPending(), 0u);
 

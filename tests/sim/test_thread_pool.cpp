@@ -30,7 +30,6 @@ TEST(ThreadPool, RunsEveryTaskExactlyOnce)
         pool.submit([&] { counter.fetch_add(1); });
     pool.wait();
     EXPECT_EQ(counter.load(), n);
-    EXPECT_EQ(pool.tasksRun(), std::uint64_t(n));
 }
 
 TEST(ThreadPool, DefaultThreadsIsAtLeastOne)
@@ -69,12 +68,13 @@ TEST(ThreadPool, BoundedQueueAppliesBackPressure)
     });
     // Give the worker time to dequeue the blocker, then fill up.
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    pool.submit([] {});
-    pool.submit([] {});
+    std::atomic<int> ran{0};
+    pool.submit([&] { ++ran; });
+    pool.submit([&] { ++ran; });
 
     std::atomic<bool> fourth_submitted{false};
     std::thread producer([&] {
-        pool.submit([] {});
+        pool.submit([&] { ++ran; });
         fourth_submitted = true;
     });
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
@@ -89,7 +89,7 @@ TEST(ThreadPool, BoundedQueueAppliesBackPressure)
     producer.join();
     pool.wait();
     EXPECT_TRUE(fourth_submitted.load());
-    EXPECT_EQ(pool.tasksRun(), 4u);
+    EXPECT_EQ(ran.load(), 3);
 }
 
 TEST(ThreadPool, WaitRethrowsTaskException)
@@ -138,7 +138,6 @@ TEST(ThreadPool, StressManyTasksManyWorkers)
         pool.submit([&sum, i] { sum.fetch_add(std::uint64_t(i)); });
     pool.wait();
     EXPECT_EQ(sum.load(), std::uint64_t(n) * (n - 1) / 2);
-    EXPECT_EQ(pool.tasksRun(), std::uint64_t(n));
 }
 
 } // namespace

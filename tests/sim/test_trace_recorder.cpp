@@ -100,19 +100,6 @@ TEST(TraceRecorder, RecordsForCpuFiltersAndPreservesOrder)
     EXPECT_EQ(trace.recordsForCpu(1).size(), 1u);
 }
 
-TEST(TraceRecorder, TextDumpNamesEveryOp)
-{
-    MemTrace trace = MemTrace::fromRecorder(sampleRecorder());
-    std::ostringstream os;
-    trace.dumpText(os);
-    std::string text = os.str();
-    for (const char *op : {"cached-load", "uncached-store", "csb-store",
-                           "csb-flush", "swap-mem-write", "membar"})
-        EXPECT_NE(text.find(op), std::string::npos) << op;
-    // One line per record plus the header comment.
-    EXPECT_NE(text.find("CSBT"), std::string::npos);
-}
-
 TEST(TraceRecorder, RejectsBadMagic)
 {
     TraceRecorder recorder = sampleRecorder();

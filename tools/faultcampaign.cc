@@ -25,7 +25,9 @@
 
 #include "core/campaign.hh"
 #include "core/sweep.hh"
+#include "sim/json.hh"
 #include "sim/logging.hh"
+#include "sim/parse_number.hh"
 
 namespace {
 
@@ -110,31 +112,6 @@ usage(std::ostream &os)
           "20000)\n";
 }
 
-std::uint64_t
-parseU64(const char *flag, const char *val)
-{
-    try {
-        return std::stoull(val, nullptr, 0);
-    } catch (...) {
-        std::cerr << "faultcampaign: bad value for " << flag << ": "
-                  << val << "\n";
-        std::exit(2);
-    }
-}
-
-void
-jsonEscape(std::ostream &os, const std::string &s)
-{
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            os << '\\' << c;
-        else if (c == '\n')
-            os << "\\n";
-        else
-            os << c;
-    }
-}
-
 void
 writeJson(std::ostream &os,
           const std::vector<core::CampaignScenario> &scenarios,
@@ -145,11 +122,9 @@ writeJson(std::ostream &os,
     for (std::size_t s = 0; s < scenarios.size(); ++s) {
         const core::CampaignScenario &sc = scenarios[s];
         core::CampaignSummary sum = core::summarize(results[s]);
-        os << "    {\n      \"name\": \"";
-        jsonEscape(os, sc.name);
-        os << "\",\n      \"schedule\": \"";
-        jsonEscape(os, sc.schedule);
-        os << "\",\n      \"useCsb\": " << (sc.useCsb ? "true" : "false")
+        os << "    {\n      \"name\": \"" << sim::jsonEscape(sc.name)
+           << "\",\n      \"schedule\": \"" << sim::jsonEscape(sc.schedule)
+           << "\",\n      \"useCsb\": " << (sc.useCsb ? "true" : "false")
            << ",\n      \"crashAfterLeg\": " << sc.crashAfterLeg
            << ",\n      \"runs\": " << sum.runs
            << ",\n      \"recoveredRuns\": " << sum.recoveredRuns
@@ -222,11 +197,11 @@ main(int argc, char **argv)
         } else if (!std::strcmp(arg, "--list")) {
             list = true;
         } else if (!std::strcmp(arg, "--first-seed")) {
-            firstSeed = parseU64(arg, next());
+            sim::parseFlag("faultcampaign", arg, next(), firstSeed);
         } else if (!std::strcmp(arg, "--seeds")) {
-            numSeeds = parseU64(arg, next());
+            sim::parseFlag("faultcampaign", arg, next(), numSeeds);
         } else if (!std::strcmp(arg, "--jobs")) {
-            jobs = static_cast<unsigned>(parseU64(arg, next()));
+            sim::parseFlag("faultcampaign", arg, next(), jobs);
         } else if (!std::strcmp(arg, "--json")) {
             jsonPath = next();
         } else if (!std::strcmp(arg, "--gate")) {
@@ -235,25 +210,26 @@ main(int argc, char **argv)
             custom.schedule = next();
             haveCustom = true;
         } else if (!std::strcmp(arg, "--legs")) {
-            custom.legs = static_cast<unsigned>(parseU64(arg, next()));
+            sim::parseFlag("faultcampaign", arg, next(), custom.legs);
             haveCustom = true;
         } else if (!std::strcmp(arg, "--messages")) {
-            custom.messagesPerLeg =
-                static_cast<unsigned>(parseU64(arg, next()));
+            sim::parseFlag("faultcampaign", arg, next(),
+                           custom.messagesPerLeg);
             haveCustom = true;
         } else if (!std::strcmp(arg, "--device-lines")) {
-            custom.deviceLines =
-                static_cast<unsigned>(parseU64(arg, next()));
+            sim::parseFlag("faultcampaign", arg, next(),
+                           custom.deviceLines);
             haveCustom = true;
         } else if (!std::strcmp(arg, "--locked")) {
             custom.useCsb = false;
             haveCustom = true;
         } else if (!std::strcmp(arg, "--crash-leg")) {
-            custom.crashAfterLeg =
-                static_cast<int>(parseU64(arg, next()));
+            sim::parseFlag("faultcampaign", arg, next(),
+                           custom.crashAfterLeg);
             haveCustom = true;
         } else if (!std::strcmp(arg, "--crash-ticks")) {
-            custom.crashAfterTicks = parseU64(arg, next());
+            sim::parseFlag("faultcampaign", arg, next(),
+                           custom.crashAfterTicks);
             haveCustom = true;
         } else if (!std::strcmp(arg, "--help") ||
                    !std::strcmp(arg, "-h")) {

@@ -27,6 +27,7 @@
 
 #include "litmus/harness.hh"
 #include "sim/logging.hh"
+#include "sim/parse_number.hh"
 
 namespace {
 
@@ -63,30 +64,6 @@ usage(std::ostream &os)
           "  --corpus DIR         replay the regression corpus instead\n";
 }
 
-std::uint64_t
-parseU64(const char *flag, const char *val)
-{
-    try {
-        return std::stoull(val, nullptr, 0);
-    } catch (...) {
-        std::cerr << "litmus: bad value for " << flag << ": " << val
-                  << "\n";
-        std::exit(2);
-    }
-}
-
-double
-parseF64(const char *flag, const char *val)
-{
-    try {
-        return std::stod(val);
-    } catch (...) {
-        std::cerr << "litmus: bad value for " << flag << ": " << val
-                  << "\n";
-        std::exit(2);
-    }
-}
-
 } // namespace
 
 int
@@ -108,19 +85,19 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (!std::strcmp(arg, "--first-seed")) {
-            opts.firstSeed = parseU64(arg, value());
+            sim::parseFlag("litmus", arg, value(), opts.firstSeed);
         } else if (!std::strcmp(arg, "--seeds")) {
-            opts.numSeeds = parseU64(arg, value());
+            sim::parseFlag("litmus", arg, value(), opts.numSeeds);
         } else if (!std::strcmp(arg, "--jobs")) {
-            opts.jobs = unsigned(parseU64(arg, value()));
+            sim::parseFlag("litmus", arg, value(), opts.jobs);
         } else if (!std::strcmp(arg, "--time-budget")) {
-            opts.timeBudgetSec = parseF64(arg, value());
+            sim::parseFlag("litmus", arg, value(), opts.timeBudgetSec);
         } else if (!std::strcmp(arg, "--full-matrix")) {
             opts.fullMatrix = true;
         } else if (!std::strcmp(arg, "--tokens")) {
-            opts.tokensPerContext = unsigned(parseU64(arg, value()));
+            sim::parseFlag("litmus", arg, value(), opts.tokensPerContext);
         } else if (!std::strcmp(arg, "--drop-flush")) {
-            opts.dropFlushRate = parseF64(arg, value());
+            sim::parseFlag("litmus", arg, value(), opts.dropFlushRate);
         } else if (!std::strcmp(arg, "--fault-schedule")) {
             const char *spec = value();
             opts.faultSchedule = std::strcmp(spec, "none") ? spec : "";
@@ -133,7 +110,7 @@ main(int argc, char **argv)
         } else if (!std::strcmp(arg, "--expect-failures")) {
             expect_failures = true;
         } else if (!std::strcmp(arg, "--max-instructions")) {
-            max_instructions = parseU64(arg, value());
+            sim::parseFlag("litmus", arg, value(), max_instructions);
         } else if (!std::strcmp(arg, "--corpus")) {
             corpus_dir = value();
         } else if (!std::strcmp(arg, "--help") ||
