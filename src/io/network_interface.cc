@@ -203,8 +203,10 @@ NetworkInterface::finishMessage(std::vector<std::uint8_t> payload,
     msg.deliverTick = deliver;
     msg.viaDma = via_dma;
     msg.seq = seq;
-    sim_.eventQueue().scheduleFunc(deliver, [this, m = std::move(msg)] {
-        delivered_.push_back(m);
+    // An event fires once, so the payload moves into the log.
+    sim_.eventQueue().scheduleFunc(deliver,
+                                   [this, m = std::move(msg)]() mutable {
+        delivered_.push_back(std::move(m));
         --messagesInWire_;
     });
 }

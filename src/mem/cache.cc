@@ -37,8 +37,7 @@ Cache::Cache(const CacheParams &params, std::string name,
 {
     params_.validate();
     numSets_ = params_.sizeBytes / (params_.assoc * params_.lineBytes);
-    lines_ = std::make_unique_for_overwrite<Line[]>(numLines());
-    live_ = std::make_unique<bool[]>(numSets_);
+    slot_.assign(numSets_, 0);
 }
 
 unsigned
@@ -50,7 +49,20 @@ Cache::setIndex(Addr addr) const
 Cache::Line *
 Cache::liveSet(unsigned set)
 {
-    return live_[set] ? &lines_[std::size_t(set) * params_.assoc] : nullptr;
+    const std::uint32_t slot = slot_[set];
+    return slot ? &pool_[std::size_t(slot - 1) * params_.assoc] : nullptr;
+}
+
+Cache::Line *
+Cache::makeLive(unsigned set)
+{
+    if (Line *ways = liveSet(set))
+        return ways;
+    // Value-initialized: all zero, the invalid lines a set holds
+    // before its first fill.
+    pool_.resize(pool_.size() + params_.assoc);
+    slot_[set] = static_cast<std::uint32_t>(pool_.size() / params_.assoc);
+    return &pool_[pool_.size() - params_.assoc];
 }
 
 Cache::Line *
@@ -93,12 +105,7 @@ Cache::access(Addr addr, bool is_write)
 
     // Fill over the LRU way, bringing the set to life on its first fill.
     Addr tag = addr / params_.lineBytes;
-    unsigned set = setIndex(addr);
-    Line *ways = &lines_[std::size_t(set) * params_.assoc];
-    if (!live_[set]) {
-        std::fill_n(ways, params_.assoc, Line{});
-        live_[set] = true;
-    }
+    Line *ways = makeLive(setIndex(addr));
     Line *victim = ways;
     for (unsigned w = 0; w < params_.assoc; ++w) {
         Line &line = ways[w];
@@ -152,11 +159,11 @@ Cache::checkpointSave(sim::CheckpointWriter &cw) const
         // A set that never came to life is written as all-zero
         // (invalid) records, exactly what a value-initialized array
         // held, so the format does not depend on laziness.
-        if (!live_[set]) {
+        const Line *ways = const_cast<Cache *>(this)->liveSet(set);
+        if (!ways) {
             cw.putZeros(params_.assoc * kLineRecordBytes);
             continue;
         }
-        const Line *ways = &lines_[std::size_t(set) * params_.assoc];
         for (unsigned w = 0; w < params_.assoc; ++w) {
             const Line &line = ways[w];
             cw.putU64(line.tag);
@@ -180,13 +187,15 @@ Cache::checkpointRestore(sim::CheckpointReader &cr)
                   " lines, this cache has ", numLines(),
                   " -- geometry mismatch");
     for (unsigned set = 0; set < numSets_; ++set) {
-        // An all-zero set restores as not live, whatever it held
-        // before: its first fill value-initializes it to exactly the
-        // lines those zeros encode.
-        live_[set] = !cr.skipZeros(params_.assoc * kLineRecordBytes);
-        if (!live_[set])
+        // An all-zero set encodes invalid lines.  One that is not live
+        // stays so; a live one keeps its slot, zeroed, so restoring
+        // never orphans pool lines.
+        if (cr.skipZeros(params_.assoc * kLineRecordBytes)) {
+            if (Line *ways = liveSet(set))
+                std::fill_n(ways, params_.assoc, Line{});
             continue;
-        Line *ways = &lines_[std::size_t(set) * params_.assoc];
+        }
+        Line *ways = makeLive(set);
         for (unsigned w = 0; w < params_.assoc; ++w) {
             Line &line = ways[w];
             line.tag = cr.getU64();

@@ -25,9 +25,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
-#include <type_traits>
+#include <vector>
 
 #include "bus/snoop.hh"
 #include "mem/coherence.hh"
@@ -101,12 +100,11 @@ class Cache : public sim::stats::StatGroup
     sim::stats::Scalar misses;
     sim::stats::Scalar writebacks;
 
+    /** Lines allocated so far: assoc per set that ever came alive. */
+    std::size_t allocatedLines() const { return pool_.size(); }
+
   private:
-    /**
-     * Trivial on purpose: the line array is allocated uninitialized,
-     * and a set's lines are value-initialized (all zero: invalid) on
-     * its first fill.
-     */
+    /** Value-initialized (all zero) means invalid. */
     struct Line
     {
         Addr tag;
@@ -137,15 +135,17 @@ class Cache : public sim::stats::StatGroup
 
     unsigned numSets_ = 0;
     CacheParams params_;
-    static_assert(std::is_trivial_v<Line>,
-                  "make_unique_for_overwrite must leave lines unwritten");
 
-    /** numSets_ x assoc, row-major; a set is garbage until live. */
-    std::unique_ptr<Line[]> lines_;
-    /** Per set: its lines are initialized.  A set that is not live
-     *  reads as all invalid; a restore leaves a set with all-zero
-     *  records not live. */
-    std::unique_ptr<bool[]> live_;
+    /**
+     * Per set: 1 + its slot in pool_, or 0 while the set is not live.
+     * A set that is not live reads as all invalid.
+     */
+    std::vector<std::uint32_t> slot_;
+    /**
+     * assoc lines per slot, in the order sets came alive.  Growing it
+     * moves every line, so no Line* is held across a fill.
+     */
+    std::vector<Line> pool_;
     std::uint64_t useClock_ = 0;
 
     std::size_t
@@ -156,6 +156,8 @@ class Cache : public sim::stats::StatGroup
 
     /** First line of @p set, or null while the set is not live. */
     Line *liveSet(unsigned set);
+    /** First line of @p set, bringing it alive (all invalid) first. */
+    Line *makeLive(unsigned set);
     Line *findLine(Addr addr);
     const Line *findLine(Addr addr) const;
     unsigned setIndex(Addr addr) const;

@@ -150,6 +150,17 @@ expectedBytes(std::uint64_t use_clock, const std::vector<LineRecord> &lines)
     return os.str();
 }
 
+/** Restore @p saved (a savedBytes image) into @p cache. */
+void
+restoreFrom(Cache &cache, const std::string &saved)
+{
+    std::istringstream is(saved);
+    sim::CheckpointReader cr = sim::CheckpointReader::readFrom(is);
+    cr.openSection("c");
+    cache.checkpointRestore(cr);
+    cr.closeSection();
+}
+
 TEST(CacheCheckpoint, UntouchedCacheSavesAllZeroRecords)
 {
     // Sets come to life on their first fill; one that never did must
@@ -183,11 +194,7 @@ TEST(CacheCheckpoint, RoundTripOfPartlyTouchedCacheIsExact)
     const std::string saved = savedBytes(original);
 
     Cache restored(params, "c");
-    std::istringstream is(saved);
-    sim::CheckpointReader cr = sim::CheckpointReader::readFrom(is);
-    cr.openSection("c");
-    restored.checkpointRestore(cr);
-    cr.closeSection();
+    restoreFrom(restored, saved);
     EXPECT_EQ(savedBytes(restored), saved);
 
     // Hits, misses, LRU victims and writebacks go on exactly as on the
@@ -206,6 +213,90 @@ TEST(CacheCheckpoint, RoundTripOfPartlyTouchedCacheIsExact)
     EXPECT_EQ(savedBytes(restored), savedBytes(original));
 }
 
+TEST(CacheCheckpoint, SetsLiveOutOfIndexOrderSaveInIndexOrder)
+{
+    // Direct-mapped, 8 sets, 64 B lines: set = (addr / 64) % 8.  Sets
+    // 6, 1 and 4 come alive in that order, so their lines sit in that
+    // order in storage; the image still lists records by set.
+    const CacheParams params = tiny(512, 1, 64, 1);
+    Cache original(params, "c");
+    original.access(0x180, true);  // set 6, tag 6
+    original.access(0x040, false); // set 1, tag 1
+    original.access(0x300, true);  // set 4, tag 12
+    std::vector<LineRecord> lines(8);
+    lines[1] = {1, 1, 2};
+    lines[4] = {12, 3, 3};
+    lines[6] = {6, 3, 1};
+    const std::string saved = savedBytes(original);
+    EXPECT_EQ(saved, expectedBytes(3, lines));
+
+    // One cache restores into fresh storage (sets live in index
+    // order), another had brought sets 4 and 0 to life first.
+    Cache fresh(params, "c");
+    restoreFrom(fresh, saved);
+    Cache used(params, "c");
+    used.access(0x100, false); // set 4
+    used.access(0x000, true);  // set 0
+    restoreFrom(used, saved);
+    EXPECT_EQ(savedBytes(fresh), saved);
+    EXPECT_EQ(savedBytes(used), saved);
+
+    const Addr addrs[] = {0x040, 0x180, 0x380, 0x100, 0x300, 0x000,
+                          0x240, 0x140, 0x040, 0x1c0, 0x300};
+    for (Addr addr : addrs) {
+        bool is_write = (addr & 0x100) != 0;
+        Cache::AccessResult want = original.access(addr, is_write);
+        for (Cache *restored : {&fresh, &used}) {
+            Cache::AccessResult got = restored->access(addr, is_write);
+            EXPECT_EQ(got.hit, want.hit) << std::hex << addr;
+            EXPECT_EQ(got.writeback, want.writeback) << std::hex << addr;
+            EXPECT_EQ(got.writebackAddr, want.writebackAddr)
+                << std::hex << addr;
+        }
+    }
+    EXPECT_EQ(savedBytes(fresh), savedBytes(original));
+    EXPECT_EQ(savedBytes(used), savedBytes(original));
+}
+
+TEST(Cache, LinesAllocatedOnlyForSetsThatCameAlive)
+{
+    Cache cache(tiny(1024, 2, 64, 1), "c"); // 2-way, 8 sets
+    EXPECT_EQ(cache.allocatedLines(), 0u);
+    cache.access(0x000, false);
+    cache.access(0x200, true); // same set
+    EXPECT_EQ(cache.allocatedLines(), 2u);
+    cache.access(0x0c0, false);
+    EXPECT_EQ(cache.allocatedLines(), 4u);
+}
+
+TEST(CacheCheckpoint, RestoringZeroSetsRepeatedlyDoesNotGrowStorage)
+{
+    // The image holds sets 0 and 3; the cache restored into has lines
+    // in sets 0, 1, 2 and 5, so three of its live sets restore from
+    // all-zero records.  They keep their storage as invalid lines.
+    const CacheParams params = tiny(1024, 2, 64, 1);
+    Cache original(params, "c");
+    original.access(0x000, true);
+    original.access(0x0c0, false);
+    const std::string saved = savedBytes(original);
+    const std::string empty = savedBytes(Cache(params, "c"));
+
+    Cache cache(params, "c");
+    for (Addr addr : {0x400, 0x040, 0x240, 0x080, 0x140, 0x540})
+        cache.access(addr, true);
+    ASSERT_EQ(cache.allocatedLines(), 8u);
+    for (int round = 0; round < 5; ++round) {
+        restoreFrom(cache, saved);
+        EXPECT_EQ(savedBytes(cache), saved) << "round " << round;
+        // Refilling the restored-invalid sets reuses their storage.
+        for (Addr addr : {0x040, 0x080, 0x140})
+            cache.access(addr, false);
+        restoreFrom(cache, empty);
+        EXPECT_EQ(savedBytes(cache), empty) << "round " << round;
+        EXPECT_EQ(cache.allocatedLines(), 10u) << "round " << round;
+    }
+}
+
 TEST(CacheCheckpoint, RestoreIntoUsedCacheIsExact)
 {
     // 2-way, 8 sets, 64 B lines.  The saved cache touches sets 0 and
@@ -221,11 +312,7 @@ TEST(CacheCheckpoint, RestoreIntoUsedCacheIsExact)
     Cache restored(params, "c");
     for (Addr addr : {0x400, 0x040, 0x240, 0x080, 0x140, 0x540})
         restored.access(addr, true);
-    std::istringstream is(saved);
-    sim::CheckpointReader cr = sim::CheckpointReader::readFrom(is);
-    cr.openSection("c");
-    restored.checkpointRestore(cr);
-    cr.closeSection();
+    restoreFrom(restored, saved);
     EXPECT_EQ(savedBytes(restored), saved);
 
     // The lines filled before the restore are gone: every set behaves

@@ -280,6 +280,12 @@ main(int argc, char **argv)
         return 2;
     }
 
+    if (numSeeds == 0) {
+        // Zero campaigns would pass the --gate with nothing recovered.
+        std::cerr << "faultcampaign: --seeds must be positive\n";
+        return 2;
+    }
+
     std::vector<std::uint64_t> seeds;
     for (std::uint64_t s = 0; s < numSeeds; ++s)
         seeds.push_back(firstSeed + s);
