@@ -18,51 +18,6 @@
 
 #include "core/campaign.hh"
 
-namespace {
-
-/**
- * The campaign set, calibrated like tools/faultcampaign's built-ins:
- * a clean 3x12-message leg lasts ~2500 ticks, so the windows below
- * concentrate adversity in the first ~2 legs and the campaign proves
- * recovery by finishing clean afterwards.
- */
-std::vector<csb::core::CampaignScenario>
-benchScenarios()
-{
-    namespace core = csb::core;
-    std::vector<core::CampaignScenario> all;
-
-    core::CampaignScenario burst;
-    burst.name = "burst-nack";
-    burst.schedule = "burst:bus-write-nack:1000..6000:0.3";
-    all.push_back(burst);
-
-    core::CampaignScenario hang;
-    hang.name = "device-hang";
-    hang.deviceLines = 6;
-    hang.schedule = "hang:2000..3500";
-    all.push_back(hang);
-
-    core::CampaignScenario flap;
-    flap.name = "link-flap";
-    flap.schedule = "flap:1000..30000";
-    all.push_back(flap);
-
-    // The acceptance scenario: NACK burst + device hang + one
-    // crash-restart from the pre-leg checkpoint, all in one run.
-    core::CampaignScenario combined;
-    combined.name = "combined";
-    combined.schedule =
-        "burst:bus-write-nack:1000..12000:0.3;hang:3000..7000";
-    combined.crashAfterLeg = 1;
-    combined.crashAfterTicks = 1500;
-    all.push_back(combined);
-
-    return all;
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
@@ -73,8 +28,11 @@ main(int argc, char **argv)
     JsonReport report("ext_recovery", args.json);
     core::SweepRunner runner(args.jobs);
 
-    const std::vector<core::CampaignScenario> scenarios =
-        benchScenarios();
+    // Four of the built-in campaigns (docs/FAULTS.md).
+    std::vector<core::CampaignScenario> scenarios;
+    for (const char *name :
+         {"burst-nack", "device-hang", "link-flap", "combined"})
+        scenarios.push_back(core::findBuiltinScenario(name).value());
     constexpr std::uint64_t kFirstSeed = 1;
     constexpr std::uint64_t kSeeds = 6;
 

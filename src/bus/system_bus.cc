@@ -5,7 +5,6 @@
 #include "sim/checkpoint.hh"
 #include "sim/logging.hh"
 #include "sim/trace.hh"
-#include "sim/trace_json.hh"
 
 namespace csb::bus {
 
@@ -40,17 +39,6 @@ busStatusName(BusStatus status)
       case BusStatus::Error: return "error";
     }
     return "?";
-}
-
-std::ostream &
-operator<<(std::ostream &os, const BusTransaction &txn)
-{
-    const std::ios::fmtflags flags = os.flags();
-    os << txnKindName(txn.kind) << " addr=0x" << std::hex << txn.addr
-       << std::dec << " size=" << txn.size << " master=" << txn.master
-       << (txn.stronglyOrdered ? " ordered" : "");
-    os.flags(flags);
-    return os;
 }
 
 void
@@ -189,14 +177,14 @@ SystemBus::noteFailure(const BusTransaction &txn, BusStatus status,
         numNacks += 1;
     else if (status == BusStatus::Error)
         numErrors += 1;
-    sim::trace::log("bus", busStatusName(status), " completion ", txn);
-    if (sim::trace::jsonEnabled()) {
-        sim::trace::jsonInstant(
-            "bus", std::string("bus-") + busStatusName(status), when,
+    sim::trace::instant("bus", when, [&] {
+        return sim::trace::Fields{
+            std::string("bus-") + busStatusName(status),
             {{"addr", sim::trace::hexArg(txn.addr)},
+             {"size", std::to_string(txn.size)},
              {"master", masterNames_[txn.master]},
-             {"kind", txnKindName(txn.kind)}});
-    }
+             {"kind", txnKindName(txn.kind)}}};
+    });
 }
 
 bool
@@ -298,17 +286,14 @@ SystemBus::snoopBroadcast(const Snooper *requester, Addr line_addr,
     if (summary.supplied)
         snoopInterventions += 1;
 
-    sim::trace::log("bus", "snoop ", snoopKindName(kind), " addr=0x",
-                    std::hex, line_addr, std::dec, " hits=", summary.hits);
-    if (sim::trace::jsonEnabled()) {
-        sim::trace::jsonInstant(
-            "bus", std::string("snoop-") + snoopKindName(kind),
-            sim_.curTick(),
+    sim::trace::instant("bus", sim_.curTick(), [&] {
+        return sim::trace::Fields{
+            std::string("snoop-") + snoopKindName(kind),
             {{"addr", sim::trace::hexArg(line_addr)},
              {"hits", std::to_string(summary.hits)},
              {"supplied", summary.supplied ? "true" : "false"},
-             {"wroteBack", summary.wroteBack ? "true" : "false"}});
-    }
+             {"wroteBack", summary.wroteBack ? "true" : "false"}}};
+    });
     return summary;
 }
 
@@ -520,14 +505,14 @@ SystemBus::tryStartResponse(std::uint64_t c)
         static_cast<double>(rec.completionTick - rec.requestTick) /
         clockDomain().period());
 
-    if (sim::trace::jsonEnabled()) {
-        sim::trace::jsonSpan(
-            "bus", "read-resp " + std::to_string(rec.size) + "B",
-            clockDomain().tickOfCycle(rec.firstDataCycle),
-            rec.completionTick,
-            {{"addr", sim::trace::hexArg(rec.addr)},
-             {"master", masterNames_[rec.master]}});
-    }
+    sim::trace::span(
+        "bus", clockDomain().tickOfCycle(rec.firstDataCycle),
+        rec.completionTick, [&] {
+            return sim::trace::Fields{
+                "read-resp " + std::to_string(rec.size) + "B",
+                {{"addr", sim::trace::hexArg(rec.addr)},
+                 {"master", masterNames_[rec.master]}}};
+        });
 
     sim_.eventQueue().scheduleFunc(
         rec.completionTick,
@@ -641,16 +626,15 @@ SystemBus::startWrite(Request &req, std::uint64_t c)
         clockDomain().period());
     ++inFlight_;
     sim_.noteProgress();
-    sim::trace::log("bus", "write start cycle=", c, " ", req.txn);
-
-    if (sim::trace::jsonEnabled()) {
-        sim::trace::jsonSpan(
-            "bus", "write " + std::to_string(rec.size) + "B",
-            clockDomain().tickOfCycle(rec.addrCycle), rec.completionTick,
-            {{"addr", sim::trace::hexArg(rec.addr)},
-             {"master", masterNames_[rec.master]},
-             {"ordered", rec.stronglyOrdered ? "true" : "false"}});
-    }
+    sim::trace::span(
+        "bus", clockDomain().tickOfCycle(rec.addrCycle), rec.completionTick,
+        [&] {
+            return sim::trace::Fields{
+                "write " + std::to_string(rec.size) + "B",
+                {{"addr", sim::trace::hexArg(rec.addr)},
+                 {"master", masterNames_[rec.master]},
+                 {"ordered", rec.stronglyOrdered ? "true" : "false"}}};
+        });
 
     if (req.onStart)
         req.onStart(sim_.curTick());
@@ -718,15 +702,14 @@ SystemBus::startRead(Request &req, std::uint64_t c)
     monitor_.record(rec);
     ++inFlight_;
     sim_.noteProgress();
-    sim::trace::log("bus", "read start cycle=", c, " ", req.txn);
-
-    if (sim::trace::jsonEnabled()) {
-        sim::trace::jsonSpan(
-            "bus", "read-req",
-            clockDomain().tickOfCycle(c), rec.completionTick,
-            {{"addr", sim::trace::hexArg(rec.addr)},
-             {"master", masterNames_[rec.master]}});
-    }
+    sim::trace::span(
+        "bus", clockDomain().tickOfCycle(c), rec.completionTick, [&] {
+            return sim::trace::Fields{
+                "read-req",
+                {{"addr", sim::trace::hexArg(rec.addr)},
+                 {"size", std::to_string(rec.size)},
+                 {"master", masterNames_[rec.master]}}};
+        });
 
     if (req.onStart)
         req.onStart(sim_.curTick());

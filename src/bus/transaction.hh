@@ -8,7 +8,6 @@
 #define CSB_BUS_TRANSACTION_HH
 
 #include <cstdint>
-#include <ostream>
 #include <vector>
 
 #include "sim/types.hh"
@@ -76,13 +75,6 @@ struct BusTransaction
      */
     std::vector<std::uint8_t> data;
 };
-
-/**
- * Trace text of a transaction, e.g.
- * "write addr=0x22000000 size=64 master=1 ordered".  Streamed only
- * inside an enabled trace::log, so a disabled channel never formats.
- */
-std::ostream &operator<<(std::ostream &os, const BusTransaction &txn);
 
 /**
  * Completed-transaction record kept by the BusMonitor.  All cycle

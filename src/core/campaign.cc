@@ -34,6 +34,65 @@ CampaignScenario::validate() const
     sim::parseFaultSchedule(schedule);
 }
 
+std::vector<CampaignScenario>
+builtinScenarios()
+{
+    std::vector<CampaignScenario> all;
+
+    // Window placement: a clean 3x12-message leg lasts ~2500 ticks,
+    // so adversity is concentrated in the first ~2 legs and the
+    // campaign proves recovery by finishing clean afterwards.
+
+    CampaignScenario burst;
+    burst.name = "burst-nack";
+    burst.schedule = "burst:bus-write-nack:1000..6000:0.3";
+    all.push_back(burst);
+
+    CampaignScenario hang;
+    hang.name = "device-hang";
+    hang.deviceLines = 6;
+    hang.schedule = "hang:2000..3500";
+    all.push_back(hang);
+
+    CampaignScenario flap;
+    flap.name = "link-flap";
+    flap.schedule = "flap:1000..30000";
+    all.push_back(flap);
+
+    CampaignScenario storm;
+    storm.name = "ack-storm";
+    storm.schedule = "storm:ack-drop:1000..20000:0.05x2/3000";
+    all.push_back(storm);
+
+    CampaignScenario brown;
+    brown.name = "brownout-locked";
+    brown.useCsb = false;
+    brown.schedule = "brownout:bus-write-nack:1000..20000:4000/1500:0.5";
+    all.push_back(brown);
+
+    // The acceptance scenario: a 30% NACK burst, a device hang and a
+    // mid-campaign crash-restart in one run.
+    CampaignScenario combined;
+    combined.name = "combined";
+    combined.schedule =
+        "burst:bus-write-nack:1000..12000:0.3;hang:3000..7000";
+    combined.crashAfterLeg = 1;
+    combined.crashAfterTicks = 1500;
+    all.push_back(combined);
+
+    return all;
+}
+
+std::optional<CampaignScenario>
+findBuiltinScenario(std::string_view name)
+{
+    for (CampaignScenario &scenario : builtinScenarios()) {
+        if (scenario.name == name)
+            return std::move(scenario);
+    }
+    return std::nullopt;
+}
+
 namespace {
 
 SystemConfig

@@ -24,7 +24,9 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/fault.hh"
@@ -68,6 +70,16 @@ struct CampaignScenario
     /** Throws FatalError when the scenario is malformed. */
     void validate() const;
 };
+
+/**
+ * The built-in campaign set, in order: burst-nack, device-hang,
+ * link-flap, ack-storm, brownout-locked and combined (docs/FAULTS.md
+ * documents each).
+ */
+std::vector<CampaignScenario> builtinScenarios();
+
+/** @return the built-in scenario called @p name, if there is one. */
+std::optional<CampaignScenario> findBuiltinScenario(std::string_view name);
 
 /** Robustness scorecard of one campaign run (one seed). */
 struct CampaignResult

@@ -60,10 +60,8 @@ defaultTransferSizes()
     return {16, 32, 64, 128, 256, 512, 1024};
 }
 
-namespace {
-
 SystemConfig
-configFor(const BandwidthSetup &setup, Scheme scheme)
+bandwidthConfig(const BandwidthSetup &setup, Scheme scheme)
 {
     SystemConfig cfg;
     cfg.lineBytes = setup.lineBytes;
@@ -74,23 +72,29 @@ configFor(const BandwidthSetup &setup, Scheme scheme)
     return cfg;
 }
 
+namespace {
+
+isa::Program
+bandwidthKernel(const BandwidthSetup &setup, Scheme scheme,
+                unsigned transfer_bytes, unsigned alu_per_store)
+{
+    return scheme == Scheme::Csb
+               ? makeCsbStoreKernel(System::ioCsbBase, transfer_bytes,
+                                    setup.lineBytes, alu_per_store)
+               : makeStoreKernel(scheme == Scheme::NoCombine
+                                     ? System::ioUncachedBase
+                                     : System::ioAccelBase,
+                                 transfer_bytes, alu_per_store);
+}
+
 } // namespace
 
 double
 measureStoreBandwidth(const BandwidthSetup &setup, Scheme scheme,
                       unsigned transfer_bytes)
 {
-    System system(configFor(setup, scheme));
-
-    isa::Program program =
-        scheme == Scheme::Csb
-            ? makeCsbStoreKernel(System::ioCsbBase, transfer_bytes,
-                                 setup.lineBytes)
-            : makeStoreKernel(scheme == Scheme::NoCombine
-                                  ? System::ioUncachedBase
-                                  : System::ioAccelBase,
-                              transfer_bytes);
-    system.run(program);
+    System system(bandwidthConfig(setup, scheme));
+    system.run(bandwidthKernel(setup, scheme, transfer_bytes, 0));
 
     std::uint64_t cycles = system.ioWriteBusCycles();
     csb_assert(cycles > 0, "no I/O transactions recorded");
@@ -151,26 +155,7 @@ printSweep(const BandwidthSweep &sweep, std::ostream &os)
 // --------------------------------------------------------------------
 // Trace capture/replay
 
-SystemConfig
-bandwidthConfig(const BandwidthSetup &setup, Scheme scheme)
-{
-    return configFor(setup, scheme);
-}
-
 namespace {
-
-isa::Program
-bandwidthKernel(const BandwidthSetup &setup, Scheme scheme,
-                unsigned transfer_bytes, unsigned alu_per_store)
-{
-    return scheme == Scheme::Csb
-               ? makeCsbStoreKernel(System::ioCsbBase, transfer_bytes,
-                                    setup.lineBytes, alu_per_store)
-               : makeStoreKernel(scheme == Scheme::NoCombine
-                                     ? System::ioUncachedBase
-                                     : System::ioAccelBase,
-                                 transfer_bytes, alu_per_store);
-}
 
 /** Capture the common determinism surface of a finished run. */
 TracedRun
@@ -197,7 +182,7 @@ recordStoreBandwidth(const BandwidthSetup &setup, Scheme scheme,
                      sim::TraceRecorder *recorder,
                      unsigned alu_per_store)
 {
-    System system(configFor(setup, scheme));
+    System system(bandwidthConfig(setup, scheme));
     if (recorder) {
         csb_assert(recorder->numCpus() == 1 &&
                        recorder->lineBytes() == setup.lineBytes,
@@ -213,7 +198,7 @@ TracedRun
 replayStoreBandwidth(const BandwidthSetup &setup, Scheme scheme,
                      unsigned transfer_bytes, const sim::MemTrace &trace)
 {
-    SystemConfig cfg = configFor(setup, scheme);
+    SystemConfig cfg = bandwidthConfig(setup, scheme);
     cfg.replayMode = true;
     System system(cfg);
     Tick end = system.replay(trace);
@@ -226,7 +211,7 @@ measureLockedSequence(const BandwidthSetup &setup, Scheme scheme,
 {
     csb_assert(scheme != Scheme::Csb,
                "use measureCsbSequence for the CSB");
-    System system(configFor(setup, scheme));
+    System system(bandwidthConfig(setup, scheme));
 
     constexpr Addr lock_addr = 0x4000;
     if (!lock_miss)
@@ -247,7 +232,7 @@ measureLockedSequence(const BandwidthSetup &setup, Scheme scheme,
 double
 measureCsbSequence(const BandwidthSetup &setup, unsigned n_dwords)
 {
-    System system(configFor(setup, Scheme::Csb));
+    System system(bandwidthConfig(setup, Scheme::Csb));
     isa::Program program =
         makeCsbSequenceKernel(System::ioCsbBase, n_dwords);
     system.run(program);
@@ -426,7 +411,7 @@ measureMessageLatency(const BandwidthSetup &setup, unsigned payload_bytes)
     // PIO under a lock: conventional uncached stores (the baseline
     // the paper's cited NI designs use).
     {
-        SystemConfig cfg = configFor(setup, Scheme::NoCombine);
+        SystemConfig cfg = bandwidthConfig(setup, Scheme::NoCombine);
         cfg.enableNi = true;
         cfg.normalize();
         System system(cfg);
@@ -438,7 +423,7 @@ measureMessageLatency(const BandwidthSetup &setup, unsigned payload_bytes)
 
     // PIO through the CSB, lock-free.
     {
-        SystemConfig cfg = configFor(setup, Scheme::Csb);
+        SystemConfig cfg = bandwidthConfig(setup, Scheme::Csb);
         cfg.enableNi = true;
         cfg.normalize();
         System system(cfg);
@@ -449,7 +434,7 @@ measureMessageLatency(const BandwidthSetup &setup, unsigned payload_bytes)
 
     // DMA: one descriptor store; the NI fetches the payload itself.
     {
-        SystemConfig cfg = configFor(setup, Scheme::NoCombine);
+        SystemConfig cfg = bandwidthConfig(setup, Scheme::NoCombine);
         cfg.enableNi = true;
         cfg.normalize();
         System system(cfg);

@@ -56,6 +56,12 @@ struct BandwidthSetup
 std::vector<unsigned> defaultTransferSizes();
 
 /**
+ * The SystemConfig every point of @p setup runs with under @p scheme
+ * (bandwidth, sequence timing, trace capture and replay).
+ */
+SystemConfig bandwidthConfig(const BandwidthSetup &setup, Scheme scheme);
+
+/**
  * Run the store-bandwidth microbenchmark for one (scheme, size)
  * point.  @return useful bytes per bus cycle on the I/O path.
  */
@@ -88,12 +94,6 @@ BandwidthSweep runBandwidthSweep(SweepRunner &runner,
 void printSweep(const BandwidthSweep &sweep, std::ostream &os);
 
 // --- Trace capture/replay (docs/TRACE_FORMAT.md) --------------------
-
-/**
- * The exact SystemConfig a bandwidth grid point runs with; exposed so
- * trace replay can rebuild a byte-identical system for the point.
- */
-SystemConfig bandwidthConfig(const BandwidthSetup &setup, Scheme scheme);
 
 /**
  * Determinism surface of one bandwidth point.  A live (recorded) run

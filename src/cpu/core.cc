@@ -202,8 +202,12 @@ Core::doSquashAndSwitch()
     fetchStallSeq_ = 0;
     switchPending_ = false;
     contextSwitches += 1;
-    sim::trace::log("cpu", "context switch to pid=", arch_.pid,
-                    " pc=", arch_.pc);
+    sim::trace::instant("cpu", sim_.curTick(), [&] {
+        return sim::trace::Fields{"context-switch",
+                                  {{"core", name()},
+                                   {"pid", std::to_string(arch_.pid)},
+                                   {"pc", std::to_string(arch_.pc)}}};
+    });
     wakeContextWaiter();
     if (onSwitched_) {
         auto cb = std::move(onSwitched_);

@@ -4,7 +4,7 @@
 
 #include "sim/checkpoint.hh"
 #include "sim/logging.hh"
-#include "sim/trace_json.hh"
+#include "sim/trace.hh"
 
 namespace csb::io {
 
@@ -47,12 +47,11 @@ BurstDevice::write(bus::BusTransaction &txn, Tick now)
     writesReceived += 1;
     bytesReceived += txn.size;
 
-    if (sim::trace::jsonEnabled()) {
-        sim::trace::jsonInstant(
-            "dev", "burst " + std::to_string(txn.size) + "B", now,
-            {{"addr", sim::trace::hexArg(txn.addr)},
-             {"device", name_}});
-    }
+    sim::trace::instant("dev", now, [&] {
+        return sim::trace::Fields{
+            "burst " + std::to_string(txn.size) + "B",
+            {{"addr", sim::trace::hexArg(txn.addr)}, {"device", name_}}};
+    });
 }
 
 Tick

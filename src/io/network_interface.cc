@@ -6,7 +6,6 @@
 #include "sim/checkpoint.hh"
 #include "sim/logging.hh"
 #include "sim/trace.hh"
-#include "sim/trace_json.hh"
 
 namespace csb::io {
 
@@ -190,12 +189,12 @@ NetworkInterface::finishMessage(std::vector<std::uint8_t> payload,
     bytesSent += payload.size();
     wireBusyTicks += tx_ticks;
 
-    if (sim::trace::jsonEnabled()) {
-        sim::trace::jsonSpan(
-            "ni.wire", via_dma ? "dma msg" : "pio msg", start, send_done,
+    sim::trace::span("ni.wire", start, send_done, [&] {
+        return sim::trace::Fields{
+            via_dma ? "dma msg" : "pio msg",
             {{"bytes", std::to_string(payload.size())},
-             {"deliver", std::to_string(deliver)}});
-    }
+             {"deliver", std::to_string(deliver)}}};
+    });
 
     DeliveredMessage msg;
     msg.payload = std::move(payload);
@@ -247,16 +246,15 @@ NetworkInterface::transmitPacket(std::uint64_t seq, Tick now)
         !dropped && injector_ &&
         injector_->shouldFault(sim::FaultSite::WireCorrupt, send_done);
 
-    if (sim::trace::jsonEnabled()) {
-        sim::trace::jsonSpan(
-            "ni.wire", pkt.viaDma ? "dma msg" : "pio msg", start,
-            send_done,
+    sim::trace::span("ni.wire", start, send_done, [&] {
+        return sim::trace::Fields{
+            pkt.viaDma ? "dma msg" : "pio msg",
             {{"bytes", std::to_string(pkt.payload.size())},
              {"seq", std::to_string(seq)},
              {"attempt", std::to_string(pkt.attempts)},
              {"fate", dropped ? "dropped"
-                              : (corrupted ? "corrupted" : "clean")}});
-    }
+                              : (corrupted ? "corrupted" : "clean")}}};
+    });
 
     if (!dropped) {
         std::vector<std::uint8_t> wire_bytes = pkt.payload;
@@ -286,13 +284,13 @@ NetworkInterface::transmitPacket(std::uint64_t seq, Tick now)
                 return;
             }
             retransmits += 1;
-            if (sim::trace::jsonEnabled()) {
-                sim::trace::jsonInstant(
-                    "ni.wire", "retransmit", sim_.curTick(),
+            sim::trace::instant("ni.wire", sim_.curTick(), [&] {
+                return sim::trace::Fields{
+                    "retransmit",
                     {{"seq", std::to_string(seq)},
                      {"attempt",
-                      std::to_string(pending->second.attempts + 1)}});
-            }
+                      std::to_string(pending->second.attempts + 1)}}};
+            });
             transmitPacket(seq, sim_.curTick());
         });
 }
@@ -305,22 +303,20 @@ NetworkInterface::receivePacket(std::uint64_t seq,
 {
     if (fnv1a(wire_bytes) != claimed_checksum) {
         checksumDiscards += 1;
-        if (sim::trace::jsonEnabled()) {
-            sim::trace::jsonInstant(
-                "ni.wire", "checksum-discard", arrival,
-                {{"seq", std::to_string(seq)}});
-        }
+        sim::trace::instant("ni.wire", arrival, [&] {
+            return sim::trace::Fields{"checksum-discard",
+                                      {{"seq", std::to_string(seq)}}};
+        });
         return; // no ack; the sender's timeout will retransmit
     }
 
     bool duplicate = deliveredSeqs_.count(seq) != 0;
     if (duplicate) {
         duplicatesSuppressed += 1;
-        if (sim::trace::jsonEnabled()) {
-            sim::trace::jsonInstant(
-                "ni.wire", "dup-suppressed", arrival,
-                {{"seq", std::to_string(seq)}});
-        }
+        sim::trace::instant("ni.wire", arrival, [&] {
+            return sim::trace::Fields{"dup-suppressed",
+                                      {{"seq", std::to_string(seq)}}};
+        });
     } else {
         deliveredSeqs_.insert(seq);
         DeliveredMessage msg;
@@ -357,13 +353,10 @@ NetworkInterface::performLinkReset(Tick now)
     linkResets += 1;
     if (resetStartTick_ == maxTick)
         resetStartTick_ = now;
-    sim::trace::log("ni", "link reset at ", now, ", replaying ",
-                    unacked_.size(), " unacked packets");
-    if (sim::trace::jsonEnabled()) {
-        sim::trace::jsonInstant(
-            "ni.wire", "link-reset", now,
-            {{"unacked", std::to_string(unacked_.size())}});
-    }
+    sim::trace::instant("ni.wire", now, [&] {
+        return sim::trace::Fields{
+            "link-reset", {{"unacked", std::to_string(unacked_.size())}}};
+    });
 
     // Quiesce: nothing enters the wire until the reset completes.
     Tick up_at = now + params_.linkResetLatency;

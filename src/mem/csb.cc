@@ -5,7 +5,6 @@
 #include "sim/checkpoint.hh"
 #include "sim/logging.hh"
 #include "sim/trace.hh"
-#include "sim/trace_json.hh"
 
 namespace csb::mem {
 
@@ -101,9 +100,15 @@ ConditionalStoreBuffer::store(ProcId pid, Addr addr, unsigned size,
     ++storesAccepted;
     if (hitCounter_ == 1)
         accumStartTick_ = sim_.curTick();
-    sim::trace::log("csb", "store pid=", pid, " addr=0x", std::hex, addr,
-                    std::dec, " size=", size, (match ? "" : " (cleared)"),
-                    " counter=", hitCounter_);
+    sim::trace::instant("csb", sim_.curTick(), [&] {
+        return sim::trace::Fields{
+            "store",
+            {{"pid", std::to_string(pid)},
+             {"addr", sim::trace::hexArg(addr)},
+             {"size", std::to_string(size)},
+             {"cleared", match ? "false" : "true"},
+             {"counter", std::to_string(hitCounter_)}}};
+    });
 }
 
 bool
@@ -119,15 +124,14 @@ ConditionalStoreBuffer::conditionalFlush(ProcId pid, Addr addr,
                  (!params_.checkAddress || lineAddr_ == line);
 
     if (!match) {
-        sim::trace::log("csb", "flush FAILED pid=", pid, " expected=",
-                        expected, " counter=", hitCounter_);
-        if (sim::trace::jsonEnabled()) {
-            sim::trace::jsonInstant(
-                "csb", "flush-fail", sim_.curTick(),
-                {{"addr", sim::trace::hexArg(line)},
+        sim::trace::instant("csb", sim_.curTick(), [&] {
+            return sim::trace::Fields{
+                "flush-fail",
+                {{"pid", std::to_string(pid)},
+                 {"addr", sim::trace::hexArg(line)},
                  {"expected", std::to_string(expected)},
-                 {"counter", std::to_string(hitCounter_)}});
-        }
+                 {"counter", std::to_string(hitCounter_)}}};
+        });
         clearAccumulator();
         hitCounter_ = 0;
         ++flushesFailed;
@@ -135,13 +139,12 @@ ConditionalStoreBuffer::conditionalFlush(ProcId pid, Addr addr,
     }
 
     fillAtFlush.sample(static_cast<double>(valid_.count()));
-    if (sim::trace::jsonEnabled()) {
-        sim::trace::jsonSpan(
-            "csb", "csb line " + sim::trace::hexArg(lineAddr_),
-            accumStartTick_, sim_.curTick(),
+    sim::trace::span("csb", accumStartTick_, sim_.curTick(), [&] {
+        return sim::trace::Fields{
+            "csb line " + sim::trace::hexArg(lineAddr_),
             {{"stores", std::to_string(expected)},
-             {"valid_bytes", std::to_string(valid_.count())}});
-    }
+             {"valid_bytes", std::to_string(valid_.count())}}};
+    });
 
     // Success: hand the (zero-padded) line to the system interface.
     // The CsbFlushDrop DEBUG knob models a buggy CSB that reports
@@ -151,8 +154,12 @@ ConditionalStoreBuffer::conditionalFlush(ProcId pid, Addr addr,
     if (injector_ &&
         injector_->shouldFault(sim::FaultSite::CsbFlushDrop,
                                sim_.curTick())) {
-        sim::trace::log("csb", "flush line DROPPED (debug bug knob) "
-                        "pid=", pid, " line=0x", std::hex, line);
+        sim::trace::instant("csb", sim_.curTick(), [&] {
+            return sim::trace::Fields{
+                "flush-drop",
+                {{"pid", std::to_string(pid)},
+                 {"addr", sim::trace::hexArg(line)}}};
+        });
     } else {
         OutLine &out = outbox_.emplace_back();
         out.addr = lineAddr_;
@@ -160,8 +167,13 @@ ConditionalStoreBuffer::conditionalFlush(ProcId pid, Addr addr,
         out.valid = valid_;
     }
 
-    sim::trace::log("csb", "flush OK pid=", pid, " line=0x", std::hex,
-                    line, std::dec, " stores=", expected);
+    sim::trace::instant("csb", sim_.curTick(), [&] {
+        return sim::trace::Fields{
+            "flush-ok",
+            {{"pid", std::to_string(pid)},
+             {"addr", sim::trace::hexArg(line)},
+             {"stores", std::to_string(expected)}}};
+    });
     clearAccumulator();
     hitCounter_ = 0;
     ++flushesSucceeded;
@@ -385,11 +397,9 @@ ConditionalStoreBuffer::enterDegraded(Tick now)
     degradedSince_ = now;
     cleanStreak_ = 0;
     degradedEntries += 1;
-    sim::trace::log("csb", "DEGRADED at ", now,
-                    ": flush retry budget exhausted, falling back to "
-                    "PIO stores");
-    if (sim::trace::jsonEnabled())
-        sim::trace::jsonInstant("csb", "degraded-enter", now, {});
+    sim::trace::instant("csb", now, [] {
+        return sim::trace::Fields{"degraded-enter", {}};
+    });
 }
 
 void
@@ -400,11 +410,11 @@ ConditionalStoreBuffer::exitDegraded(Tick now)
     degradedTicks += now - degradedSince_;
     repromotions += 1;
     cleanStreak_ = 0;
-    sim::trace::log("csb", "re-promoted to burst mode at ", now,
-                    " after ", params_.repromoteAfter,
-                    " clean completions");
-    if (sim::trace::jsonEnabled())
-        sim::trace::jsonInstant("csb", "degraded-exit", now, {});
+    sim::trace::instant("csb", now, [&] {
+        return sim::trace::Fields{
+            "degraded-exit",
+            {{"clean", std::to_string(params_.repromoteAfter)}}};
+    });
 }
 
 void

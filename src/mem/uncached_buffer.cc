@@ -120,10 +120,14 @@ UncachedBuffer::pushStore(Addr addr, unsigned size, const void *data)
         tail.lastStoreEnd = addr + size;
         ++storesPushed;
         ++storesCoalesced;
-        sim::trace::log("ubuf", "coalesce 0x", std::hex, addr,
-                        std::dec, "/", size, " into block 0x",
-                        std::hex, block, std::dec, " (",
-                        tail.storeCount, " stores)");
+        sim::trace::instant("ubuf", sim_.curTick(), [&] {
+            return sim::trace::Fields{
+                "coalesce",
+                {{"addr", sim::trace::hexArg(addr)},
+                 {"size", std::to_string(size)},
+                 {"block", sim::trace::hexArg(block)},
+                 {"stores", std::to_string(tail.storeCount)}}};
+        });
         return;
     }
 
@@ -139,8 +143,12 @@ UncachedBuffer::pushStore(Addr addr, unsigned size, const void *data)
     entry.lastStoreEnd = addr + size;
     ++storesPushed;
     ++entriesCreated;
-    sim::trace::log("ubuf", "new entry 0x", std::hex, block, std::dec,
-                    " depth=", entries_.size());
+    sim::trace::instant("ubuf", sim_.curTick(), [&] {
+        return sim::trace::Fields{
+            "new-entry",
+            {{"block", sim::trace::hexArg(block)},
+             {"depth", std::to_string(entries_.size())}}};
+    });
 }
 
 void

@@ -4,23 +4,8 @@
 #include <sstream>
 
 #include "logging.hh"
-#include "trace.hh"
 
 namespace csb::sim {
-
-Simulator::Simulator()
-{
-    // The newest simulator on this thread provides trace timestamps;
-    // the source is thread-local, so concurrent sweep workers each
-    // stamp trace lines with their own simulator's ticks.
-    trace::setTickSource([this] { return curTick(); });
-}
-
-Simulator::~Simulator()
-{
-    // Never leave a dangling tick source behind.
-    trace::setTickSource(nullptr);
-}
 
 void
 Clocked::gate()

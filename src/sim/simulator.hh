@@ -26,8 +26,7 @@ namespace csb::sim {
 class Simulator
 {
   public:
-    Simulator();
-    ~Simulator();
+    Simulator() = default;
 
     Simulator(const Simulator &) = delete;
     Simulator &operator=(const Simulator &) = delete;

@@ -1,29 +1,121 @@
 #include "trace.hh"
 
-#include <atomic>
+#include <algorithm>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <iomanip>
 #include <iostream>
+#include <map>
+#include <memory>
 #include <mutex>
 #include <set>
+#include <sstream>
+
+#include "json.hh"
 
 namespace csb::sim::trace {
 
 namespace {
 
+constexpr unsigned textSink = 1;
+constexpr unsigned jsonSink = 2;
+
+struct Event
+{
+    std::string track;
+    Tick ts;
+    Tick dur; // 0 for an instant
+    Fields fields;
+};
+
 /**
- * Channel configuration is process-wide and mutex-guarded so that
- * concurrent Simulator instances (core::SweepRunner workers) can
- * trace safely.  The hot disabled path reads one relaxed atomic,
- * detail::maybeEnabled, inline in the caller.
+ * The configuration and the Chrome trace buffer are process-wide and
+ * mutex-guarded: concurrent Simulator instances (core::SweepRunner
+ * workers) may trace at once.  The hot disabled path reads one relaxed
+ * atomic, detail::gateOpen, inline in the caller.
  */
 struct TraceState
 {
     std::mutex mutex;
+    bool configured = false; // environment read or configure() called
+    bool allChannels = false;
     std::set<std::string, std::less<>> channels;
-    bool all = false;
-    std::atomic<bool> envLoaded{false};
-    std::ostream *out = &std::cerr;
+    std::ostream *text = &std::cerr;
+    std::ostream *json = nullptr;
+    std::unique_ptr<std::ofstream> jsonFile; // owned when env-configured
+    std::vector<Event> events;
+
+    ~TraceState()
+    {
+        // Write the env-configured file at exit; a test-provided
+        // stream may already be dead by now, so only the owned file
+        // is safe to touch.  Threads are gone at static destruction,
+        // so no lock is needed (or safe) here.
+        if (jsonFile && jsonFile->is_open())
+            writeDocument(*jsonFile);
+    }
+
+    /** Caller holds mutex (except the static destructor above). */
+    void
+    writeDocument(std::ostream &os)
+    {
+        std::stable_sort(events.begin(), events.end(),
+                         [](const Event &a, const Event &b) {
+                             return a.ts < b.ts;
+                         });
+
+        // Assign tids per track in first-seen order so related events
+        // share a row in the viewer.
+        std::map<std::string, int> tids;
+        std::vector<std::string> track_order;
+        for (const Event &ev : events) {
+            if (tids.emplace(ev.track, int(tids.size()) + 1).second)
+                track_order.push_back(ev.track);
+        }
+
+        JsonWriter jw(os, 0);
+        jw.beginObject();
+        jw.kv("displayTimeUnit", "ms");
+        jw.key("traceEvents");
+        jw.beginArray();
+        for (const std::string &track : track_order) {
+            jw.beginObject();
+            jw.kv("name", "thread_name");
+            jw.kv("ph", "M");
+            jw.kv("pid", 0);
+            jw.kv("tid", tids[track]);
+            jw.key("args").beginObject();
+            jw.kv("name", track);
+            jw.endObject();
+            jw.endObject();
+        }
+        for (const Event &ev : events) {
+            jw.beginObject();
+            jw.kv("name", ev.fields.name);
+            jw.kv("cat", ev.track);
+            jw.kv("ph", ev.dur == 0 ? "i" : "X");
+            jw.kv("ts", ev.ts);
+            if (ev.dur == 0)
+                jw.kv("s", "t");
+            else
+                jw.kv("dur", ev.dur);
+            jw.kv("pid", 0);
+            jw.kv("tid", tids[ev.track]);
+            if (!ev.fields.args.empty()) {
+                jw.key("args").beginObject();
+                for (const Arg &arg : ev.fields.args)
+                    jw.kv(arg.key, arg.value);
+                jw.endObject();
+            }
+            jw.endObject();
+        }
+        jw.endArray();
+        jw.endObject();
+        os << "\n";
+        os.flush();
+        events.clear();
+    }
 };
 
 TraceState &
@@ -33,134 +125,130 @@ state()
     return instance;
 }
 
-/**
- * The tick source is per-thread: each sweep worker runs its own
- * Simulator, and its trace lines must show that simulator's ticks.
- */
-thread_local std::function<Tick()> tickSource;
-
-/** Recompute maybeEnabled.  @pre s.mutex is held. */
+/** Recompute the gate.  @pre s.mutex is held. */
 void
-publishMaybeEnabled(const TraceState &s)
+publishGate(const TraceState &s)
 {
-    detail::maybeEnabled.store(
-        !s.envLoaded.load(std::memory_order_relaxed) || s.all ||
-            !s.channels.empty(),
-        std::memory_order_relaxed);
+    detail::gateOpen.store(!s.configured || s.allChannels ||
+                               !s.channels.empty() || s.json != nullptr,
+                           std::memory_order_relaxed);
 }
 
+/** Set the text channels from "a,b" or "all".  @pre s.mutex is held. */
 void
-loadEnvOnce()
+setChannels(TraceState &s, std::string_view spec)
 {
-    TraceState &s = state();
-    if (s.envLoaded.load(std::memory_order_acquire))
-        return;
-    const char *env = std::getenv("CSBSIM_TRACE");
-    std::string spec(env != nullptr ? env : "");
-    std::lock_guard<std::mutex> lock(s.mutex);
-    if (s.envLoaded.load(std::memory_order_relaxed))
-        return; // another thread (or an explicit enable()) won
-    std::size_t start = 0;
-    while (start <= spec.size() && !spec.empty()) {
-        std::size_t comma = spec.find(',', start);
-        std::string name =
-            spec.substr(start, comma == std::string::npos
-                                   ? std::string::npos
-                                   : comma - start);
-        if (!name.empty()) {
-            if (name == "all")
-                s.all = true;
-            else
-                s.channels.insert(name);
-        }
-        if (comma == std::string::npos)
-            break;
-        start = comma + 1;
+    s.allChannels = false;
+    s.channels.clear();
+    while (!spec.empty()) {
+        std::size_t comma = spec.find(',');
+        std::string_view name = spec.substr(0, comma);
+        if (name == "all")
+            s.allChannels = true;
+        else if (!name.empty())
+            s.channels.emplace(name);
+        spec = comma == std::string_view::npos ? std::string_view()
+                                               : spec.substr(comma + 1);
     }
-    s.envLoaded.store(true, std::memory_order_release);
-    publishMaybeEnabled(s);
+}
+
+/** Read CSBSIM_TRACE and CSBSIM_TRACE_JSON.  @pre s.mutex is held. */
+void
+loadEnvironment(TraceState &s)
+{
+    const char *channels = std::getenv("CSBSIM_TRACE");
+    setChannels(s, channels != nullptr ? channels : "");
+    const char *file = std::getenv("CSBSIM_TRACE_JSON");
+    if (file != nullptr && *file != '\0') {
+        s.jsonFile = std::make_unique<std::ofstream>(file);
+        if (s.jsonFile->is_open())
+            s.json = s.jsonFile.get();
+        else
+            std::fprintf(stderr,
+                         "csbsim: cannot open CSBSIM_TRACE_JSON file '%s'\n",
+                         file);
+    }
+    s.configured = true;
+    publishGate(s);
 }
 
 } // namespace
 
 namespace detail {
 
-std::atomic<bool> maybeEnabled{true};
+std::atomic<bool> gateOpen{true};
 
-bool
-enabledSlow(std::string_view name)
+unsigned
+sinksFor(std::string_view track)
 {
-    loadEnvOnce();
-    if (!maybeEnabled.load(std::memory_order_relaxed))
-        return false;
     TraceState &s = state();
     std::lock_guard<std::mutex> lock(s.mutex);
-    return s.all || s.channels.find(name) != s.channels.end();
+    if (!s.configured)
+        loadEnvironment(s);
+    unsigned sinks = s.json != nullptr ? jsonSink : 0;
+    std::string_view channel = track.substr(0, track.find('.'));
+    if (s.allChannels || s.channels.find(channel) != s.channels.end())
+        sinks |= textSink;
+    return sinks;
+}
+
+void
+record(unsigned sinks, std::string_view track, Tick ts, Tick dur,
+       Fields fields)
+{
+    // Format the text line outside the lock.
+    std::string line;
+    if (sinks & textSink) {
+        std::ostringstream os;
+        os << "[" << std::setw(9) << ts << "] " << track << ": "
+           << fields.name;
+        if (dur != 0)
+            os << " dur=" << dur;
+        for (const Arg &arg : fields.args)
+            os << " " << arg.key << "=" << arg.value;
+        os << "\n";
+        line = os.str();
+    }
+    TraceState &s = state();
+    std::lock_guard<std::mutex> lock(s.mutex);
+    if (sinks & textSink)
+        *s.text << line;
+    if ((sinks & jsonSink) && s.json != nullptr)
+        s.events.push_back({std::string(track), ts, dur, std::move(fields)});
 }
 
 } // namespace detail
 
+std::string
+hexArg(Addr addr)
+{
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "0x%llx",
+                  static_cast<unsigned long long>(addr));
+    return buf;
+}
+
 void
-enable(const std::string &name)
+configure(std::string_view channels, std::ostream *text, std::ostream *json)
 {
     TraceState &s = state();
     std::lock_guard<std::mutex> lock(s.mutex);
-    // explicit control overrides lazy env load
-    s.envLoaded.store(true, std::memory_order_release);
-    if (name == "all") {
-        s.all = true;
-    } else {
-        s.channels.insert(name);
-    }
-    publishMaybeEnabled(s);
+    s.configured = true;
+    setChannels(s, channels);
+    s.text = text != nullptr ? text : &std::cerr;
+    s.jsonFile.reset();
+    s.json = json;
+    s.events.clear();
+    publishGate(s);
 }
 
 void
-disable(const std::string &name)
+flush()
 {
     TraceState &s = state();
     std::lock_guard<std::mutex> lock(s.mutex);
-    if (name == "all") {
-        s.all = false;
-        s.channels.clear();
-    } else {
-        s.channels.erase(name);
-    }
-    publishMaybeEnabled(s);
+    if (s.json != nullptr)
+        s.writeDocument(*s.json);
 }
 
-void
-setOutput(std::ostream *os)
-{
-    TraceState &s = state();
-    std::lock_guard<std::mutex> lock(s.mutex);
-    s.out = os != nullptr ? os : &std::cerr;
-}
-
-void
-setTickSource(std::function<Tick()> source)
-{
-    tickSource = std::move(source);
-}
-
-namespace detail {
-
-void
-emit(std::string_view channel, const std::string &message)
-{
-    TraceState &s = state();
-    // Format outside the lock; the tick source is thread-local.
-    std::ostringstream line;
-    line << "[";
-    if (tickSource) {
-        line << std::setw(9) << tickSource();
-    } else {
-        line << std::setw(9) << "-";
-    }
-    line << "] " << channel << ": " << message << "\n";
-    std::lock_guard<std::mutex> lock(s.mutex);
-    *s.out << line.str();
-}
-
-} // namespace detail
 } // namespace csb::sim::trace

@@ -1,94 +1,124 @@
 /**
  * @file
- * Debug tracing with named channels, gem5 DPRINTF style.
+ * Trace events: each component event is reported once and rendered by
+ * both sinks, the text channels and the Chrome trace.
  *
- * Channels are registered lazily by name ("cpu", "csb", "bus", ...).
- * They are disabled by default; enable programmatically with
- * trace::enable("csb") or from the environment:
+ * An event is an instant or a span on a named track ("bus", "csb",
+ * "ni.wire", ...), stamped with its own tick and carrying key/value
+ * args.  A site builds the name and args in a lambda, which runs only
+ * when some sink wants the track:
+ *
+ *     sim::trace::instant("csb", now, [&] {
+ *         return sim::trace::Fields{"flush-ok",
+ *                                   {{"pid", std::to_string(pid)}}};
+ *     });
+ *
+ * Both sinks are off by default and read the environment once:
  *
  *     CSBSIM_TRACE=csb,bus ./build/examples/quickstart
- *     CSBSIM_TRACE=all     ./build/tests/cpu_test_core_basic
+ *         prints one line per event on stderr for the listed channels
+ *         ("all" lists every one).  A track's channel is its first
+ *         dot-separated component, so "ni" shows the "ni.wire" track.
+ *         A span shows its duration before the args:
  *
- * Each line is prefixed with the current tick and the channel name:
+ *         [       31] csb: flush-ok pid=1 addr=0x22000000 stores=8
+ *         [       36] bus: write 64B dur=54 addr=0x22000000 ...
  *
- *     [    1234] csb: store pid=1 addr=0x22000000 counter=3
+ *     CSBSIM_TRACE_JSON=out.json ./build/examples/quickstart
+ *         buffers every event and writes one Chrome trace-event
+ *         document (chrome://tracing, ui.perfetto.dev), sorted by
+ *         timestamp, at process exit.  One tick is one microsecond.
  *
- * The tick source is registered once by the owning Simulator (or any
- * clock authority); without one, ticks print as '-'.
- *
- * A disabled call costs one relaxed atomic load: enabled() and log()
- * are inline and consult an "any channel may be on" flag before any
- * out-of-line call, and log() formats its arguments only inside the
- * enabled branch.  The flag starts set so that the first call still
- * reads CSBSIM_TRACE lazily.
+ * With both sinks off a call costs one relaxed atomic load, inline in
+ * the caller, and formats nothing.  The gate starts open so that the
+ * first call reads the environment.
  */
 
 #ifndef CSB_SIM_TRACE_HH
 #define CSB_SIM_TRACE_HH
 
 #include <atomic>
-#include <functional>
-#include <ostream>
-#include <sstream>
+#include <iosfwd>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "types.hh"
 
 namespace csb::sim::trace {
 
+/** One key/value argument of an event. */
+struct Arg
+{
+    std::string key;
+    std::string value;
+};
+
+/** What a site says about an event besides its track and ticks. */
+struct Fields
+{
+    std::string name;
+    std::vector<Arg> args;
+};
+
 namespace detail {
 /**
- * False only once CSBSIM_TRACE has been read and no channel is on;
- * true while the environment is unread or any channel is enabled.
+ * False only once the environment has been read and no sink is on;
+ * true while it is unread or any channel or the Chrome trace is on.
  */
-extern std::atomic<bool> maybeEnabled;
+extern std::atomic<bool> gateOpen;
 
-/** Load the environment if needed, then look @p name up. */
-bool enabledSlow(std::string_view name);
+/** @return the sinks (a bit mask, 0 = none) that want @p track. */
+unsigned sinksFor(std::string_view track);
 
-void emit(std::string_view channel, const std::string &message);
+/** Hand one event to @p sinks; @p dur is 0 for an instant. */
+void record(unsigned sinks, std::string_view track, Tick ts, Tick dur,
+            Fields fields);
 } // namespace detail
 
-/** @return true when channel @p name is enabled (cheap check). */
-inline bool
-enabled(std::string_view name)
-{
-    return detail::maybeEnabled.load(std::memory_order_relaxed) &&
-           detail::enabledSlow(name);
-}
-
-/** Enable a channel ("all" enables everything). */
-void enable(const std::string &name);
-
-/** Disable a channel ("all" clears everything). */
-void disable(const std::string &name);
-
-/** Redirect trace output (default: std::cerr).  Not owned. */
-void setOutput(std::ostream *os);
-
-/**
- * Install the tick source used for line prefixes.  The source is
- * thread-local: every Simulator registers itself on the thread it is
- * constructed on, so concurrent sweep workers each stamp lines with
- * their own simulator's ticks.
- */
-void setTickSource(std::function<Tick()> source);
-
-/**
- * Log to a channel.  Arguments are streamed; their operator<< runs
- * only when the channel is enabled.
- */
-template <typename... Args>
+/** Record an instant event at tick @p ts; @p make returns its Fields. */
+template <typename MakeFields>
 void
-log(std::string_view channel, Args &&...args)
+instant(std::string_view track, Tick ts, MakeFields &&make)
 {
-    if (!enabled(channel))
+    if (!detail::gateOpen.load(std::memory_order_relaxed))
         return;
-    std::ostringstream os;
-    (os << ... << args);
-    detail::emit(channel, os.str());
+    if (unsigned sinks = detail::sinksFor(track))
+        detail::record(sinks, track, ts, 0, make());
 }
+
+/**
+ * Record a span covering [@p start, @p end); a span that ends at or
+ * before its start still lasts one tick.  @p make returns its Fields.
+ */
+template <typename MakeFields>
+void
+span(std::string_view track, Tick start, Tick end, MakeFields &&make)
+{
+    if (!detail::gateOpen.load(std::memory_order_relaxed))
+        return;
+    if (unsigned sinks = detail::sinksFor(track))
+        detail::record(sinks, track, start, end > start ? end - start : 1,
+                       make());
+}
+
+/** Render @p addr as "0x..." for use in args. */
+std::string hexArg(Addr addr);
+
+/**
+ * Replace the environment's configuration (for tests): text lines for
+ * @p channels (comma-separated, "all", or empty for none) go to
+ * @p text, or std::cerr when it is null; the Chrome trace buffers for
+ * @p json, or is off when it is null.  Buffered events are dropped.
+ */
+void configure(std::string_view channels, std::ostream *text,
+               std::ostream *json);
+
+/**
+ * Write the buffered events as one sorted Chrome trace document to the
+ * configured stream, then clear the buffer.
+ */
+void flush();
 
 } // namespace csb::sim::trace
 

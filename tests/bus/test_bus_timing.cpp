@@ -294,15 +294,14 @@ TEST_F(BusFixture, RoundRobinBetweenMasters)
     EXPECT_NE(records()[0].master, records()[1].master);
 }
 
-TEST_F(BusFixture, TraceLinesKeepTheirText)
+TEST_F(BusFixture, TraceLinesRenderTheBusEvents)
 {
-    // The transaction streams itself into the enabled trace line; the
-    // text must stay what BusTransaction::toString() used to produce.
+    // Each transaction's tenure is one span on the "bus" track, stamped
+    // with its own start tick and rendered as one text line.
     makeBus(BusKind::Multiplexed, 8, 6);
     MasterId second = bus->registerMaster("second");
     std::ostringstream out;
-    sim::trace::setOutput(&out);
-    sim::trace::enable("bus");
+    sim::trace::configure("bus", &out, nullptr);
     bool read_done = false;
     ASSERT_TRUE(bus->requestWrite(master, 0x1f8,
                                   std::vector<std::uint8_t>(8, 1), true, {}));
@@ -312,13 +311,18 @@ TEST_F(BusFixture, TraceLinesKeepTheirText)
                                      read_done = true;
                                  }));
     sim.run([&] { return read_done && bus->quiescent(); }, 100000);
-    sim::trace::disable("bus");
-    sim::trace::setOutput(nullptr);
+    sim::trace::configure("", nullptr, nullptr);
+    // Ratio 6: the read's address cycle is cycle 0 (ticks 0-5), the
+    // write's address and data cycles are 1-2 (ticks 6-17), and the
+    // 64 B response's eight data cycles start once the target's
+    // 60-tick latency has run out at tick 66.
     EXPECT_EQ(out.str(),
-              "[        0] bus: read start cycle=0 read-req addr=0xabc0 "
-              "size=64 master=1\n"
-              "[        6] bus: write start cycle=1 write addr=0x1f8 size=8 "
-              "master=0 ordered\n");
+              "[        0] bus: read-req dur=6 addr=0xabc0 size=64 "
+              "master=second\n"
+              "[        6] bus: write 8B dur=12 addr=0x1f8 master=test "
+              "ordered=true\n"
+              "[       66] bus: read-resp 64B dur=48 addr=0xabc0 "
+              "master=second\n");
 }
 
 } // namespace

@@ -3,7 +3,7 @@
  * Static-state regression tests for concurrent Simulators.  These are
  * the tests the tsan preset exists for: two full System instances
  * stepping in different threads must not race through any hidden
- * global (trace tick source, trace channel config, stats export), and
+ * global (trace configuration, the Chrome-trace buffer, stats export), and
  * a real bandwidth sweep through the worker pool must reproduce the
  * serial sweep exactly.
  */

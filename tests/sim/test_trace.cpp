@@ -1,113 +1,101 @@
 /**
  * @file
- * Tests for the debug trace channels.
+ * Tests for trace events and the text sink: lazy argument building,
+ * line format, channel selection and configuration changes, plus one
+ * event reaching both sinks. The Chrome trace document itself is
+ * tested in test_trace_json.cpp.
  */
 
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <string>
+#include <vector>
 
-#include "sim/trace.hh"
+#include "trace_fixture.hh"
 
 namespace {
 
-namespace trace = csb::sim::trace;
+using namespace trace_test;
 
-/** Streams as "counted" and counts how often it was formatted. */
-struct CountingArg
+TEST_F(TraceFixture, NoSinkMeansTheArgsAreNeverBuilt)
 {
-    int *calls;
-};
-
-std::ostream &
-operator<<(std::ostream &os, const CountingArg &arg)
-{
-    ++*arg.calls;
-    return os << "counted";
-}
-
-class TraceFixture : public ::testing::Test
-{
-  protected:
-    void
-    SetUp() override
-    {
-        trace::disable("all");
-        trace::setOutput(&out);
-        trace::setTickSource([this] { return tick; });
-    }
-
-    void
-    TearDown() override
-    {
-        trace::disable("all");
-        trace::setOutput(nullptr);
-        trace::setTickSource(nullptr);
-    }
-
-    std::ostringstream out;
-    csb::Tick tick = 0;
-};
-
-TEST_F(TraceFixture, DisabledChannelIsSilent)
-{
-    trace::log("quiet", "should not appear");
-    EXPECT_TRUE(out.str().empty());
-    EXPECT_FALSE(trace::enabled("quiet"));
-}
-
-TEST_F(TraceFixture, EnabledChannelEmits)
-{
-    trace::enable("loud");
-    tick = 42;
-    trace::log("loud", "value=", 7);
-    EXPECT_NE(out.str().find("loud: value=7"), std::string::npos);
-    EXPECT_NE(out.str().find("42"), std::string::npos);
-}
-
-TEST_F(TraceFixture, OtherChannelsStaySilent)
-{
-    trace::enable("a");
-    trace::log("b", "nope");
-    EXPECT_TRUE(out.str().empty());
-}
-
-TEST_F(TraceFixture, AllEnablesEverything)
-{
-    trace::enable("all");
-    trace::log("anything", "yes");
-    EXPECT_NE(out.str().find("anything: yes"), std::string::npos);
-}
-
-TEST_F(TraceFixture, DisableStopsEmission)
-{
-    trace::enable("ch");
-    trace::log("ch", "one");
-    trace::disable("ch");
-    trace::log("ch", "two");
-    EXPECT_NE(out.str().find("one"), std::string::npos);
-    EXPECT_EQ(out.str().find("two"), std::string::npos);
-}
-
-TEST_F(TraceFixture, DisabledChannelNeverFormatsItsArguments)
-{
+    trace::configure("", &text, nullptr);
     int calls = 0;
-    trace::log("lazy", CountingArg{&calls});
-    EXPECT_EQ(calls, 0) << "no channel on";
-    trace::enable("other");
-    trace::log("lazy", CountingArg{&calls});
+    auto make = [&] {
+        ++calls;
+        return trace::Fields{"counted", {}};
+    };
+    trace::instant("lazy", 1, make);
+    EXPECT_EQ(calls, 0) << "no sink on";
+    capture("other");
+    trace::span("lazy", 1, 2, make);
     EXPECT_EQ(calls, 0) << "another channel on";
-    trace::enable("lazy");
-    trace::log("lazy", CountingArg{&calls});
+    capture("lazy");
+    trace::instant("lazy", 1, make);
     EXPECT_EQ(calls, 1);
-    EXPECT_NE(out.str().find("lazy: counted"), std::string::npos);
+    EXPECT_EQ(text.str(), "[        1] lazy: counted\n");
 }
 
-TEST_F(TraceFixture, StreamedArgumentsFormat)
+TEST_F(TraceFixture, TextLinesRenderTickTrackNameAndArgs)
 {
-    trace::enable("fmt");
-    trace::log("fmt", "addr=0x", std::hex, 255, std::dec, " n=", 10);
-    EXPECT_NE(out.str().find("addr=0xff n=10"), std::string::npos);
+    capture("bus,csb");
+    instant("csb", 31, "flush-ok",
+            {{"pid", "1"}, {"addr", "0x22000000"}, {"stores", "8"}});
+    span("bus", 36, 90, "write 64B", {{"addr", "0x22000000"}});
+    span("bus", 5, 5, "tiny");
+    instant("csb", 123456789012, "degraded-enter");
+    EXPECT_EQ(text.str(),
+              "[       31] csb: flush-ok pid=1 addr=0x22000000 stores=8\n"
+              "[       36] bus: write 64B dur=54 addr=0x22000000\n"
+              "[        5] bus: tiny dur=1\n"
+              "[123456789012] csb: degraded-enter\n");
+}
+
+TEST_F(TraceFixture, ChannelIsTheTracksFirstComponent)
+{
+    capture("ni");
+    instant("ni.wire", 7, "retransmit", {{"seq", "3"}});
+    instant("ni", 8, "plain");
+    instant("nic", 9, "other-channel");
+    instant("wire", 10, "other-channel");
+    EXPECT_EQ(text.str(), "[        7] ni.wire: retransmit seq=3\n"
+                          "[        8] ni: plain\n");
+}
+
+TEST_F(TraceFixture, AllEnablesEveryChannel)
+{
+    capture("all");
+    instant("anything", 0, "yes");
+    instant("dev.x", 0, "too");
+    EXPECT_NE(text.str().find("anything: yes"), std::string::npos);
+    EXPECT_NE(text.str().find("dev.x: too"), std::string::npos);
+}
+
+TEST_F(TraceFixture, ReconfiguringStopsEmission)
+{
+    capture("ch", true);
+    instant("ch", 0, "one");
+    trace::configure("", &text, nullptr);
+    instant("ch", 1, "two");
+    EXPECT_NE(text.str().find("one"), std::string::npos);
+    EXPECT_EQ(text.str().find("two"), std::string::npos);
+}
+
+TEST_F(TraceFixture, OneEventReachesBothSinks)
+{
+    capture("", true);
+    instant("csb", 3, "store", {{"pid", "1"}});
+    EXPECT_TRUE(text.str().empty()) << "text channel csb is off";
+
+    capture("csb", true);
+    instant("csb", 4, "store", {{"pid", "2"}});
+    EXPECT_EQ(text.str(), "[        4] csb: store pid=2\n");
+    std::vector<mini_json::ValuePtr> events = eventsOf(flushAndParse());
+    ASSERT_EQ(events.size(), 1u);
+    EXPECT_EQ(events[0]->at("name").string, "store");
+    EXPECT_EQ(events[0]->at("cat").string, "csb");
+    EXPECT_DOUBLE_EQ(events[0]->at("ts").number, 4.0);
+    EXPECT_EQ(events[0]->at("args").at("pid").string, "2");
 }
 
 } // namespace

@@ -1,129 +1,99 @@
 /**
  * @file
- * Unit tests for the Chrome trace-event JSON writer: document
- * validity, monotonic timestamps after flush, track/thread metadata,
- * span and instant fields, and enable/disable state handling.
+ * Tests for the Chrome trace-event sink: document validity, sorted
+ * timestamps, track metadata, span and instant fields, and a
+ * reconfiguration dropping the buffered events.
  */
 
 #include <gtest/gtest.h>
 
 #include <map>
-#include <sstream>
 #include <string>
+#include <vector>
 
-#include "sim/trace_json.hh"
-
-#include "mini_json.hh"
+#include "trace_fixture.hh"
 
 namespace {
 
-using namespace csb::sim::trace;
+using namespace trace_test;
 
-/** RAII guard: point the writer at a stream, always disable after. */
-class TraceCapture
+TEST_F(TraceFixture, ProducesAValidDocument)
 {
-  public:
-    TraceCapture() { jsonEnable(&os_); }
-    ~TraceCapture() { jsonDisable(); }
+    capture("", true);
+    span("bus", 10, 19, "write 64B",
+         {{"addr", "0x1000"}, {"master", "csb.port"}});
+    instant("dev", 19, "burst 64B", {{"device", "dev"}});
 
-    mini_json::Value
-    flushAndParse()
-    {
-        jsonFlush();
-        return mini_json::parse(os_.str());
-    }
-
-    std::string text() const { return os_.str(); }
-
-  private:
-    std::ostringstream os_;
-};
-
-TEST(TraceJson, DisabledByDefaultAndCostsNothing)
-{
-    // No capture active: emission must be a no-op, not a crash.
-    jsonDisable();
-    EXPECT_FALSE(jsonEnabled());
-    jsonSpan("bus", "write", 0, 10);
-    EXPECT_EQ(jsonPendingEvents(), 0u);
-}
-
-TEST(TraceJson, ProducesAValidDocument)
-{
-    TraceCapture capture;
-    EXPECT_TRUE(jsonEnabled());
-    jsonSpan("bus", "write 64B", 10, 19,
-             {{"addr", "0x1000"}, {"master", "csb.port"}});
-    jsonInstant("dev", "burst 64B", 19, {{"device", "dev"}});
-    EXPECT_EQ(jsonPendingEvents(), 2u);
-
-    mini_json::Value doc = capture.flushAndParse();
+    mini_json::Value doc = flushAndParse();
     EXPECT_EQ(doc.at("displayTimeUnit").string, "ms");
     ASSERT_TRUE(doc.at("traceEvents").isArray());
     // 2 thread_name metadata records + the two events.
     EXPECT_EQ(doc.at("traceEvents").array.size(), 4u);
-    EXPECT_EQ(jsonPendingEvents(), 0u); // flush cleared the buffer
+
+    // The flush cleared the buffer: a second flush is an empty document.
+    json.str("");
+    EXPECT_TRUE(flushAndParse().at("traceEvents").array.empty());
 }
 
-TEST(TraceJson, SpanFieldsAreComplete)
+TEST_F(TraceFixture, SpanFieldsAreComplete)
 {
-    TraceCapture capture;
-    jsonSpan("bus", "write 64B", 10, 19, {{"addr", "0x1000"}});
-    mini_json::Value doc = capture.flushAndParse();
-
-    const mini_json::Value *span = nullptr;
-    for (const auto &ev : doc.at("traceEvents").array) {
-        if (ev->at("ph").string == "X")
-            span = ev.get();
-    }
-    ASSERT_NE(span, nullptr);
-    EXPECT_EQ(span->at("name").string, "write 64B");
-    EXPECT_EQ(span->at("cat").string, "bus");
-    EXPECT_DOUBLE_EQ(span->at("ts").number, 10.0);
-    EXPECT_DOUBLE_EQ(span->at("dur").number, 9.0);
-    EXPECT_EQ(span->at("args").at("addr").string, "0x1000");
+    capture("", true);
+    span("bus", 10, 19, "write 64B", {{"addr", "0x1000"}});
+    std::vector<mini_json::ValuePtr> events = eventsOf(flushAndParse());
+    ASSERT_EQ(events.size(), 1u);
+    const mini_json::Value &ev = *events[0];
+    EXPECT_EQ(ev.at("ph").string, "X");
+    EXPECT_EQ(ev.at("name").string, "write 64B");
+    EXPECT_EQ(ev.at("cat").string, "bus");
+    EXPECT_DOUBLE_EQ(ev.at("ts").number, 10.0);
+    EXPECT_DOUBLE_EQ(ev.at("dur").number, 9.0);
+    EXPECT_EQ(ev.at("args").at("addr").string, "0x1000");
 }
 
-TEST(TraceJson, ZeroLengthSpanGetsMinimumDuration)
+TEST_F(TraceFixture, ZeroLengthSpanGetsMinimumDuration)
 {
-    TraceCapture capture;
-    jsonSpan("bus", "tiny", 5, 5);
-    mini_json::Value doc = capture.flushAndParse();
-    for (const auto &ev : doc.at("traceEvents").array) {
-        if (ev->at("ph").string == "X")
-            EXPECT_GE(ev->at("dur").number, 1.0);
-    }
+    capture("", true);
+    span("bus", 5, 5, "tiny");
+    std::vector<mini_json::ValuePtr> events = eventsOf(flushAndParse());
+    ASSERT_EQ(events.size(), 1u);
+    EXPECT_DOUBLE_EQ(events[0]->at("dur").number, 1.0);
 }
 
-TEST(TraceJson, TimestampsAreMonotonicAfterFlush)
+TEST_F(TraceFixture, InstantEventsCarryScope)
 {
-    TraceCapture capture;
-    // Emit deliberately out of order; flush must sort by ts.
-    jsonSpan("bus", "third", 30, 40);
-    jsonInstant("dev", "first", 1);
-    jsonSpan("csb", "second", 12, 20);
-    mini_json::Value doc = capture.flushAndParse();
-
-    double last_ts = -1;
-    unsigned events = 0;
-    for (const auto &ev : doc.at("traceEvents").array) {
-        if (ev->at("ph").string == "M")
-            continue; // metadata carries no timestamp
-        ++events;
-        EXPECT_GE(ev->at("ts").number, last_ts);
-        last_ts = ev->at("ts").number;
-    }
-    EXPECT_EQ(events, 3u);
-    EXPECT_DOUBLE_EQ(last_ts, 30.0);
+    capture("", true);
+    instant("csb", 7, "flush-fail", {{"expected", "8"}, {"counter", "3"}});
+    std::vector<mini_json::ValuePtr> events = eventsOf(flushAndParse());
+    ASSERT_EQ(events.size(), 1u);
+    const mini_json::Value &ev = *events[0];
+    EXPECT_EQ(ev.at("ph").string, "i");
+    EXPECT_EQ(ev.at("name").string, "flush-fail");
+    EXPECT_DOUBLE_EQ(ev.at("ts").number, 7.0);
+    EXPECT_EQ(ev.at("s").string, "t");
+    EXPECT_EQ(ev.at("args").at("expected").string, "8");
 }
 
-TEST(TraceJson, TracksBecomeNamedThreads)
+TEST_F(TraceFixture, TimestampsAreSortedInTheDocument)
 {
-    TraceCapture capture;
-    jsonSpan("bus", "a", 0, 1);
-    jsonSpan("csb", "b", 2, 3);
-    jsonSpan("bus", "c", 4, 5);
-    mini_json::Value doc = capture.flushAndParse();
+    capture("", true);
+    // Emit deliberately out of order; the flush sorts by timestamp.
+    span("bus", 30, 40, "third");
+    instant("dev", 1, "first");
+    span("csb", 12, 20, "second");
+    std::vector<mini_json::ValuePtr> events = eventsOf(flushAndParse());
+    ASSERT_EQ(events.size(), 3u);
+    EXPECT_EQ(events[0]->at("name").string, "first");
+    EXPECT_EQ(events[1]->at("name").string, "second");
+    EXPECT_EQ(events[2]->at("name").string, "third");
+}
+
+TEST_F(TraceFixture, TracksBecomeNamedThreads)
+{
+    capture("", true);
+    span("bus", 0, 1, "a");
+    span("csb", 2, 3, "b");
+    span("bus", 4, 5, "c");
+    mini_json::Value doc = flushAndParse();
 
     std::map<double, std::string> tid_names;
     std::map<std::string, double> span_tids;
@@ -144,40 +114,18 @@ TEST(TraceJson, TracksBecomeNamedThreads)
     EXPECT_EQ(tid_names.at(span_tids.at("b")), "csb");
 }
 
-TEST(TraceJson, InstantEventsCarryScope)
+TEST_F(TraceFixture, ReconfiguringDropsBufferedEvents)
 {
-    TraceCapture capture;
-    jsonInstant("csb", "flush-fail", 7,
-                {{"expected", "8"}, {"counter", "3"}});
-    mini_json::Value doc = capture.flushAndParse();
-    bool found = false;
-    for (const auto &ev : doc.at("traceEvents").array) {
-        if (ev->at("ph").string != "i")
-            continue;
-        found = true;
-        EXPECT_EQ(ev->at("name").string, "flush-fail");
-        EXPECT_DOUBLE_EQ(ev->at("ts").number, 7.0);
-        EXPECT_EQ(ev->at("s").string, "t");
-        EXPECT_EQ(ev->at("args").at("expected").string, "8");
-    }
-    EXPECT_TRUE(found);
+    capture("", true);
+    span("bus", 0, 1, "dropped");
+    capture("", true);
+    EXPECT_TRUE(flushAndParse().at("traceEvents").array.empty());
 }
 
-TEST(TraceJson, DisableDropsBufferedEvents)
+TEST(Trace, HexArgFormats)
 {
-    {
-        TraceCapture capture;
-        jsonSpan("bus", "dropped", 0, 1);
-        EXPECT_EQ(jsonPendingEvents(), 1u);
-    } // ~TraceCapture -> jsonDisable()
-    EXPECT_FALSE(jsonEnabled());
-    EXPECT_EQ(jsonPendingEvents(), 0u);
-}
-
-TEST(TraceJson, HexArgFormats)
-{
-    EXPECT_EQ(hexArg(0x22000000u), "0x22000000");
-    EXPECT_EQ(hexArg(0), "0x0");
+    EXPECT_EQ(trace::hexArg(0x22000000u), "0x22000000");
+    EXPECT_EQ(trace::hexArg(0), "0x0");
 }
 
 } // namespace

@@ -19,6 +19,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -32,56 +33,6 @@
 namespace {
 
 using namespace csb;
-
-/** The built-in campaign set (docs/FAULTS.md documents each). */
-std::vector<core::CampaignScenario>
-builtinScenarios()
-{
-    std::vector<core::CampaignScenario> all;
-
-    // Window placement: a clean 3x12-message leg lasts ~2500 ticks,
-    // so adversity is concentrated in the first ~2 legs and the
-    // campaign proves recovery by finishing clean afterwards.
-
-    core::CampaignScenario burst;
-    burst.name = "burst-nack";
-    burst.schedule = "burst:bus-write-nack:1000..6000:0.3";
-    all.push_back(burst);
-
-    core::CampaignScenario hang;
-    hang.name = "device-hang";
-    hang.deviceLines = 6;
-    hang.schedule = "hang:2000..3500";
-    all.push_back(hang);
-
-    core::CampaignScenario flap;
-    flap.name = "link-flap";
-    flap.schedule = "flap:1000..30000";
-    all.push_back(flap);
-
-    core::CampaignScenario storm;
-    storm.name = "ack-storm";
-    storm.schedule = "storm:ack-drop:1000..20000:0.05x2/3000";
-    all.push_back(storm);
-
-    core::CampaignScenario brown;
-    brown.name = "brownout-locked";
-    brown.useCsb = false;
-    brown.schedule = "brownout:bus-write-nack:1000..20000:4000/1500:0.5";
-    all.push_back(brown);
-
-    // The acceptance scenario: a 30% NACK burst, a device hang and a
-    // mid-campaign crash-restart in one run.
-    core::CampaignScenario combined;
-    combined.name = "combined";
-    combined.schedule =
-        "burst:bus-write-nack:1000..12000:0.3;hang:3000..7000";
-    combined.crashAfterLeg = 1;
-    combined.crashAfterTicks = 1500;
-    all.push_back(combined);
-
-    return all;
-}
 
 void
 usage(std::ostream &os)
@@ -247,31 +198,25 @@ main(int argc, char **argv)
     if (haveCustom) {
         scenarios.push_back(custom);
     } else {
-        std::vector<core::CampaignScenario> all = builtinScenarios();
         if (list) {
-            for (const core::CampaignScenario &sc : all)
+            for (const core::CampaignScenario &sc : core::builtinScenarios())
                 std::cout << sc.name << '\n';
             return 0;
         }
         if (scenarioList == "all") {
-            scenarios = all;
+            scenarios = core::builtinScenarios();
         } else {
             std::stringstream ss(scenarioList);
             std::string name;
             while (std::getline(ss, name, ',')) {
-                bool found = false;
-                for (const core::CampaignScenario &sc : all) {
-                    if (sc.name == name) {
-                        scenarios.push_back(sc);
-                        found = true;
-                        break;
-                    }
-                }
-                if (!found) {
+                std::optional<core::CampaignScenario> sc =
+                    core::findBuiltinScenario(name);
+                if (!sc) {
                     std::cerr << "faultcampaign: unknown scenario '"
                               << name << "' (try --list)\n";
                     return 2;
                 }
+                scenarios.push_back(std::move(*sc));
             }
         }
     }
