@@ -45,35 +45,20 @@ struct BenchArgs
     unsigned jobs = 0;
     /** `--json PATH`: also write a csbsim-bench-1 artifact there. */
     std::string json;
-    /**
-     * `--trace-record PREFIX`: write point i to `PREFIX.<i>.csbt`
-     * (docs/TRACE_FORMAT.md).
-     */
-    std::string traceRecord;
-    /** `--trace-replay PREFIX`: replay from `PREFIX.<i>.csbt` files. */
-    std::string traceReplay;
     /** The bench's `--min-*-speedup X` wall-clock gate; 0 = off. */
     double minSpeedup = 0;
 };
 
-/** The flags a bench accepts on top of `--jobs` and `--json`. */
-struct BenchFlags
-{
-    /** Its wall-clock gate, e.g. "--min-churn-speedup"; null = none. */
-    const char *speedupGate = nullptr;
-    /** Whether it takes `--trace-record` / `--trace-replay`. */
-    bool traceFiles = false;
-};
-
 /**
- * Parse a bench binary's command line: `--jobs`, `--json` and the
- * extra @p flags, each as `--flag VALUE` or `--flag=VALUE`.  Any other
+ * Parse a bench binary's command line: `--jobs`, `--json` and, when
+ * @p speedup_gate names one (e.g. "--min-churn-speedup"), the bench's
+ * wall-clock gate, each as `--flag VALUE` or `--flag=VALUE`.  Any other
  * argument, a missing value or a malformed number prints what is
  * wrong plus the usage to stderr and exits 2, so a typo can neither
  * drop an artifact nor switch a gate off.
  */
 inline BenchArgs
-parseArgs(int argc, char **argv, const BenchFlags &flags = {})
+parseArgs(int argc, char **argv, const char *speedup_gate = nullptr)
 {
     std::string prog = argc > 0 ? argv[0] : "bench";
     prog.erase(0, prog.find_last_of('/') + 1);
@@ -86,18 +71,11 @@ parseArgs(int argc, char **argv, const BenchFlags &flags = {})
                      "  --json PATH            also write a "
                      "csbsim-bench-1 artifact\n",
                      prog.c_str(), why.c_str(), prog.c_str());
-        if (flags.speedupGate) {
+        if (speedup_gate) {
             std::fprintf(stderr,
                          "  %-22s exit 1 below a wall-clock speedup "
                          "of X\n",
-                         (std::string(flags.speedupGate) + " X").c_str());
-        }
-        if (flags.traceFiles) {
-            std::fprintf(stderr,
-                         "  --trace-record PREFIX  write point i's trace "
-                         "to PREFIX.<i>.csbt\n"
-                         "  --trace-replay PREFIX  replay point i from "
-                         "PREFIX.<i>.csbt\n");
+                         (std::string(speedup_gate) + " X").c_str());
         }
         std::exit(2);
     };
@@ -107,10 +85,8 @@ parseArgs(int argc, char **argv, const BenchFlags &flags = {})
         std::string arg = argv[i];
         std::size_t eq = arg.find('=');
         std::string name = arg.substr(0, eq);
-        bool gate = flags.speedupGate && name == flags.speedupGate;
-        bool trace = flags.traceFiles &&
-                     (name == "--trace-record" || name == "--trace-replay");
-        if (name != "--jobs" && name != "--json" && !gate && !trace)
+        bool gate = speedup_gate && name == speedup_gate;
+        if (name != "--jobs" && name != "--json" && !gate)
             fail("unknown argument '" + arg + "'");
 
         std::string value;
@@ -130,12 +106,8 @@ parseArgs(int argc, char **argv, const BenchFlags &flags = {})
                 fail(name + " needs a non-negative number, got '" +
                      value + "'");
             }
-        } else if (name == "--json") {
-            args.json = value;
-        } else if (name == "--trace-record") {
-            args.traceRecord = value;
         } else {
-            args.traceReplay = value;
+            args.json = value;
         }
     }
     return args;

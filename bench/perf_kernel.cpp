@@ -357,8 +357,7 @@ main(int argc, char **argv)
     // --jobs is accepted like every other bench, but the workloads
     // run serially regardless: this binary measures wall-clock kernel
     // rates, and concurrent workloads would time each other's noise.
-    BenchArgs args =
-        parseArgs(argc, argv, {.speedupGate = "--min-churn-speedup"});
+    BenchArgs args = parseArgs(argc, argv, "--min-churn-speedup");
     JsonReport report("perf_kernel", args.json);
 
     constexpr std::uint64_t kThroughputEvents = 200'000;

@@ -92,8 +92,7 @@ main(int argc, char **argv)
 {
     using namespace csb::bench;
 
-    BenchArgs args =
-        parseArgs(argc, argv, {.speedupGate = "--min-sweep-speedup"});
+    BenchArgs args = parseArgs(argc, argv, "--min-sweep-speedup");
     JsonReport report("perf_sweep", args.json);
     unsigned jobs = core::resolveJobs(args.jobs);
 

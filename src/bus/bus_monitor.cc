@@ -18,17 +18,6 @@ matches(const std::function<bool(const TxnRecord &)> &pred,
 
 } // namespace
 
-std::size_t
-BusMonitor::count(const std::function<bool(const TxnRecord &)> &pred) const
-{
-    std::size_t n = 0;
-    for (const TxnRecord &rec : records_) {
-        if (matches(pred, rec))
-            ++n;
-    }
-    return n;
-}
-
 std::uint64_t
 BusMonitor::windowCycles(
     const std::function<bool(const TxnRecord &)> &pred) const

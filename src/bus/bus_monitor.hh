@@ -35,10 +35,6 @@ class BusMonitor
 
     const std::vector<TxnRecord> &records() const { return records_; }
 
-    /** Number of recorded transactions matching @p pred (all if empty). */
-    std::size_t count(
-        const std::function<bool(const TxnRecord &)> &pred = {}) const;
-
     /**
      * The section 4.3.1 measurement window of the matching records, in
      * bus cycles: from the first address cycle to the last data cycle,

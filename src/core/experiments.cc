@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <iomanip>
 #include <memory>
-#include <sstream>
 
 #include "io/network_interface.hh"
 #include "kernels.hh"
@@ -72,29 +71,18 @@ bandwidthConfig(const BandwidthSetup &setup, Scheme scheme)
     return cfg;
 }
 
-namespace {
-
-isa::Program
-bandwidthKernel(const BandwidthSetup &setup, Scheme scheme,
-                unsigned transfer_bytes, unsigned alu_per_store)
-{
-    return scheme == Scheme::Csb
-               ? makeCsbStoreKernel(System::ioCsbBase, transfer_bytes,
-                                    setup.lineBytes, alu_per_store)
-               : makeStoreKernel(scheme == Scheme::NoCombine
-                                     ? System::ioUncachedBase
-                                     : System::ioAccelBase,
-                                 transfer_bytes, alu_per_store);
-}
-
-} // namespace
-
 double
 measureStoreBandwidth(const BandwidthSetup &setup, Scheme scheme,
                       unsigned transfer_bytes)
 {
     System system(bandwidthConfig(setup, scheme));
-    system.run(bandwidthKernel(setup, scheme, transfer_bytes, 0));
+    system.run(scheme == Scheme::Csb
+                   ? makeCsbStoreKernel(System::ioCsbBase, transfer_bytes,
+                                        setup.lineBytes)
+                   : makeStoreKernel(scheme == Scheme::NoCombine
+                                         ? System::ioUncachedBase
+                                         : System::ioAccelBase,
+                                     transfer_bytes));
 
     std::uint64_t cycles = system.ioWriteBusCycles();
     csb_assert(cycles > 0, "no I/O transactions recorded");
@@ -150,59 +138,6 @@ printSweep(const BandwidthSweep &sweep, std::ostream &os)
         os << "\n";
     }
     os << "(bytes per bus cycle)\n\n";
-}
-
-// --------------------------------------------------------------------
-// Trace capture/replay
-
-namespace {
-
-/** Capture the common determinism surface of a finished run. */
-TracedRun
-summarizeRun(System &system, Tick end_tick, unsigned transfer_bytes)
-{
-    TracedRun run;
-    run.endTick = end_tick;
-    run.ioWriteBusCycles = system.ioWriteBusCycles();
-    run.ioWriteTxns = system.ioWriteTxns();
-    csb_assert(run.ioWriteBusCycles > 0, "no I/O transactions recorded");
-    run.bytesPerBusCycle = static_cast<double>(transfer_bytes) /
-                           static_cast<double>(run.ioWriteBusCycles);
-    std::ostringstream os;
-    system.dumpMemStatsJson(os);
-    run.memStatsJson = os.str();
-    return run;
-}
-
-} // namespace
-
-TracedRun
-recordStoreBandwidth(const BandwidthSetup &setup, Scheme scheme,
-                     unsigned transfer_bytes,
-                     sim::TraceRecorder *recorder,
-                     unsigned alu_per_store)
-{
-    System system(bandwidthConfig(setup, scheme));
-    if (recorder) {
-        csb_assert(recorder->numCpus() == 1 &&
-                       recorder->lineBytes() == setup.lineBytes,
-                   "recorder geometry does not match the setup");
-        system.attachTraceRecorder(recorder);
-    }
-    Tick end = system.run(
-        bandwidthKernel(setup, scheme, transfer_bytes, alu_per_store));
-    return summarizeRun(system, end, transfer_bytes);
-}
-
-TracedRun
-replayStoreBandwidth(const BandwidthSetup &setup, Scheme scheme,
-                     unsigned transfer_bytes, const sim::MemTrace &trace)
-{
-    SystemConfig cfg = bandwidthConfig(setup, scheme);
-    cfg.replayMode = true;
-    System system(cfg);
-    Tick end = system.replay(trace);
-    return summarizeRun(system, end, transfer_bytes);
 }
 
 double

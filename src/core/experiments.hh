@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "bus/system_bus.hh"
-#include "sim/trace_recorder.hh"
 #include "sweep.hh"
 #include "system_config.hh"
 
@@ -57,7 +56,7 @@ std::vector<unsigned> defaultTransferSizes();
 
 /**
  * The SystemConfig every point of @p setup runs with under @p scheme
- * (bandwidth, sequence timing, trace capture and replay).
+ * (bandwidth and sequence timing).
  */
 SystemConfig bandwidthConfig(const BandwidthSetup &setup, Scheme scheme);
 
@@ -92,50 +91,6 @@ BandwidthSweep runBandwidthSweep(SweepRunner &runner,
 
 /** Print a sweep as the paper-style series table. */
 void printSweep(const BandwidthSweep &sweep, std::ostream &os);
-
-// --- Trace capture/replay (docs/TRACE_FORMAT.md) --------------------
-
-/**
- * Determinism surface of one bandwidth point.  A live (recorded) run
- * and its trace replay must produce this structure byte for byte --
- * that contract is enforced by tests/core/test_replay and gated by
- * bench/perf_replay on every regeneration.
- */
-struct TracedRun
-{
-    /** Same metric as measureStoreBandwidth(). */
-    double bytesPerBusCycle = 0;
-    /** Tick at which the system went quiescent. */
-    Tick endTick = 0;
-    /** Bus cycles spanned by the I/O write transactions. */
-    std::uint64_t ioWriteBusCycles = 0;
-    /** I/O write transactions seen by the bus monitor. */
-    std::uint64_t ioWriteTxns = 0;
-    /** Full System::dumpMemStatsJson() document. */
-    std::string memStatsJson;
-};
-
-/**
- * Run one bandwidth point live, optionally capturing every data
- * reference into @p recorder (null runs without capture, e.g. for
- * timing pure execution).  A non-null recorder must be built for one
- * cpu with the setup's line size.  @p alu_per_store pads the kernel
- * with dependent compute between stores (see makeStoreKernel).
- */
-TracedRun recordStoreBandwidth(const BandwidthSetup &setup, Scheme scheme,
-                               unsigned transfer_bytes,
-                               sim::TraceRecorder *recorder,
-                               unsigned alu_per_store = 0);
-
-/**
- * Replay a recorded bandwidth point against a fresh replay-mode
- * system (no core, no decode) and report the identical surface.  The
- * compute padding of the recorded kernel needs no parameter here: it
- * left no records, so replay fast-forwards across it.
- */
-TracedRun replayStoreBandwidth(const BandwidthSetup &setup, Scheme scheme,
-                               unsigned transfer_bytes,
-                               const sim::MemTrace &trace);
 
 // --- Figure 5 -------------------------------------------------------
 

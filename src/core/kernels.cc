@@ -27,22 +27,10 @@ dataReg(unsigned i)
     return ir(2 + static_cast<int>(i % 7));
 }
 
-/**
- * @p count dependent ALU instructions on scratch register r15: each
- * reads the previous result, so the chain retires one per cycle and
- * models address-generation/marshalling compute between stores.
- */
-void
-aluPad(Program &p, unsigned count)
-{
-    for (unsigned i = 0; i < count; ++i)
-        p.addi(ir(15), ir(15), 1);
-}
-
 } // namespace
 
 Program
-makeStoreKernel(Addr base, unsigned total_bytes, unsigned alu_per_store)
+makeStoreKernel(Addr base, unsigned total_bytes)
 {
     csb_assert(total_bytes >= 8 && total_bytes % 8 == 0,
                "transfer must be a positive dword multiple");
@@ -50,10 +38,8 @@ makeStoreKernel(Addr base, unsigned total_bytes, unsigned alu_per_store)
     presetData(p);
     p.li(ir(1), static_cast<std::int64_t>(base));
     p.mark(0);
-    for (unsigned off = 0; off < total_bytes; off += 8) {
-        aluPad(p, alu_per_store);
+    for (unsigned off = 0; off < total_bytes; off += 8)
         p.std_(dataReg(off / 8), ir(1), off);
-    }
     p.membar(); // wait for the last store to leave the buffer
     p.mark(1);
     p.halt();
@@ -62,8 +48,7 @@ makeStoreKernel(Addr base, unsigned total_bytes, unsigned alu_per_store)
 }
 
 Program
-makeCsbStoreKernel(Addr base, unsigned total_bytes, unsigned line_bytes,
-                   unsigned alu_per_store)
+makeCsbStoreKernel(Addr base, unsigned total_bytes, unsigned line_bytes)
 {
     csb_assert(total_bytes >= 8 && total_bytes % 8 == 0,
                "transfer must be a positive dword multiple");
@@ -83,7 +68,6 @@ makeCsbStoreKernel(Addr base, unsigned total_bytes, unsigned line_bytes,
         p.bind(retry);
         p.li(ir(9), dwords); // expected hit count
         for (unsigned off = 0; off < group_bytes; off += 8) {
-            aluPad(p, alu_per_store);
             p.std_(dataReg((group_base + off) / 8), ir(1),
                    group_base + off);
         }

@@ -25,28 +25,17 @@ namespace csb::core {
  * stores to ascending addresses starting at @p base (the loop is
  * fully unrolled).  Used for every series of figures 3 and 4 except
  * the CSB one.
- *
- * @p alu_per_store inserts that many dependent ALU instructions
- * before every store -- the address-generation/marshalling compute a
- * real application spends between its I/O references (the paper's
- * closing "application reality" remark).  The compute emits no memory
- * references, so a trace replay of the padded kernel fast-forwards
- * straight across it; bench/perf_replay uses this to measure the
- * replay-vs-execute speedup on compute-bearing workloads.
  */
-isa::Program makeStoreKernel(Addr base, unsigned total_bytes,
-                             unsigned alu_per_store = 0);
+isa::Program makeStoreKernel(Addr base, unsigned total_bytes);
 
 /**
  * CSB store bandwidth kernel: for every cache-line group, the
  * expected-count setup, the group's doubleword stores, a conditional
  * flush, and the compare-and-retry check -- the code pattern of the
- * paper's SPARC listing in section 3.2.  @p alu_per_store pads each
- * store with dependent compute exactly like makeStoreKernel.
+ * paper's SPARC listing in section 3.2.
  */
 isa::Program makeCsbStoreKernel(Addr base, unsigned total_bytes,
-                                unsigned line_bytes,
-                                unsigned alu_per_store = 0);
+                                unsigned line_bytes);
 
 /**
  * Store bandwidth kernel with a SHUFFLED store order inside every

@@ -259,13 +259,6 @@ System::buildCoreSlice(unsigned cpu)
             slice.csb->setFaultInjector(injector_.get());
     }
 
-    // In replay mode the slice has no core at all: a ReplayCore is
-    // attached by replay() once the trace is known.  Constructing a
-    // cpu::Core here would defeat the quiescent-system fast-forward
-    // (the core never gates its clock).
-    if (config_.replayMode)
-        return;
-
     cpu::CoreMemPorts ports;
     ports.tlb = slice.tlb.get();
     ports.caches = slice.caches.get();
@@ -313,9 +306,6 @@ System::quiescent() const
 Tick
 System::run(const isa::Program &program, ProcId pid, Tick max_ticks)
 {
-    csb_assert(!config_.replayMode,
-               "a replay-mode system executes traces via replay(), "
-               "not programs via run()");
     cores_.at(0).core->loadProgram(&program, pid);
     Tick end = sim_.run(
         [this] {
@@ -336,61 +326,10 @@ System::run(const isa::Program &program, ProcId pid, Tick max_ticks)
 void
 System::attachTraceRecorder(sim::TraceRecorder *recorder)
 {
-    csb_assert(!config_.replayMode,
-               "recording from a replay would re-capture the input");
     for (unsigned cpu = 0; cpu < cores_.size(); ++cpu) {
         cores_[cpu].core->setTraceRecorder(
             recorder, static_cast<std::uint8_t>(cpu));
     }
-}
-
-Tick
-System::replay(const sim::MemTrace &trace, Tick max_ticks)
-{
-    csb_assert(config_.replayMode,
-               "replay() needs a system built with replayMode set");
-    if (trace.numCpus() != cores_.size())
-        csb_fatal("trace was recorded on ", trace.numCpus(),
-                  " cores, this system has ", cores_.size());
-    if (trace.lineBytes() != config_.lineBytes)
-        csb_fatal("trace was recorded with ", trace.lineBytes(),
-                  "-byte lines, this system uses ", config_.lineBytes);
-
-    for (unsigned cpu = 0; cpu < cores_.size(); ++cpu) {
-        CoreSlice &slice = cores_[cpu];
-        std::string suffix =
-            cores_.size() > 1 ? std::to_string(cpu) : std::string{};
-        cpu::CoreMemPorts ports;
-        ports.tlb = slice.tlb.get();
-        ports.caches = slice.caches.get();
-        ports.ubuf = slice.ubuf.get();
-        ports.csb = slice.csb.get();
-        ports.memory = &physMem_;
-        slice.replay = std::make_unique<ReplayCore>(
-            sim_, ports, trace.recordsForCpu(static_cast<std::uint8_t>(cpu)),
-            "replay" + suffix);
-    }
-
-    // Replay only sees memory records, so there is no per-retire
-    // progress heartbeat to feed a watchdog; disarm it.
-    sim_.setWatchdog(0);
-
-    Tick end = sim_.run(
-        [this] {
-            for (const CoreSlice &slice : cores_) {
-                if (!slice.replay->done())
-                    return false;
-            }
-            return quiescent();
-        },
-        max_ticks);
-    for (const CoreSlice &slice : cores_) {
-        if (!slice.replay->done()) {
-            csb_fatal("replay did not finish within ", max_ticks,
-                      " ticks");
-        }
-    }
-    return end;
 }
 
 void
@@ -484,8 +423,6 @@ printConfig(const SystemConfig &config, std::ostream &os)
 void
 System::saveCheckpoint(sim::CheckpointWriter &cw) const
 {
-    csb_assert(!config_.replayMode,
-               "checkpointing a replay-mode system is not supported");
     csb_assert(quiescent(), "checkpoint requires a quiescent system "
                             "(buffers, bus and devices drained)");
     for (const CoreSlice &slice : cores_) {
@@ -555,8 +492,6 @@ System::saveCheckpointFile(const std::string &path) const
 void
 System::restoreCheckpoint(sim::CheckpointReader &cr)
 {
-    csb_assert(!config_.replayMode,
-               "restoring into a replay-mode system is not supported");
     csb_assert(sim_.curTick() == 0,
                "checkpoint restore needs a freshly built system");
 
@@ -646,14 +581,6 @@ System::ioWriteBusCycles() const
         return rec.kind == bus::TxnKind::Write && rec.addr >= ioUncachedBase;
     };
     return bus_->monitor().windowCycles(is_io_write);
-}
-
-std::size_t
-System::ioWriteTxns() const
-{
-    return bus_->monitor().count([](const bus::TxnRecord &rec) {
-        return rec.kind == bus::TxnKind::Write && rec.addr >= ioUncachedBase;
-    });
 }
 
 } // namespace csb::core

@@ -24,7 +24,6 @@
 #include "mem/page_table.hh"
 #include "mem/physical_memory.hh"
 #include "mem/uncached_buffer.hh"
-#include "replay_core.hh"
 #include "sim/simulator.hh"
 #include "sim/stats.hh"
 #include "sim/trace_recorder.hh"
@@ -80,24 +79,15 @@ class System : public sim::stats::StatGroup
     /**
      * Record every data reference of every core into @p recorder
      * (cores stamp their own index); null detaches.  Recording is
-     * passive and never perturbs timing.  Execute-mode systems only.
+     * passive and never perturbs timing.
      */
     void attachTraceRecorder(sim::TraceRecorder *recorder);
 
     /**
-     * Replay @p trace (see docs/TRACE_FORMAT.md) against this system's
-     * memory hierarchy and run until every record has been issued and
-     * the system is quiescent.  Requires config().replayMode; the
-     * trace's cpu count and line size must match this configuration.
-     * @return the tick at which everything went quiescent
-     */
-    Tick replay(const sim::MemTrace &trace, Tick max_ticks = 50'000'000);
-
-    /**
      * Serialize the memory-system stats subtree (bus, mem, dev, NI,
-     * faults, per-core caches/ubuf/csb) as a JSON document.  This is
-     * the replay determinism surface: it deliberately excludes the
-     * tlb and cpu groups, which trace replay does not reproduce.
+     * faults, per-core caches/ubuf/csb) as a JSON document, without
+     * the tlb and cpu groups.  hostbench's nic_messages compares a
+     * restored System's memory stats with the saved one's through it.
      */
     void dumpMemStatsJson(std::ostream &os, int indent = 2) const;
 
@@ -158,9 +148,6 @@ class System : public sim::stats::StatGroup
     /** The I/O write transactions' BusMonitor::windowCycles(). */
     std::uint64_t ioWriteBusCycles() const;
 
-    /** Count of I/O write transactions recorded by the bus monitor. */
-    std::size_t ioWriteTxns() const;
-
   private:
     /** Per-processor private components. */
     struct CoreSlice
@@ -169,10 +156,7 @@ class System : public sim::stats::StatGroup
         std::unique_ptr<mem::CacheHierarchy> caches;
         std::unique_ptr<mem::UncachedBuffer> ubuf;
         std::unique_ptr<mem::ConditionalStoreBuffer> csb;
-        /** Null in replay mode. */
         std::unique_ptr<cpu::Core> core;
-        /** Null outside replay mode; built lazily by replay(). */
-        std::unique_ptr<ReplayCore> replay;
         /** Bus master for cache-miss line fetches (optional). */
         MasterId missMaster = 0;
     };

@@ -97,14 +97,6 @@ struct SystemConfig
      */
     Tick watchdogTicks = 0;
 
-    /**
-     * Build the system for trace replay: every processor slice gets a
-     * ReplayCore instead of an out-of-order cpu::Core (and no TLB
-     * lookups happen -- recorded penalties are replayed instead).
-     * Drive such a system with System::replay(), not System::run().
-     */
-    bool replayMode = false;
-
     /** Propagate lineBytes; validate everything. */
     void normalize();
 };
@@ -199,7 +191,6 @@ visitKnobs(Config &&c, Visitor &&v)
     v("faults.deviceHangRate", c.faults.deviceHangRate);
     v("faults.schedule", c.faults.schedule);
     v("watchdogTicks", c.watchdogTicks);
-    v("replayMode", c.replayMode);
 }
 
 /** Write every knob of @p config to @p os as "name = value" lines. */

@@ -9,15 +9,11 @@
  * normatively in docs/TRACE_FORMAT.md (magic "CSBT", version 1, fixed
  * 32-byte records).
  *
- * The stream is exactly what core::ReplayCore needs to re-drive the
- * cache/ubuf/CSB/bus stack without a core: records appear in global
- * issue order (ticks are monotonically non-decreasing; within a tick,
- * event-phase records precede clocked-phase records, matching the
- * simulator's events-then-clocked tick structure), so replay never
- * sorts.
- *
- * MemTrace is the reader half: it parses a CSBT stream back into
- * records, rejecting corrupt or truncated input with FatalError.
+ * Records appear in global issue order: ticks are monotonically
+ * non-decreasing and, within a tick, event-phase records precede
+ * clocked-phase records, matching the simulator's events-then-clocked
+ * tick structure.  Each litmus repro pins its case's stream
+ * (docs/LITMUS.md).
  */
 
 #ifndef CSB_SIM_TRACE_RECORDER_HH
@@ -25,7 +21,6 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <string>
 #include <vector>
 
 #include "types.hh"
@@ -50,8 +45,8 @@ enum TraceFlags : std::uint8_t {
     /**
      * The reference was issued from the event phase of its tick (a
      * latency callback), not from the core's clocked evaluation.
-     * Replay must reproduce the phase, because components at negative
-     * eval order observe event-phase state a tick earlier.
+     * Components at negative eval order observe event-phase state a
+     * tick earlier than clocked-phase state.
      */
     TraceFlagEventPhase = 1u << 0,
     /** The reference is one half of a SWAP read-modify-write. */
@@ -59,12 +54,6 @@ enum TraceFlags : std::uint8_t {
     /** Bits 2-3 carry the mem::PageAttr of the referenced page. */
     TraceFlagAttrShift = 2,
     TraceFlagAttrMask = 0x3u << TraceFlagAttrShift,
-    /**
-     * Reserved: marks a record from a functional (clockless) engine,
-     * whose tick is a step index.  No in-tree writer sets it; replay
-     * rejects any trace that carries it (docs/TRACE_FORMAT.md).
-     */
-    TraceFlagInterpreter = 1u << 4,
 };
 
 /** One recorded data reference; fixed 32-byte on-disk layout. */
@@ -79,15 +68,12 @@ struct TraceRecord
     std::uint8_t size = 0;   ///< access size in bytes
     std::uint8_t flags = 0;  ///< TraceFlags bit set
 
-    bool eventPhase() const { return flags & TraceFlagEventPhase; }
-    bool swapPart() const { return flags & TraceFlagSwap; }
-
     bool
     operator==(const TraceRecord &) const = default;
 };
 
 /**
- * Collects the reference stream of one run and writes CSBT files.
+ * Collects the reference stream of one run and writes it as CSBT.
  *
  * One recorder serves every core of a system; cores stamp their own
  * index into each record.  Appending is O(1) amortized; the recorder
@@ -99,8 +85,8 @@ class TraceRecorder
   public:
     /**
      * @param num_cpus  cores feeding this recorder (header field)
-     * @param line_bytes cache-line size of the recorded system; a
-     *        replay system must be configured identically
+     * @param line_bytes cache-line size of the recorded system
+     *        (header field)
      */
     explicit TraceRecorder(std::uint32_t num_cpus = 1,
                            std::uint32_t line_bytes = 64)
@@ -112,51 +98,13 @@ class TraceRecorder
 
     const std::vector<TraceRecord> &records() const { return records_; }
     std::uint32_t numCpus() const { return numCpus_; }
-    std::uint32_t lineBytes() const { return lineBytes_; }
 
     /** Serialize the stream as CSBT v1 to @p os. */
     void writeTo(std::ostream &os) const;
 
-    /** Serialize to @p path; throws FatalError when unwritable. */
-    void writeFile(const std::string &path) const;
-
   private:
     std::uint32_t numCpus_;
     std::uint32_t lineBytes_;
-    std::vector<TraceRecord> records_;
-};
-
-/**
- * A parsed CSBT trace, ready for replay.
- *
- * Loading validates magic, version, record size and stream length and
- * throws FatalError on any mismatch (corrupt or truncated files are
- * rejected, never silently shortened).
- */
-class MemTrace
-{
-  public:
-    MemTrace() = default;
-
-    /** Parse a CSBT stream; throws FatalError on malformed input. */
-    static MemTrace readFrom(std::istream &is);
-
-    /** Parse the CSBT file at @p path; throws FatalError on error. */
-    static MemTrace loadFile(const std::string &path);
-
-    /** Build directly from an in-memory recorder (tests, benches). */
-    static MemTrace fromRecorder(const TraceRecorder &rec);
-
-    std::uint32_t numCpus() const { return numCpus_; }
-    std::uint32_t lineBytes() const { return lineBytes_; }
-    const std::vector<TraceRecord> &records() const { return records_; }
-
-    /** Records of core @p cpu, preserving stream order. */
-    std::vector<TraceRecord> recordsForCpu(std::uint8_t cpu) const;
-
-  private:
-    std::uint32_t numCpus_ = 1;
-    std::uint32_t lineBytes_ = 64;
     std::vector<TraceRecord> records_;
 };
 

@@ -32,7 +32,7 @@ rec(Addr addr, unsigned size, std::uint64_t addr_cycle,
 TEST(BusMonitor, EmptyMonitor)
 {
     BusMonitor monitor;
-    EXPECT_EQ(monitor.count(), 0u);
+    EXPECT_TRUE(monitor.records().empty());
     EXPECT_EQ(monitor.windowCycles(), 0u);
 }
 
@@ -66,7 +66,6 @@ TEST(BusMonitor, PredicatesFilter)
         return record.kind == TxnKind::Write &&
                record.addr >= 0x2000'0000;
     };
-    EXPECT_EQ(monitor.count(io_writes), 1u);
     // Cycles 2..10: the 64-byte burst's address and data cycles only.
     EXPECT_EQ(monitor.windowCycles(io_writes), 9u);
     EXPECT_EQ(monitor.windowCycles(), 12u);
@@ -77,7 +76,7 @@ TEST(BusMonitor, ClearStartsFreshWindow)
     BusMonitor monitor;
     monitor.record(rec(0x0, 8, 0, 1));
     monitor.clear();
-    EXPECT_EQ(monitor.count(), 0u);
+    EXPECT_TRUE(monitor.records().empty());
     monitor.record(rec(0x0, 8, 100, 101));
     EXPECT_EQ(monitor.windowCycles(), 2u);
 }

@@ -101,8 +101,9 @@ TEST(Smp, BusArbitrationInterleavesBursts)
             saw[1] = true;
         else if (records[i].addr >= System::ioCsbBase)
             saw[0] = true;
-        if (i > 0)
+        if (i > 0) {
             EXPECT_GT(records[i].addrCycle, records[i - 1].addrCycle);
+        }
     }
     EXPECT_TRUE(saw[0]);
     EXPECT_TRUE(saw[1]);

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -221,11 +222,12 @@ TEST(SystemMisc, MissesRoutedOverBusShareIt)
     p.finalize();
     system.run(p);
     EXPECT_GE(system.bus().numReads.value(), 1.0);
-    std::size_t line_reads = system.bus().monitor().count(
-        [](const bus::TxnRecord &rec) {
+    const auto &records = system.bus().monitor().records();
+    auto line_reads = std::count_if(
+        records.begin(), records.end(), [](const bus::TxnRecord &rec) {
             return rec.kind == bus::TxnKind::ReadReq && rec.size == 64;
         });
-    EXPECT_GE(line_reads, 1u);
+    EXPECT_GE(line_reads, 1);
 }
 
 TEST(SystemMisc, MarkTimesAreMonotonic)

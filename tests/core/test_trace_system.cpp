@@ -2,7 +2,8 @@
  * @file
  * Trace events from whole Systems: every event carries its own tick,
  * whatever other Systems exist, and the text and Chrome sinks render
- * the same events.
+ * the same events.  Capturing the reference stream with a
+ * sim::TraceRecorder is passive: it never perturbs the run.
  */
 
 #include <gtest/gtest.h>
@@ -12,9 +13,11 @@
 #include <string>
 #include <vector>
 
+#include "core/experiments.hh"
 #include "core/kernels.hh"
 #include "core/system.hh"
 #include "sim/trace.hh"
+#include "sim/trace_recorder.hh"
 
 #include "../sim/mini_json.hh"
 
@@ -175,6 +178,53 @@ TEST(TraceSystem, ChromeTraceHoldsEveryTextEvent)
           "bus: bus-nack", "dev: burst", "ubuf: new-entry",
           "ubuf: coalesce"})
         EXPECT_EQ(seen.count(event), 1u) << event;
+}
+
+/** What a fig3 point leaves behind: the surfaces a recorder must not move. */
+struct RunSurface
+{
+    Tick endTick = 0;
+    std::uint64_t ioWriteBusCycles = 0;
+    std::string statsJson;
+};
+
+/**
+ * Run the Fig 3(b) NoCombine 1024 B point (8 B multiplexed bus, ratio
+ * 6, 32 B block), capturing into @p recorder unless it is null.
+ */
+RunSurface
+fig3NoCombinePoint(sim::TraceRecorder *recorder)
+{
+    core::BandwidthSetup setup;
+    setup.bus.kind = bus::BusKind::Multiplexed;
+    setup.bus.widthBytes = 8;
+    setup.bus.ratio = 6;
+    setup.lineBytes = 32;
+    System system(core::bandwidthConfig(setup, core::Scheme::NoCombine));
+    system.attachTraceRecorder(recorder);
+    RunSurface surface;
+    surface.endTick =
+        system.run(core::makeStoreKernel(System::ioUncachedBase, 1024));
+    surface.ioWriteBusCycles = system.ioWriteBusCycles();
+    std::ostringstream os;
+    system.dumpStatsJson(os);
+    surface.statsJson = os.str();
+    return surface;
+}
+
+TEST(TraceSystem, RecordingDoesNotPerturbTheRun)
+{
+    // The litmus repros and hostbench's litmus_sweep attach a recorder
+    // to every case; what they measure must be the unrecorded run.
+    sim::TraceRecorder recorder(1, 32);
+    const RunSurface recorded = fig3NoCombinePoint(&recorder);
+    const RunSurface plain = fig3NoCombinePoint(nullptr);
+    EXPECT_EQ(recorder.records().size(), 1024u / 8 + 1); // stores + membar
+    EXPECT_EQ(recorded.endTick, plain.endTick);
+    EXPECT_EQ(recorded.ioWriteBusCycles, plain.ioWriteBusCycles);
+    // The whole tree, cpu group included.
+    EXPECT_NE(plain.statsJson.find("\"cpu\""), std::string::npos);
+    EXPECT_EQ(recorded.statsJson, plain.statsJson);
 }
 
 } // namespace
