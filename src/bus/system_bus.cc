@@ -41,6 +41,33 @@ busStatusName(BusStatus status)
     return "?";
 }
 
+namespace {
+
+/**
+ * The trace fields of a started tenure: @p name, then the
+ * transaction's address, size, master, ordering and preset @p status,
+ * and its address, first-data and last-data bus cycles.
+ */
+sim::trace::Fields
+tenureFields(std::string name, const BusTransaction &txn,
+             const std::string &master, BusStatus status,
+             std::uint64_t addr_cycle, std::uint64_t first_data_cycle,
+             std::uint64_t last_data_cycle)
+{
+    return sim::trace::Fields{
+        std::move(name),
+        {{"addr", sim::trace::hexArg(txn.addr)},
+         {"size", std::to_string(txn.size)},
+         {"master", master},
+         {"ordered", txn.stronglyOrdered ? "true" : "false"},
+         {"status", busStatusName(status)},
+         {"addr_cycle", std::to_string(addr_cycle)},
+         {"first_data", std::to_string(first_data_cycle)},
+         {"last_data", std::to_string(last_data_cycle)}}};
+}
+
+} // namespace
+
 void
 BusParams::validate() const
 {
@@ -54,7 +81,8 @@ BusParams::validate() const
 }
 
 SystemBus::SystemBus(sim::Simulator &simulator, const BusParams &params,
-                     std::string name, sim::stats::StatGroup *stat_parent)
+                     std::string name, sim::stats::StatGroup *stat_parent,
+                     Addr io_base)
     : sim::Clocked(name, sim::ClockDomain(params.ratio), /*eval_order=*/-10),
       sim::stats::StatGroup(name, stat_parent),
       numWrites(this, "numWrites", "write transactions completed"),
@@ -92,7 +120,7 @@ SystemBus::SystemBus(sim::Simulator &simulator, const BusParams &params,
                                      static_cast<double>(c)
                                : 0.0;
                   }),
-      sim_(simulator), params_(params)
+      sim_(simulator), params_(params), monitor_(io_base)
 {
     params_.validate();
     simulator.registerClocked(this);
@@ -483,41 +511,30 @@ SystemBus::tryStartResponse(std::uint64_t c)
         dataNextFree_ = c + cycles + params_.turnaround;
     }
 
-    TxnRecord rec;
-    rec.id = resp.txn.id;
-    rec.kind = TxnKind::ReadResp;
-    rec.addr = resp.txn.addr;
-    rec.size = resp.txn.size;
-    rec.master = resp.txn.master;
-    rec.stronglyOrdered = resp.txn.stronglyOrdered;
-    rec.addrCycle = resp.reqAddrCycle;
-    rec.firstDataCycle = c;
-    rec.lastDataCycle = c + cycles - 1;
-    rec.requestTick = resp.requestTick;
-    rec.completionTick = clockDomain().tickOfCycle(rec.lastDataCycle + 1);
-    monitor_.record(rec);
+    const std::uint64_t last_data = c + cycles - 1;
+    const Tick completion = clockDomain().tickOfCycle(last_data + 1);
+    monitor_.note(TxnKind::ReadResp, resp.txn.addr, resp.txn.size,
+                  resp.reqAddrCycle, last_data);
 
     numReads += 1;
     bytesRead += resp.txn.size;
     busyDataCycles += cycles;
     turnaroundCycles += params_.turnaround;
     txnLatencyCycles.sample(
-        static_cast<double>(rec.completionTick - rec.requestTick) /
+        static_cast<double>(completion - resp.requestTick) /
         clockDomain().period());
 
-    sim::trace::span(
-        "bus", clockDomain().tickOfCycle(rec.firstDataCycle),
-        rec.completionTick, [&] {
-            return sim::trace::Fields{
-                "read-resp " + std::to_string(rec.size) + "B",
-                {{"addr", sim::trace::hexArg(rec.addr)},
-                 {"master", masterNames_[rec.master]}}};
-        });
+    sim::trace::span("bus", clockDomain().tickOfCycle(c), completion, [&] {
+        return tenureFields(
+            "read-resp " + std::to_string(resp.txn.size) + "B", resp.txn,
+            masterNames_[resp.txn.master], BusStatus::Ok, resp.reqAddrCycle,
+            c, last_data);
+    });
 
     sim_.eventQueue().scheduleFunc(
-        rec.completionTick,
+        completion,
         [this, data = std::move(resp.txn.data),
-         on_read = std::move(resp.onRead), when = rec.completionTick] {
+         on_read = std::move(resp.onRead), when = completion] {
             --inFlight_;
             if (on_read)
                 on_read(when, BusStatus::Ok, data);
@@ -572,36 +589,25 @@ SystemBus::tryStartRequest(std::uint64_t c, bool data_path_taken)
 void
 SystemBus::startWrite(Request &req, std::uint64_t c)
 {
-    req.txn.id = nextTxnId_++;
     unsigned cycles = dataCycles(req.txn.size);
 
-    TxnRecord rec;
-    rec.id = req.txn.id;
-    rec.kind = TxnKind::Write;
-    rec.addr = req.txn.addr;
-    rec.size = req.txn.size;
-    rec.master = req.txn.master;
-    rec.stronglyOrdered = req.txn.stronglyOrdered;
-    rec.addrCycle = c;
-    rec.requestTick = req.requestTick;
-
+    std::uint64_t first_data;
     if (params_.kind == BusKind::Multiplexed) {
-        rec.firstDataCycle = c + 1;
-        rec.lastDataCycle = c + cycles;
+        first_data = c + 1;
         addrNextFree_ = c + 1 + cycles + params_.turnaround;
         busyDataCycles += 1 + cycles;
     } else {
-        rec.firstDataCycle = c;
-        rec.lastDataCycle = c + cycles - 1;
+        first_data = c;
         addrNextFree_ = c + 1;
         dataNextFree_ = c + cycles + params_.turnaround;
         busyDataCycles += cycles;
     }
-    rec.completionTick = clockDomain().tickOfCycle(rec.lastDataCycle + 1);
+    const std::uint64_t last_data = first_data + cycles - 1;
+    const Tick completion = clockDomain().tickOfCycle(last_data + 1);
 
     // Injected faults are decided when the tenure starts; drawing here
-    // rather than at completion keeps the record and the trace able to
-    // show the outcome, and is equally deterministic.
+    // rather than at completion lets the trace show the outcome, and
+    // is equally deterministic.
     BusStatus preset = BusStatus::Ok;
     if (req.unmapped)
         preset = BusStatus::Error;
@@ -612,38 +618,33 @@ SystemBus::startWrite(Request &req, std::uint64_t c)
              injector_->shouldFault(sim::FaultSite::BusWriteNack,
                                     clockDomain().tickOfCycle(c)))
         preset = BusStatus::Nack;
-    rec.status = preset;
 
     if (req.txn.stronglyOrdered)
         lastOrderedAddrCycle_[req.txn.master] = static_cast<std::int64_t>(c);
 
-    monitor_.record(rec);
+    monitor_.note(TxnKind::Write, req.txn.addr, req.txn.size, c, last_data);
     numWrites += 1;
     bytesWritten += req.txn.size;
     turnaroundCycles += params_.turnaround;
     txnLatencyCycles.sample(
-        static_cast<double>(rec.completionTick - rec.requestTick) /
+        static_cast<double>(completion - req.requestTick) /
         clockDomain().period());
     ++inFlight_;
     sim_.noteProgress();
-    sim::trace::span(
-        "bus", clockDomain().tickOfCycle(rec.addrCycle), rec.completionTick,
-        [&] {
-            return sim::trace::Fields{
-                "write " + std::to_string(rec.size) + "B",
-                {{"addr", sim::trace::hexArg(rec.addr)},
-                 {"master", masterNames_[rec.master]},
-                 {"ordered", rec.stronglyOrdered ? "true" : "false"}}};
-        });
+    sim::trace::span("bus", clockDomain().tickOfCycle(c), completion, [&] {
+        return tenureFields("write " + std::to_string(req.txn.size) + "B",
+                            req.txn, masterNames_[req.txn.master], preset, c,
+                            first_data, last_data);
+    });
 
     if (req.onStart)
         req.onStart(sim_.curTick());
 
     BusTarget *target = findTarget(req.txn.addr, req.txn.size);
     sim_.eventQueue().scheduleFunc(
-        rec.completionTick,
+        completion,
         [this, target, preset, txn = std::move(req.txn),
-         cb = std::move(req.onWrite), when = rec.completionTick]() mutable {
+         cb = std::move(req.onWrite), when = completion]() mutable {
             --inFlight_;
             BusStatus status = preset;
             // Target flow control only matters for transfers the wire
@@ -663,21 +664,6 @@ SystemBus::startWrite(Request &req, std::uint64_t c)
 void
 SystemBus::startRead(Request &req, std::uint64_t c)
 {
-    req.txn.id = nextTxnId_++;
-
-    TxnRecord rec;
-    rec.id = req.txn.id;
-    rec.kind = TxnKind::ReadReq;
-    rec.addr = req.txn.addr;
-    rec.size = req.txn.size;
-    rec.master = req.txn.master;
-    rec.stronglyOrdered = req.txn.stronglyOrdered;
-    rec.addrCycle = c;
-    rec.firstDataCycle = c;
-    rec.lastDataCycle = c; // request tenure is the address cycle only
-    rec.requestTick = req.requestTick;
-    rec.completionTick = clockDomain().tickOfCycle(c + 1);
-
     BusStatus preset = BusStatus::Ok;
     if (req.unmapped)
         preset = BusStatus::Error;
@@ -688,7 +674,6 @@ SystemBus::startRead(Request &req, std::uint64_t c)
              injector_->shouldFault(sim::FaultSite::BusReadNack,
                                     clockDomain().tickOfCycle(c)))
         preset = BusStatus::Nack;
-    rec.status = preset;
 
     addrNextFree_ = c + 1 +
         (params_.kind == BusKind::Multiplexed ? params_.turnaround : 0);
@@ -699,24 +684,21 @@ SystemBus::startRead(Request &req, std::uint64_t c)
     if (req.txn.stronglyOrdered)
         lastOrderedAddrCycle_[req.txn.master] = static_cast<std::int64_t>(c);
 
-    monitor_.record(rec);
+    // The request tenure is its address cycle only.
+    monitor_.note(TxnKind::ReadReq, req.txn.addr, req.txn.size, c, c);
     ++inFlight_;
     sim_.noteProgress();
-    sim::trace::span(
-        "bus", clockDomain().tickOfCycle(c), rec.completionTick, [&] {
-            return sim::trace::Fields{
-                "read-req",
-                {{"addr", sim::trace::hexArg(rec.addr)},
-                 {"size", std::to_string(rec.size)},
-                 {"master", masterNames_[rec.master]}}};
-        });
+    Tick addr_end = clockDomain().tickOfCycle(c + 1);
+    sim::trace::span("bus", clockDomain().tickOfCycle(c), addr_end, [&] {
+        return tenureFields("read-req", req.txn, masterNames_[req.txn.master],
+                            preset, c, c, c);
+    });
 
     if (req.onStart)
         req.onStart(sim_.curTick());
 
     // Ask the target for the data at the end of the address cycle.
     BusTarget *target = findTarget(req.txn.addr, req.txn.size);
-    Tick addr_end = clockDomain().tickOfCycle(c + 1);
     sim_.eventQueue().scheduleFunc(
         addr_end,
         [this, target, preset, txn = std::move(req.txn),
@@ -758,7 +740,6 @@ SystemBus::checkpointSave(sim::CheckpointWriter &cw) const
     csb_assert(quiescent(), "bus checkpoint requires a quiescent bus");
     cw.putU64(addrNextFree_);
     cw.putU64(dataNextFree_);
-    cw.putU64(nextTxnId_);
     cw.putU64(lastGranted_);
     cw.putU64(lastOrderedAddrCycle_.size());
     for (std::int64_t cycle : lastOrderedAddrCycle_)
@@ -772,7 +753,6 @@ SystemBus::checkpointRestore(sim::CheckpointReader &cr)
     csb_assert(quiescent(), "bus checkpoint restore into a busy bus");
     addrNextFree_ = cr.getU64();
     dataNextFree_ = cr.getU64();
-    nextTxnId_ = cr.getU64();
     lastGranted_ = static_cast<std::size_t>(cr.getU64());
     const std::uint64_t masters = cr.getU64();
     if (masters != lastOrderedAddrCycle_.size())

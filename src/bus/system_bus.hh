@@ -117,9 +117,14 @@ using StartCallback = sim::InlineFunction<void(Tick start_tick), 16>;
 class SystemBus : public sim::Clocked, public sim::stats::StatGroup
 {
   public:
+    /**
+     * @param io_base the monitor counts writes at or above it as I/O
+     *        writes (BusMonitor::ioWrites)
+     */
     SystemBus(sim::Simulator &simulator, const BusParams &params,
               std::string name = "bus",
-              sim::stats::StatGroup *stat_parent = nullptr);
+              sim::stats::StatGroup *stat_parent = nullptr,
+              Addr io_base = 0);
 
     ~SystemBus() override;
 
@@ -232,8 +237,8 @@ class SystemBus : public sim::Clocked, public sim::stats::StatGroup
     void debugDump(std::ostream &os) const override;
 
     /**
-     * Serialize timing state (free cycles, txn id, arbitration
-     * pointer, per-master ordering history) and the monitor records.
+     * Serialize timing state (free cycles, arbitration
+     * pointer, per-master ordering history) and the monitor totals.
      * @pre quiescent() -- no request may be pending or in flight.
      */
     void checkpointSave(sim::CheckpointWriter &cw) const;
@@ -347,7 +352,6 @@ class SystemBus : public sim::Clocked, public sim::stats::StatGroup
     std::uint64_t addrNextFree_ = 0;
     /** Earliest cycle a new data tenure may start (split bus only). */
     std::uint64_t dataNextFree_ = 0;
-    std::uint64_t nextTxnId_ = 1;
     std::size_t lastGranted_ = 0;
     /** Transactions started but not yet completed. */
     unsigned inFlight_ = 0;

@@ -1,7 +1,6 @@
 /**
  * @file
- * Bus transaction descriptors shared by masters, targets and the
- * instrumentation monitor.
+ * Bus transaction descriptors shared by masters and targets.
  */
 
 #ifndef CSB_BUS_TRANSACTION_HH
@@ -50,8 +49,6 @@ struct BusTransaction
     MasterId master = 0;
     unsigned size = 0;
     Addr addr = 0;
-    /** Unique id assigned by the bus at start. */
-    std::uint64_t id = 0;
     /**
      * Strongly ordered (uncached) transactions may not have their
      * address cycle issued before the previous strongly ordered
@@ -74,34 +71,6 @@ struct BusTransaction
      * travels back to the master with the completion.
      */
     std::vector<std::uint8_t> data;
-};
-
-/**
- * Completed-transaction record kept by the BusMonitor.  All cycle
- * fields are bus-cycle indices.
- */
-struct TxnRecord
-{
-    std::uint64_t id = 0;
-    TxnKind kind = TxnKind::Write;
-    Addr addr = 0;
-    unsigned size = 0;
-    MasterId master = 0;
-    bool stronglyOrdered = false;
-    std::uint64_t addrCycle = 0;
-    std::uint64_t firstDataCycle = 0;
-    std::uint64_t lastDataCycle = 0;
-    /** CPU tick at which the master's request was first presented. */
-    Tick requestTick = 0;
-    /** CPU tick at which the transaction completed. */
-    Tick completionTick = 0;
-    /**
-     * Status as decided when the tenure started (unmapped addresses
-     * and injected faults).  A target NACK decided at completion time
-     * is reflected in the master's callback and the bus stats, not
-     * retroactively here.
-     */
-    BusStatus status = BusStatus::Ok;
 };
 
 } // namespace csb::bus

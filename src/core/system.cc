@@ -59,7 +59,8 @@ System::System(SystemConfig config)
     if (config_.watchdogTicks != 0)
         sim_.setWatchdog(config_.watchdogTicks);
 
-    bus_ = std::make_unique<bus::SystemBus>(sim_, config_.bus, "bus", this);
+    bus_ = std::make_unique<bus::SystemBus>(sim_, config_.bus, "bus", this,
+                                            ioUncachedBase);
     if (injector_)
         bus_->setFaultInjector(injector_.get());
 
@@ -577,10 +578,7 @@ System::restoreCheckpointFile(const std::string &path)
 std::uint64_t
 System::ioWriteBusCycles() const
 {
-    auto is_io_write = [](const bus::TxnRecord &rec) {
-        return rec.kind == bus::TxnKind::Write && rec.addr >= ioUncachedBase;
-    };
-    return bus_->monitor().windowCycles(is_io_write);
+    return bus_->monitor().ioWrites().cycles();
 }
 
 } // namespace csb::core

@@ -145,7 +145,10 @@ class System : public sim::stats::StatGroup
 
     const SystemConfig &config() const { return config_; }
 
-    /** The I/O write transactions' BusMonitor::windowCycles(). */
+    /**
+     * The section 4.3.1 window of the bus writes at or above
+     * ioUncachedBase, in bus cycles (BusWindow::cycles()).
+     */
     std::uint64_t ioWriteBusCycles() const;
 
   private:

@@ -143,27 +143,19 @@ Cache::setLineState(Addr addr, LineState state)
         line->setState(state);
 }
 
-namespace {
-
-/** One line record: tag, flags byte, lastUse (docs/CHECKPOINT.md). */
-constexpr std::size_t kLineRecordBytes = 8 + 1 + 8;
-
-} // namespace
-
 void
 Cache::checkpointSave(sim::CheckpointWriter &cw) const
 {
     cw.putU64(useClock_);
     cw.putU64(numLines());
+    // Only live sets, in index order: a set that never came alive
+    // holds nothing but invalid lines.
+    cw.putU32(static_cast<std::uint32_t>(pool_.size() / params_.assoc));
     for (unsigned set = 0; set < numSets_; ++set) {
-        // A set that never came to life is written as all-zero
-        // (invalid) records, exactly what a value-initialized array
-        // held, so the format does not depend on laziness.
         const Line *ways = const_cast<Cache *>(this)->liveSet(set);
-        if (!ways) {
-            cw.putZeros(params_.assoc * kLineRecordBytes);
+        if (!ways)
             continue;
-        }
+        cw.putU32(set);
         for (unsigned w = 0; w < params_.assoc; ++w) {
             const Line &line = ways[w];
             cw.putU64(line.tag);
@@ -186,15 +178,23 @@ Cache::checkpointRestore(sim::CheckpointReader &cr)
         csb_fatal("checkpoint cache '", statName(), "' has ", count,
                   " lines, this cache has ", numLines(),
                   " -- geometry mismatch");
-    for (unsigned set = 0; set < numSets_; ++set) {
-        // An all-zero set encodes invalid lines.  One that is not live
-        // stays so; a live one keeps its slot, zeroed, so restoring
-        // never orphans pool lines.
-        if (cr.skipZeros(params_.assoc * kLineRecordBytes)) {
-            if (Line *ways = liveSet(set))
-                std::fill_n(ways, params_.assoc, Line{});
-            continue;
-        }
+    const std::uint32_t live = cr.getU32();
+    if (live > numSets_)
+        csb_fatal("checkpoint cache '", statName(), "' lists ", live,
+                  " live sets, this cache has ", numSets_, " sets");
+    // Sets live here but absent from the image become invalid lines,
+    // keeping their storage, so restoring never orphans pool lines.
+    std::fill(pool_.begin(), pool_.end(), Line{});
+    for (std::uint32_t i = 0, prev = 0; i < live; ++i) {
+        const std::uint32_t set = cr.getU32();
+        if (set >= numSets_)
+            csb_fatal("checkpoint cache '", statName(), "' lists set ",
+                      set, ", this cache has ", numSets_, " sets");
+        if (i > 0 && set <= prev)
+            csb_fatal("checkpoint cache '", statName(), "' lists set ",
+                      set, " after set ", prev,
+                      " -- set indices must strictly increase");
+        prev = set;
         Line *ways = makeLive(set);
         for (unsigned w = 0; w < params_.assoc; ++w) {
             Line &line = ways[w];

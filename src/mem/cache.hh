@@ -90,8 +90,10 @@ class Cache : public sim::stats::StatGroup
     const CacheParams &params() const { return params_; }
 
     /**
-     * Serialize tag/state/LRU per line (not stats -- those travel
-     * with the stats tree).  Restore verifies identical geometry.
+     * Serialize tag/state/LRU per line of each live set (not stats --
+     * those travel with the stats tree).  Restore verifies identical
+     * geometry and the set list, fills the listed sets and leaves
+     * every other set invalid.
      */
     void checkpointSave(sim::CheckpointWriter &cw) const;
     void checkpointRestore(sim::CheckpointReader &cr);

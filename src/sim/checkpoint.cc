@@ -1,6 +1,6 @@
 /**
  * @file
- * CSBC v1 container serialization (see docs/CHECKPOINT.md for the
+ * CSBC container serialization (see docs/CHECKPOINT.md for the
  * normative layout).  All integers are little-endian whatever the
  * host byte order.
  */
@@ -19,15 +19,18 @@ namespace csb::sim {
 namespace {
 
 constexpr char kMagic[4] = {'C', 'S', 'B', 'C'};
-constexpr std::uint32_t kVersion = 1;
+constexpr std::uint32_t kVersion = 2;
 constexpr std::size_t kHeaderSize = 24;
 /** Header offset of the section count. */
 constexpr std::size_t kCountAt = 8;
 /**
- * Room for a one-core System's image, 160-220 KB of which the L1 and
- * L2 line records are 148 KB.  A save then regrows its storage at
- * most once (a two-core image is 315 KB), not about 14 times from
- * empty, each a copy of the image and a hole left in the heap.
+ * Room the first save reserves.  It was sized for images of 160-315 KB,
+ * 148 KB per core of them cache records; with only live cache sets
+ * saved, the pinned images are 11-18 KB and hostbench's nic_messages
+ * images average 35 KB, so a save never regrows it.  Shrinking it is
+ * a separate, measured change: nic_messages' peak RSS follows glibc's
+ * mmap threshold, which a 256 KiB block crosses and a smaller one may
+ * not.
  */
 constexpr std::size_t kInitialCapacity = std::size_t(256) << 10;
 
@@ -154,8 +157,8 @@ CheckpointReader::parse()
         csb_fatal("not a CSBC checkpoint (bad magic)");
     const auto version = detail::loadLe<std::uint32_t>(header + 4);
     if (version != kVersion)
-        csb_fatal("unsupported CSBC version ", version, " (reader "
-                  "implements version ", kVersion, ")");
+        csb_fatal("unsupported CSBC version ", version, " (this reader "
+                  "implements version ", kVersion, " only)");
     const auto count = detail::loadLe<std::uint64_t>(header + kCountAt);
 
     for (std::uint64_t i = 0; i < count; ++i) {
@@ -215,26 +218,6 @@ CheckpointReader::getBytes()
 {
     const std::uint64_t size = getU64();
     return {take(size, "byte string"), size};
-}
-
-bool
-CheckpointReader::skipZeros(std::size_t n)
-{
-    if (n > payload_.size() - cursor_)
-        return false;
-    // OR whole words without an early exit: the common case is all
-    // zero, and a branch per byte would cost more than the bytes.
-    const std::uint8_t *at = payload_.data() + cursor_;
-    std::uint64_t any = 0;
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8)
-        any |= detail::loadLe<std::uint64_t>(at + i);
-    for (; i < n; ++i)
-        any |= at[i];
-    if (any != 0)
-        return false;
-    cursor_ += n;
-    return true;
 }
 
 } // namespace csb::sim

@@ -5,7 +5,7 @@
  * A checkpoint is an ordered sequence of named sections, one per
  * serialized component ("sim", "mem", "cpu0.arch", ...), each holding
  * an opaque little-endian payload written and read with the typed
- * accessors below.  The container layout (magic "CSBC", version 1) is
+ * accessors below.  The container layout (magic "CSBC", version 2) is
  * specified normatively in docs/CHECKPOINT.md.
  *
  * The writer builds the whole CSBC image in one byte vector; the
@@ -112,10 +112,7 @@ class CheckpointWriter
         putBytes(s.data(), s.size());
     }
 
-    /** @p n zero bytes with no prefix: a run of all-zero fields. */
-    void putZeros(std::size_t n) { grow(n); }
-
-    /** The CSBC v1 image; invalidated by the next put or section. */
+    /** The CSBC image; invalidated by the next put or section. */
     std::span<const std::uint8_t> image() const { return image_; }
 
     /** Write the image to @p os; throws FatalError on a write error. */
@@ -202,12 +199,6 @@ class CheckpointReader
         std::span<const std::uint8_t> bytes = getBytes();
         return {reinterpret_cast<const char *>(bytes.data()), bytes.size()};
     }
-
-    /**
-     * Consume the next @p n bytes if they are all zero.  @return false,
-     * consuming nothing, when any is not or fewer than @p n are left.
-     */
-    bool skipZeros(std::size_t n);
 
     std::size_t numSections() const { return sections_.size(); }
 

@@ -26,11 +26,11 @@ EventQueue::acquire()
 }
 
 void
-EventQueue::push(Tick when, int priority, Callback *fn)
+EventQueue::push(Tick when, Callback *fn)
 {
     csb_assert(when >= curTick_, "scheduling an event in the past: ",
                when, " < ", curTick_);
-    heap_.push_back(Entry{when, priority, nextSeq_++, fn});
+    heap_.push_back(Entry{when, nextSeq_++, fn});
     std::push_heap(heap_.begin(), heap_.end(), Compare{});
 }
 

@@ -14,8 +14,8 @@
  * or staleness check inside the closure (the NI's retransmit timer
  * does this).
  *
- * Events at the same tick fire in (priority, insertion-order) order,
- * which keeps the simulation fully deterministic.
+ * Events at the same tick fire in insertion order, which keeps the
+ * simulation fully deterministic.
  *
  * Each closure is stored inline in a pooled callback (up to
  * funcEventCapacity bytes, enforced by a static_assert; there is no
@@ -47,17 +47,11 @@ namespace csb::sim {
 inline constexpr std::size_t funcEventCapacity = 168;
 
 /**
- * Priority queue of callbacks ordered by (tick, priority, insertion).
+ * Priority queue of callbacks ordered by (tick, insertion).
  */
 class EventQueue
 {
   public:
-    /** Lower value fires first within a tick. */
-    enum Priority : int {
-        DefaultPri = 0,
-        MinimumPri = 100,
-    };
-
     EventQueue() = default;
     ~EventQueue();
 
@@ -74,13 +68,13 @@ class EventQueue
      */
     template <typename F>
     void
-    scheduleFunc(Tick when, F &&fn, int priority = DefaultPri)
+    scheduleFunc(Tick when, F &&fn)
     {
         static_assert(sizeof(std::decay_t<F>) <= funcEventCapacity,
                       "scheduleFunc closure exceeds funcEventCapacity");
         Callback *cb = acquire();
         *cb = std::forward<F>(fn);
-        push(when, priority, cb);
+        push(when, cb);
     }
 
     /** @return true when no events are pending. */
@@ -117,7 +111,6 @@ class EventQueue
     struct Entry
     {
         Tick when;
-        int priority;
         std::uint64_t seq;
         Callback *fn;
     };
@@ -133,8 +126,6 @@ class EventQueue
         {
             if (a.when != b.when)
                 return a.when > b.when;
-            if (a.priority != b.priority)
-                return a.priority > b.priority;
             return a.seq > b.seq;
         }
     };
@@ -142,7 +133,7 @@ class EventQueue
     /** Take an empty callback off the free list (or make one). */
     Callback *acquire();
 
-    void push(Tick when, int priority, Callback *fn);
+    void push(Tick when, Callback *fn);
 
     /** Drop the heap front, fire it and recycle its callback. */
     void popAndFire();

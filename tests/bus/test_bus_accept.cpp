@@ -13,6 +13,8 @@
 #include "io/burst_device.hh"
 #include "sim/simulator.hh"
 
+#include "../sim/trace_fixture.hh"
+
 namespace {
 
 using namespace csb;
@@ -102,6 +104,7 @@ TEST_F(AcceptFixture, SplitBusDataPathGatesWritesNotReads)
 TEST_F(AcceptFixture, PendingResponseBlocksMultiplexedBus)
 {
     makeBus(BusKind::Multiplexed, 8);
+    trace_test::BusTxnCapture capture;
     bool done = false;
     ASSERT_TRUE(bus->requestRead(master, 0x40, 8, false,
                                  [&](Tick, BusStatus,
@@ -112,8 +115,8 @@ TEST_F(AcceptFixture, PendingResponseBlocksMultiplexedBus)
     // been driven: the response has priority over new requests.
     sim.run([&] { return done; }, 10000);
     EXPECT_TRUE(done);
-    // Response record accounts its tenure.
-    const auto &records = bus->monitor().records();
+    // The response's span accounts its tenure.
+    const auto &records = capture.txns();
     ASSERT_EQ(records.size(), 2u);
     EXPECT_GT(records[1].firstDataCycle, records[0].addrCycle);
 }

@@ -16,6 +16,8 @@
 #include "sim/fault.hh"
 #include "sim/simulator.hh"
 
+#include "../sim/trace_fixture.hh"
+
 namespace {
 
 using namespace csb;
@@ -94,6 +96,7 @@ TEST_F(BusFaultFixture, InjectedWriteNackReachesCallbackNotTarget)
     plan.busWriteNackRate = 1.0;
     sim::FaultInjector injector(plan);
     bus->setFaultInjector(&injector);
+    trace_test::BusTxnCapture capture;
 
     BusStatus got = BusStatus::Ok;
     bool done = false;
@@ -114,8 +117,9 @@ TEST_F(BusFaultFixture, InjectedWriteNackReachesCallbackNotTarget)
         << "a NACKed write must not be delivered";
     EXPECT_EQ(bus->numNacks.value(), 1.0);
     EXPECT_EQ(injector.busWriteNacks.value(), 1.0);
-    ASSERT_FALSE(bus->monitor().records().empty());
-    EXPECT_EQ(bus->monitor().records().back().status, BusStatus::Nack);
+    const auto &txns = capture.txns();
+    ASSERT_FALSE(txns.empty());
+    EXPECT_EQ(txns.back().status, BusStatus::Nack);
 }
 
 TEST_F(BusFaultFixture, InjectedReadNackCompletesEmptyAtAddrPhase)

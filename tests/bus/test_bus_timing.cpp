@@ -17,6 +17,8 @@
 #include "sim/simulator.hh"
 #include "sim/trace.hh"
 
+#include "../sim/trace_fixture.hh"
+
 namespace {
 
 using namespace csb;
@@ -25,7 +27,7 @@ using bus::BusParams;
 using bus::BusStatus;
 using bus::SystemBus;
 using bus::TxnKind;
-using bus::TxnRecord;
+using trace_test::BusTxn;
 
 /** Minimal recording target. */
 class TestTarget : public bus::BusTarget
@@ -104,12 +106,10 @@ class BusFixture : public ::testing::Test
         ASSERT_EQ(completed, count);
     }
 
-    const std::vector<TxnRecord> &
-    records() const
-    {
-        return bus->monitor().records();
-    }
+    /** Every tenure the bus started, from its trace spans. */
+    const std::vector<BusTxn> &records() { return capture.txns(); }
 
+    trace_test::BusTxnCapture capture;
     sim::Simulator sim;
     std::unique_ptr<SystemBus> bus;
     TestTarget target;
@@ -121,7 +121,7 @@ TEST_F(BusFixture, MultiplexedDwordWriteTakesTwoCycles)
     makeBus(BusKind::Multiplexed, 8, 6);
     streamWrites(1, 8);
     ASSERT_EQ(records().size(), 1u);
-    const TxnRecord &rec = records()[0];
+    const BusTxn &rec = records()[0];
     EXPECT_EQ(rec.lastDataCycle - rec.addrCycle + 1, 2u);
     // Completion at the end of the last data cycle, in CPU ticks.
     EXPECT_EQ(rec.completionTick, (rec.lastDataCycle + 1) * 6);
@@ -138,17 +138,17 @@ TEST_F(BusFixture, MultiplexedBackToBackDwords)
     }
     // Effective bandwidth: 32 bytes over 8 cycles, 4 bytes per bus
     // cycle (the paper's half-of-peak reference point).
-    EXPECT_EQ(bus->monitor().windowCycles(), 8u);
+    EXPECT_EQ(bus->monitor().all().cycles(), 8u);
 }
 
 TEST_F(BusFixture, MultiplexedLineBurst)
 {
     makeBus(BusKind::Multiplexed, 8, 6);
     streamWrites(1, 64);
-    const TxnRecord &rec = records()[0];
+    const BusTxn &rec = records()[0];
     // 1 address + 8 data cycles.
     EXPECT_EQ(rec.lastDataCycle - rec.addrCycle + 1, 9u);
-    EXPECT_EQ(bus->monitor().windowCycles(), 9u);
+    EXPECT_EQ(bus->monitor().all().cycles(), 9u);
 }
 
 TEST_F(BusFixture, TurnaroundSpacesTransactions)
@@ -159,7 +159,7 @@ TEST_F(BusFixture, TurnaroundSpacesTransactions)
         EXPECT_EQ(records()[i].addrCycle - records()[i - 1].addrCycle, 3u);
     // Trailing turnaround not charged: 24 bytes over cycles 0..7,
     // 3 bytes per bus cycle.
-    EXPECT_EQ(bus->monitor().windowCycles(), 8u);
+    EXPECT_EQ(bus->monitor().all().cycles(), 8u);
 }
 
 TEST_F(BusFixture, AckDelaySpacesOrderedWrites)
@@ -192,13 +192,13 @@ TEST_F(BusFixture, SplitDwordWriteSingleDataCycle)
 {
     makeBus(BusKind::Split, 16, 6);
     streamWrites(4, 8);
-    for (const TxnRecord &rec : records())
+    for (const BusTxn &rec : records())
         EXPECT_EQ(rec.lastDataCycle, rec.firstDataCycle);
     for (std::size_t i = 1; i < 4; ++i)
         EXPECT_EQ(records()[i].addrCycle - records()[i - 1].addrCycle, 1u);
     // A dword uses half of a 128-bit bus: 32 bytes over 4 cycles, 8
     // bytes per cycle.
-    EXPECT_EQ(bus->monitor().windowCycles(), 4u);
+    EXPECT_EQ(bus->monitor().all().cycles(), 4u);
 }
 
 TEST_F(BusFixture, SplitWideBurstTwoCycles)
@@ -207,7 +207,7 @@ TEST_F(BusFixture, SplitWideBurstTwoCycles)
     // as two individual dword stores (paper, figure 4 discussion).
     makeBus(BusKind::Split, 32, 6);
     streamWrites(1, 64);
-    const TxnRecord &rec = records()[0];
+    const BusTxn &rec = records()[0];
     EXPECT_EQ(rec.lastDataCycle - rec.firstDataCycle + 1, 2u);
 }
 
@@ -314,15 +314,19 @@ TEST_F(BusFixture, TraceLinesRenderTheBusEvents)
     sim::trace::configure("", nullptr, nullptr);
     // Ratio 6: the read's address cycle is cycle 0 (ticks 0-5), the
     // write's address and data cycles are 1-2 (ticks 6-17), and the
-    // 64 B response's eight data cycles start once the target's
-    // 60-tick latency has run out at tick 66.
+    // 64 B response's eight data cycles (11-18) start once the
+    // target's 60-tick latency has run out at tick 66.  A response
+    // reports its request's address cycle.
     EXPECT_EQ(out.str(),
               "[        0] bus: read-req dur=6 addr=0xabc0 size=64 "
-              "master=second\n"
-              "[        6] bus: write 8B dur=12 addr=0x1f8 master=test "
-              "ordered=true\n"
-              "[       66] bus: read-resp 64B dur=48 addr=0xabc0 "
-              "master=second\n");
+              "master=second ordered=false status=ok addr_cycle=0 "
+              "first_data=0 last_data=0\n"
+              "[        6] bus: write 8B dur=12 addr=0x1f8 size=8 master=test "
+              "ordered=true status=ok addr_cycle=1 first_data=2 "
+              "last_data=2\n"
+              "[       66] bus: read-resp 64B dur=48 addr=0xabc0 size=64 "
+              "master=second ordered=false status=ok addr_cycle=0 "
+              "first_data=11 last_data=18\n");
 }
 
 } // namespace

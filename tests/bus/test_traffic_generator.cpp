@@ -15,6 +15,8 @@
 #include "mem/physical_memory.hh"
 #include "sim/simulator.hh"
 
+#include "../sim/trace_fixture.hh"
+
 namespace {
 
 using namespace csb;
@@ -108,7 +110,7 @@ TEST(TrafficGeneratorDeterminism, SameSeedSameTraffic)
         generator.start();
         simulator.runFor(3000);
         return std::make_pair(generator.bytesMoved.value(),
-                              the_bus.monitor().records().size());
+                              the_bus.monitor().all().txns);
     };
     auto a = run_once(777);
     auto b = run_once(777);
@@ -127,9 +129,10 @@ TEST_F(TgenFixture, StaysInsideItsRegion)
     params.regionSize = 0x1000;
     params.interval = 1.0;
     make(params);
+    trace_test::BusTxnCapture capture;
     tgen->start();
     sim.runFor(3000);
-    for (const auto &rec : bus->monitor().records()) {
+    for (const auto &rec : capture.txns()) {
         if (rec.kind == bus::TxnKind::ReadResp)
             continue;
         EXPECT_GE(rec.addr, 0x40000u);

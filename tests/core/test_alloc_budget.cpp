@@ -14,9 +14,9 @@
  * nothing.
  *
  * Steady state means a warm System: the kernel runs once, the logs it
- * fills (device writes, bus monitor records, core marks) are cleared,
- * keeping their capacity, and the allocations of a second System::run
- * of the same kernel are counted.  The first run also pays one-off
+ * fills (device writes, core marks) are cleared, keeping their
+ * capacity, and the allocations of a second System::run of the same
+ * kernel are counted.  The first run also pays one-off
  * costs -- the event pool filling, the event heap and the logs growing
  * -- which would swamp a point with only four bus transactions.
  *
@@ -186,7 +186,6 @@ countStorePoint(Scheme scheme, unsigned transfer_bytes)
 
     system.run(program);
     system.device().clearLog();
-    system.bus().monitor().clear();
     system.core().clearMarks();
     const double txns_before =
         system.bus().numWrites.value() + system.bus().numReads.value();
@@ -290,7 +289,7 @@ TEST(BuildBudget, LitmusSmpSystemBuildAndTeardownBytes)
 {
     // Cache line storage grows with the sets a run fills, so a build
     // pays only each level's per-set slot index (8 KiB for the
-    // default L2).  Measured: 134 288 B in 90 allocations; with a
+    // default L2).  Measured: 134 304 B in 90 allocations; with a
     // line array per level it was 941 968 B in 98.
     BuildCount count = countBuildAndTeardown(litmusSmpConfig());
     EXPECT_LE(count.bytes, 140'000u)

@@ -403,16 +403,22 @@ fnv1a(const std::string &bytes)
     return h;
 }
 
-/** Fig 3(e): an 8 B multiplexed bus at ratio 6, 64 B lines, CSB. */
+/** Fig 3(e): an 8 B multiplexed bus at ratio 6, 64 B lines. */
 core::SystemConfig
-fig3eCsbConfig()
+fig3eConfig(core::Scheme scheme)
 {
     core::BandwidthSetup setup;
     setup.bus.kind = csb::bus::BusKind::Multiplexed;
     setup.bus.widthBytes = 8;
     setup.bus.ratio = 6;
     setup.lineBytes = 64;
-    return core::bandwidthConfig(setup, core::Scheme::Csb);
+    return core::bandwidthConfig(setup, scheme);
+}
+
+core::SystemConfig
+fig3eCsbConfig()
+{
+    return fig3eConfig(core::Scheme::Csb);
 }
 
 /** runMessageWorkload's NI CSB system on the Fig 3(e) bus. */
@@ -516,15 +522,16 @@ TEST(CheckpointResume, ImagesReproducePinnedBytes)
 {
     // The encoding may change, the bytes may not: they move only with
     // the format itself, e.g. a knob entering or leaving the config
-    // section, and the resume tests above then show the new images
-    // still reproduce their uninterrupted runs.
+    // section or a section saving only live state, and the resume
+    // tests above then show the new images still reproduce their
+    // uninterrupted runs.
     const PinnedImage pins[] = {
-        {"fig3e-csb", fig3eCsbConfig(), runStoreKernel, 166710,
-         0xb46950acfeb43bb0ULL},
-        {"ni-csb", niCsbConfig(), runMessageBatch, 161527,
-         0x24595763a19b10c0ULL},
-        {"smp-mesi", coherentSmpConfig(), runSharedCounters, 314881,
-         0x9754225bace36823ULL},
+        {"fig3e-csb", fig3eCsbConfig(), runStoreKernel, 14510,
+         0x4557543f364d9f31ULL},
+        {"ni-csb", niCsbConfig(), runMessageBatch, 11045,
+         0x4c410fefd8093934ULL},
+        {"smp-mesi", coherentSmpConfig(), runSharedCounters, 17822,
+         0x24cc9a5f429e641bULL},
     };
     for (const PinnedImage &pin : pins) {
         core::System saved(pin.cfg);
@@ -544,6 +551,45 @@ TEST(CheckpointResume, ImagesReproducePinnedBytes)
             csb::sim::CheckpointReader::fromImage(cw.image());
         restored.restoreCheckpoint(cr);
         EXPECT_EQ(statsJson(restored), statsJson(saved)) << pin.what;
+    }
+}
+
+TEST(CheckpointResume, IoWriteWindowSpansTheCheckpoint)
+{
+    // A Fig 3(e) transfer in two halves with a checkpoint between
+    // them: the section 4.3.1 window the resumed system reports runs
+    // from the first half's first address cycle, as in the run that
+    // never stopped.
+    for (core::Scheme scheme : {core::Scheme::Csb, core::Scheme::NoCombine}) {
+        const core::SystemConfig cfg = fig3eConfig(scheme);
+        const csb::isa::Program half =
+            scheme == core::Scheme::Csb
+                ? core::makeCsbStoreKernel(core::System::ioCsbBase, 1024, 64)
+                : core::makeStoreKernel(core::System::ioUncachedBase, 1024);
+
+        core::System reference(cfg);
+        reference.run(half);
+        reference.run(half);
+
+        core::System before(cfg);
+        before.run(half);
+        csb::sim::CheckpointWriter cw;
+        before.saveCheckpoint(cw);
+        core::System after(cfg);
+        csb::sim::CheckpointReader cr =
+            csb::sim::CheckpointReader::fromImage(cw.image());
+        after.restoreCheckpoint(cr);
+        after.run(half);
+
+        core::System second_only(cfg);
+        second_only.run(half);
+
+        const std::string what = core::schemeName(scheme);
+        EXPECT_EQ(after.ioWriteBusCycles(), reference.ioWriteBusCycles())
+            << what;
+        EXPECT_GT(after.ioWriteBusCycles(), second_only.ioWriteBusCycles())
+            << what << ": the window must include the first half";
+        EXPECT_EQ(statsJson(after), statsJson(reference)) << what;
     }
 }
 

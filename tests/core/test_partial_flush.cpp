@@ -14,6 +14,8 @@
 #include "io/network_interface.hh"
 #include "sim/random.hh"
 
+#include "../sim/trace_fixture.hh"
+
 namespace {
 
 using namespace csb;
@@ -36,10 +38,11 @@ TEST_P(PartialFlush, IssuesExactlyTheValidBytes)
     System system(cfg);
     isa::Program p =
         core::makeCsbSequenceKernel(System::ioCsbBase, dwords);
+    trace_test::BusTxnCapture capture;
     system.run(p);
 
     std::uint64_t bytes = 0;
-    for (const auto &rec : system.bus().monitor().records()) {
+    for (const auto &rec : capture.txns()) {
         if (rec.kind != bus::TxnKind::Write)
             continue;
         EXPECT_TRUE(isPowerOf2(rec.size));

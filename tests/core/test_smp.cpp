@@ -11,6 +11,8 @@
 #include "core/kernels.hh"
 #include "core/system.hh"
 
+#include "../sim/trace_fixture.hh"
+
 namespace {
 
 using namespace csb;
@@ -90,11 +92,12 @@ TEST(Smp, BusArbitrationInterleavesBursts)
                                               64);
     isa::Program b = core::makeCsbStoreKernel(
         System::ioCsbBase + 0x1000, 8 * 64, 64);
+    trace_test::BusTxnCapture capture;
     runBoth(system, a, b);
 
     // Both masters' line bursts appear, and the combined stream is
     // still one-address-cycle-per-transaction legal.
-    const auto &records = system.bus().monitor().records();
+    const auto &records = capture.txns();
     bool saw[2] = {false, false};
     for (std::size_t i = 0; i < records.size(); ++i) {
         if (records[i].addr >= System::ioCsbBase + 0x1000)

@@ -12,6 +12,8 @@
 #include "core/kernels.hh"
 #include "core/system.hh"
 
+#include "../sim/trace_fixture.hh"
+
 namespace {
 
 using namespace csb;
@@ -139,8 +141,9 @@ TEST(Integration, EveryIoTransactionIsAlignedPowerOfTwo)
             scheme == Scheme::Csb
                 ? core::makeCsbStoreKernel(System::ioCsbBase, 192, 64)
                 : core::makeStoreKernel(System::ioAccelBase, 192);
+        trace_test::BusTxnCapture capture;
         system.run(p);
-        for (const auto &rec : system.bus().monitor().records()) {
+        for (const auto &rec : capture.txns()) {
             EXPECT_TRUE(isPowerOf2(rec.size));
             EXPECT_EQ(rec.addr % rec.size, 0u);
         }

@@ -18,6 +18,7 @@
 #include "sim/logging.hh"
 
 #include "../sim/mini_json.hh"
+#include "../sim/trace_fixture.hh"
 
 namespace {
 
@@ -220,11 +221,12 @@ TEST(SystemMisc, MissesRoutedOverBusShareIt)
     p.ldd(ir(2), ir(1), 0);
     p.halt();
     p.finalize();
+    trace_test::BusTxnCapture capture;
     system.run(p);
     EXPECT_GE(system.bus().numReads.value(), 1.0);
-    const auto &records = system.bus().monitor().records();
+    const auto &records = capture.txns();
     auto line_reads = std::count_if(
-        records.begin(), records.end(), [](const bus::TxnRecord &rec) {
+        records.begin(), records.end(), [](const trace_test::BusTxn &rec) {
             return rec.kind == bus::TxnKind::ReadReq && rec.size == 64;
         });
     EXPECT_GE(line_reads, 1);

@@ -16,6 +16,8 @@
 #include "sim/logging.hh"
 #include "sim/simulator.hh"
 
+#include "../sim/trace_fixture.hh"
+
 namespace {
 
 using namespace csb;
@@ -164,6 +166,7 @@ TEST_F(NiFixture, DmaReadsArePipelined)
     NetworkInterfaceParams params;
     params.dmaMaxOutstanding = 4;
     make(params);
+    trace_test::BusTxnCapture capture;
     storage.write(0x2000, std::vector<std::uint8_t>(512, 1).data(), 512);
     niWriteDword(NiMap::descBase, io::packDescriptor(0x2000, 512));
     runUntilIdle();
@@ -174,7 +177,7 @@ TEST_F(NiFixture, DmaReadsArePipelined)
     std::uint64_t first = UINT64_MAX;
     std::uint64_t last = 0;
     unsigned responses = 0;
-    for (const auto &rec : bus->monitor().records()) {
+    for (const auto &rec : capture.txns()) {
         if (rec.kind == bus::TxnKind::ReadResp) {
             first = std::min(first, rec.firstDataCycle);
             last = std::max(last, rec.lastDataCycle);

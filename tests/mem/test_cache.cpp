@@ -132,18 +132,30 @@ struct LineRecord
     std::uint64_t lastUse = 0;
 };
 
-/** Hand-built checkpoint of a cache with @p lines records. */
+/** One listed set: its index and its assoc line records. */
+struct SetRecord
+{
+    std::uint32_t set = 0;
+    std::vector<LineRecord> lines;
+};
+
+/** Hand-built checkpoint of a cache of @p num_lines with @p sets. */
 std::string
-expectedBytes(std::uint64_t use_clock, const std::vector<LineRecord> &lines)
+expectedBytes(std::uint64_t use_clock, std::uint64_t num_lines,
+              const std::vector<SetRecord> &sets)
 {
     sim::CheckpointWriter cw;
     cw.beginSection("c");
     cw.putU64(use_clock);
-    cw.putU64(lines.size());
-    for (const LineRecord &line : lines) {
-        cw.putU64(line.tag);
-        cw.putU8(line.flags);
-        cw.putU64(line.lastUse);
+    cw.putU64(num_lines);
+    cw.putU32(static_cast<std::uint32_t>(sets.size()));
+    for (const SetRecord &set : sets) {
+        cw.putU32(set.set);
+        for (const LineRecord &line : set.lines) {
+            cw.putU64(line.tag);
+            cw.putU8(line.flags);
+            cw.putU64(line.lastUse);
+        }
     }
     std::ostringstream os;
     cw.writeTo(os);
@@ -161,13 +173,27 @@ restoreFrom(Cache &cache, const std::string &saved)
     cr.closeSection();
 }
 
-TEST(CacheCheckpoint, UntouchedCacheSavesAllZeroRecords)
+/** Restoring @p image must be fatal, naming the cache and @p what. */
+void
+expectRestoreFatal(const std::string &image, const std::string &what)
 {
-    // Sets come to life on their first fill; one that never did must
-    // still save as the invalid, all-zero records of an eager array.
+    Cache cache(tiny(512, 1, 64, 1), "c"); // direct-mapped, 8 sets
+    try {
+        restoreFrom(cache, image);
+        ADD_FAILURE() << "image accepted; expected a fatal on " << what;
+    } catch (const FatalError &e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("cache 'c'"), std::string::npos) << msg;
+        EXPECT_NE(msg.find(what), std::string::npos) << msg;
+    }
+}
+
+TEST(CacheCheckpoint, UntouchedCacheSavesNoSets)
+{
+    // Sets come to life on their first fill; one that never did holds
+    // only invalid lines and is not listed.
     Cache cache(tiny(1024, 2, 64, 1), "c");
-    EXPECT_EQ(savedBytes(cache),
-              expectedBytes(0, std::vector<LineRecord>(16)));
+    EXPECT_EQ(savedBytes(cache), expectedBytes(0, 16, {}));
 }
 
 TEST(CacheCheckpoint, InvalidatedLineKeepsTagAndLastUse)
@@ -176,9 +202,8 @@ TEST(CacheCheckpoint, InvalidatedLineKeepsTagAndLastUse)
     Cache cache(tiny(256, 2, 64, 1), "c");
     cache.access(0x080, true);
     cache.setLineState(0x080, LineState::Invalid);
-    std::vector<LineRecord> lines(4);
-    lines[0] = {2, 0, 1};
-    EXPECT_EQ(savedBytes(cache), expectedBytes(1, lines));
+    EXPECT_EQ(savedBytes(cache),
+              expectedBytes(1, 4, {{0, {{2, 0, 1}, {}}}}));
 }
 
 TEST(CacheCheckpoint, RoundTripOfPartlyTouchedCacheIsExact)
@@ -196,6 +221,7 @@ TEST(CacheCheckpoint, RoundTripOfPartlyTouchedCacheIsExact)
     Cache restored(params, "c");
     restoreFrom(restored, saved);
     EXPECT_EQ(savedBytes(restored), saved);
+    EXPECT_EQ(restored.allocatedLines(), original.allocatedLines());
 
     // Hits, misses, LRU victims and writebacks go on exactly as on the
     // cache that was never saved: touched sets, the invalidated line
@@ -217,21 +243,21 @@ TEST(CacheCheckpoint, SetsLiveOutOfIndexOrderSaveInIndexOrder)
 {
     // Direct-mapped, 8 sets, 64 B lines: set = (addr / 64) % 8.  Sets
     // 6, 1 and 4 come alive in that order, so their lines sit in that
-    // order in storage; the image still lists records by set.
+    // order in storage; the image still lists the sets by index.
     const CacheParams params = tiny(512, 1, 64, 1);
     Cache original(params, "c");
     original.access(0x180, true);  // set 6, tag 6
     original.access(0x040, false); // set 1, tag 1
     original.access(0x300, true);  // set 4, tag 12
-    std::vector<LineRecord> lines(8);
-    lines[1] = {1, 1, 2};
-    lines[4] = {12, 3, 3};
-    lines[6] = {6, 3, 1};
     const std::string saved = savedBytes(original);
-    EXPECT_EQ(saved, expectedBytes(3, lines));
+    EXPECT_EQ(saved, expectedBytes(3, 8,
+                                   {{1, {{1, 1, 2}}},
+                                    {4, {{12, 3, 3}}},
+                                    {6, {{6, 3, 1}}}}));
 
     // One cache restores into fresh storage (sets live in index
-    // order), another had brought sets 4 and 0 to life first.
+    // order), another had brought sets 4 and 0 to life first.  Set 0
+    // keeps its storage as an invalid line, so that cache lists it.
     Cache fresh(params, "c");
     restoreFrom(fresh, saved);
     Cache used(params, "c");
@@ -239,7 +265,11 @@ TEST(CacheCheckpoint, SetsLiveOutOfIndexOrderSaveInIndexOrder)
     used.access(0x000, true);  // set 0
     restoreFrom(used, saved);
     EXPECT_EQ(savedBytes(fresh), saved);
-    EXPECT_EQ(savedBytes(used), saved);
+    EXPECT_EQ(savedBytes(used), expectedBytes(3, 8,
+                                              {{0, {{}}},
+                                               {1, {{1, 1, 2}}},
+                                               {4, {{12, 3, 3}}},
+                                               {6, {{6, 3, 1}}}}));
 
     const Addr addrs[] = {0x040, 0x180, 0x380, 0x100, 0x300, 0x000,
                           0x240, 0x140, 0x040, 0x1c0, 0x300};
@@ -254,6 +284,7 @@ TEST(CacheCheckpoint, SetsLiveOutOfIndexOrderSaveInIndexOrder)
                 << std::hex << addr;
         }
     }
+    // Every set the image left out has been filled since.
     EXPECT_EQ(savedBytes(fresh), savedBytes(original));
     EXPECT_EQ(savedBytes(used), savedBytes(original));
 }
@@ -269,11 +300,11 @@ TEST(Cache, LinesAllocatedOnlyForSetsThatCameAlive)
     EXPECT_EQ(cache.allocatedLines(), 4u);
 }
 
-TEST(CacheCheckpoint, RestoringZeroSetsRepeatedlyDoesNotGrowStorage)
+TEST(CacheCheckpoint, RepeatedRestoresDoNotGrowStorage)
 {
-    // The image holds sets 0 and 3; the cache restored into has lines
-    // in sets 0, 1, 2 and 5, so three of its live sets restore from
-    // all-zero records.  They keep their storage as invalid lines.
+    // The image lists sets 0 and 3; the cache restored into has lines
+    // in sets 0, 1, 2 and 5.  Sets 1, 2 and 5 become invalid lines
+    // that keep their storage; only set 3 is new.
     const CacheParams params = tiny(1024, 2, 64, 1);
     Cache original(params, "c");
     original.access(0x000, true);
@@ -282,18 +313,28 @@ TEST(CacheCheckpoint, RestoringZeroSetsRepeatedlyDoesNotGrowStorage)
     const std::string empty = savedBytes(Cache(params, "c"));
 
     Cache cache(params, "c");
-    for (Addr addr : {0x400, 0x040, 0x240, 0x080, 0x140, 0x540})
+    const Addr filled[] = {0x400, 0x040, 0x240, 0x080, 0x140, 0x540};
+    for (Addr addr : filled)
         cache.access(addr, true);
     ASSERT_EQ(cache.allocatedLines(), 8u);
     for (int round = 0; round < 5; ++round) {
         restoreFrom(cache, saved);
-        EXPECT_EQ(savedBytes(cache), saved) << "round " << round;
-        // Refilling the restored-invalid sets reuses their storage.
-        for (Addr addr : {0x040, 0x080, 0x140})
-            cache.access(addr, false);
-        restoreFrom(cache, empty);
-        EXPECT_EQ(savedBytes(cache), empty) << "round " << round;
         EXPECT_EQ(cache.allocatedLines(), 10u) << "round " << round;
+        for (Addr addr : filled) {
+            EXPECT_EQ(cache.lineState(addr), LineState::Invalid)
+                << "round " << round << std::hex << " addr " << addr;
+        }
+        EXPECT_EQ(cache.lineState(0x000), LineState::Modified);
+        EXPECT_EQ(cache.lineState(0x0c0), LineState::Exclusive);
+        // Refilling the sets the image left out reuses their storage.
+        for (Addr addr : filled)
+            cache.access(addr, true);
+        restoreFrom(cache, empty);
+        EXPECT_EQ(cache.allocatedLines(), 10u) << "round " << round;
+        for (Addr addr : {0x000, 0x0c0, 0x400, 0x040, 0x540}) {
+            EXPECT_EQ(cache.lineState(addr), LineState::Invalid)
+                << "round " << round << std::hex << " addr " << addr;
+        }
     }
 }
 
@@ -301,7 +342,7 @@ TEST(CacheCheckpoint, RestoreIntoUsedCacheIsExact)
 {
     // 2-way, 8 sets, 64 B lines.  The saved cache touches sets 0 and
     // 3 only; the cache restored into has live lines in sets 0, 1, 2
-    // and 5, which the image holds as all-zero sets.
+    // and 5, which the image does not list.
     const CacheParams params = tiny(1024, 2, 64, 1);
     Cache original(params, "c");
     original.access(0x000, true);
@@ -313,7 +354,15 @@ TEST(CacheCheckpoint, RestoreIntoUsedCacheIsExact)
     for (Addr addr : {0x400, 0x040, 0x240, 0x080, 0x140, 0x540})
         restored.access(addr, true);
     restoreFrom(restored, saved);
-    EXPECT_EQ(savedBytes(restored), saved);
+    // Sets 1, 2 and 5 stay allocated as invalid lines; set 3 is new.
+    EXPECT_EQ(restored.allocatedLines(), 10u);
+    EXPECT_EQ(savedBytes(restored),
+              expectedBytes(3, 16,
+                            {{0, {{0, 3, 1}, {8, 1, 2}}},
+                             {1, {{}, {}}},
+                             {2, {{}, {}}},
+                             {3, {{3, 3, 3}, {}}},
+                             {5, {{}, {}}}}));
 
     // The lines filled before the restore are gone: every set behaves
     // as in the saved cache, whether it was live there or not.
@@ -328,7 +377,30 @@ TEST(CacheCheckpoint, RestoreIntoUsedCacheIsExact)
         EXPECT_EQ(got.writeback, want.writeback) << std::hex << addr;
         EXPECT_EQ(got.writebackAddr, want.writebackAddr) << std::hex << addr;
     }
+    EXPECT_EQ(restored.allocatedLines(), 10u);
     EXPECT_EQ(savedBytes(restored), savedBytes(original));
+}
+
+TEST(CacheCheckpoint, RejectsMalformedSetLists)
+{
+    // The restoring cache is direct-mapped with 8 sets.
+    {
+        sim::CheckpointWriter cw;
+        cw.beginSection("c");
+        cw.putU64(0);
+        cw.putU64(8);
+        cw.putU32(9); // live sets, more than the cache has
+        std::ostringstream os;
+        cw.writeTo(os);
+        expectRestoreFatal(os.str(), "9 live sets");
+    }
+    expectRestoreFatal(expectedBytes(1, 8, {{8, {{1, 1, 1}}}}), "set 8");
+    expectRestoreFatal(
+        expectedBytes(2, 8, {{3, {{3, 1, 1}}}, {3, {{11, 1, 2}}}}),
+        "set 3 after set 3");
+    expectRestoreFatal(
+        expectedBytes(2, 8, {{5, {{5, 1, 1}}}, {2, {{2, 1, 2}}}}),
+        "set 2 after set 5");
 }
 
 TEST(Hierarchy, LatenciesStack)

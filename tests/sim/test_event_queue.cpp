@@ -39,7 +39,7 @@ TEST(EventQueue, FiresInTimeOrder)
     EXPECT_EQ(q.curTick(), 30u);
 }
 
-TEST(EventQueue, SameTickFifoWithinPriority)
+TEST(EventQueue, SameTickFiresInInsertionOrder)
 {
     EventQueue q;
     std::vector<int> order;
@@ -48,16 +48,6 @@ TEST(EventQueue, SameTickFifoWithinPriority)
     q.scheduleFunc(5, [&] { order.push_back(3); });
     q.serviceUntil(5);
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(EventQueue, PriorityOverridesInsertionOrder)
-{
-    EventQueue q;
-    std::vector<int> order;
-    q.scheduleFunc(5, [&] { order.push_back(1); }, EventQueue::MinimumPri);
-    q.scheduleFunc(5, [&] { order.push_back(2); });
-    q.serviceUntil(5);
-    EXPECT_EQ(order, (std::vector<int>{2, 1}));
 }
 
 TEST(EventQueue, ServiceUntilAdvancesTime)

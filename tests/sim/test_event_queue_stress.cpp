@@ -5,7 +5,7 @@
  * Drives the queue with a deterministic but adversarial mix of
  * schedule and service operations and checks the observable contract
  * against a simple reference model:
- *  - events fire in exact (tick, priority, insertion-order) order;
+ *  - events fire in exact (tick, insertion-order) order;
  *  - numPending() is the exact pending count at every step;
  *  - numProcessed() counts every fired event;
  *  - the queue drains completely once everything has fired.
@@ -34,24 +34,19 @@ TEST(EventQueueStress, RandomChurnFiresInDeterministicOrder)
     struct Rec
     {
         Tick when;
-        int pri;
         std::uint64_t id;
     };
     std::vector<Rec> model;  // indexed by id
     std::vector<std::uint64_t> fired;
 
-    const int kPris[] = {-100, EventQueue::DefaultPri,
-                         EventQueue::MinimumPri};
     const int kIters = 4000;
 
     for (int i = 0; i < kIters; ++i) {
         if (rng.uniform(0, 99) < 60) {
             Tick when = q.curTick() + rng.uniform(1, 500);
-            int pri = kPris[rng.uniform(0, 2)];
             std::uint64_t id = model.size();
-            model.push_back({when, pri, id});
-            q.scheduleFunc(
-                when, [&fired, id] { fired.push_back(id); }, pri);
+            model.push_back({when, id});
+            q.scheduleFunc(when, [&fired, id] { fired.push_back(id); });
         } else {
             q.serviceUntil(q.curTick() + rng.uniform(0, 64));
         }
@@ -64,15 +59,13 @@ TEST(EventQueueStress, RandomChurnFiresInDeterministicOrder)
     EXPECT_TRUE(q.empty());
     EXPECT_EQ(q.numPending(), 0u);
 
-    // Expected firing order: every event, sorted by (tick, priority,
-    // schedule order).
+    // Expected firing order: every event, sorted by (tick, schedule
+    // order).
     std::vector<Rec> expected = model;
     std::sort(expected.begin(), expected.end(),
               [](const Rec &a, const Rec &b) {
                   if (a.when != b.when)
                       return a.when < b.when;
-                  if (a.pri != b.pri)
-                      return a.pri < b.pri;
                   return a.id < b.id;
               });
     ASSERT_EQ(fired.size(), expected.size());
